@@ -1,0 +1,7 @@
+"""Put the benchmark's modules and the repository's ``src`` on the path."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [BENCH, os.path.join(os.path.dirname(BENCH), "src")]
