@@ -209,27 +209,34 @@ class WearState:
 
     # ------------------------------------------------------------------
     # Remaining budgets (functions of lifetimes AND accumulated wear)
-    def remaining_switch_closes(self) -> np.ndarray:
+    #
+    # Each query takes an optional ``rows`` index into the instance axis
+    # (an int, a slice or an integer array) and returns exactly the
+    # full-state result indexed by ``rows``, at the cost of those rows.
+    def remaining_switch_closes(self, rows=None) -> np.ndarray:
         """Closing actuations each switch can still serve.
 
         A switch with ``used < lifetime`` has ``floor(lifetime) - used``
         closes left (``used`` never exceeds ``floor(lifetime)`` while the
         switch is alive); a failed switch has none.
         """
-        return np.where(self.used < self.lifetime,
-                        self.switch_budgets() - self.used, 0)
+        lifetime, used = ((self.lifetime, self.used) if rows is None
+                          else (self.lifetime[rows], self.used[rows]))
+        return np.where(used < lifetime,
+                        np.floor(lifetime).astype(np.int64) - used, 0)
 
-    def remaining_bank_budgets(self) -> np.ndarray:
+    def remaining_bank_budgets(self, rows=None) -> np.ndarray:
         """Accesses each bank can still serve (0 for dead-latched banks)."""
-        rem = self.remaining_switch_closes()
+        rem = self.remaining_switch_closes(rows)
         if self.k == 1:
-            out = rem.max(axis=2)
+            out = rem.max(axis=-1)
         else:
             split = self.n - self.k
-            out = np.partition(rem, split, axis=2)[:, :, split]
-        return np.where(self.bank_dead, 0, out)
+            out = np.partition(rem, split, axis=-1)[..., split]
+        dead = self.bank_dead if rows is None else self.bank_dead[rows]
+        return np.where(dead, 0, out)
 
-    def remaining_capacity(self) -> np.ndarray:
+    def remaining_capacity(self, rows=None) -> np.ndarray:
         """Per-instance accesses still servable from the current state.
 
         Sums the remaining budgets of every reachable bank (the current
@@ -237,10 +244,11 @@ class WearState:
         mutated and fault hooks are ignored, so with a hook attached
         this is the hook-free upper bound.
         """
-        copy_index = np.arange(self.copies)[np.newaxis, :]
-        reachable = copy_index >= self.current[:, np.newaxis]
-        return np.where(reachable, self.remaining_bank_budgets(),
-                        0).sum(axis=1)
+        current = self.current if rows is None else self.current[rows]
+        reachable = (np.arange(self.copies)
+                     >= np.asarray(current)[..., np.newaxis])
+        return np.where(reachable, self.remaining_bank_budgets(rows),
+                        0).sum(axis=-1)
 
     def wear_observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-switch censored lifetime observations for endurance fits.
@@ -261,45 +269,63 @@ class WearState:
 
     # ------------------------------------------------------------------
     # Stepped kernel
-    def step_access(self, mask: np.ndarray | None = None,
-                    record: dict | None = None) -> np.ndarray:
-        """Serve one architecture access per selected instance, vectorized.
+    def step_access(self, rows) -> tuple[np.ndarray, np.ndarray,
+                                         np.ndarray]:
+        """Serve one architecture access to each listed instance.
 
-        Each selected, non-exhausted instance attempts its current bank;
-        a bank that fails to close ``k`` paths latches dead and the
-        access falls over to the next copy within the same step, exactly
-        like :meth:`repro.core.hardware.SerialCopies.access`.  Returns
-        the per-instance success mask (``False`` for instances that were
-        masked out, already exhausted, or exhausted during this step).
+        ``rows`` is a 1-D array of distinct instance indices; only those
+        rows are read or written.  Each non-exhausted row attempts its
+        current bank; a bank that fails to close ``k`` paths latches
+        dead and the access falls over to the next copy within the same
+        step, exactly like :meth:`repro.core.hardware.SerialCopies.access`.
+        The fault hook sees the actuated rows in the order given.
 
-        When ``record`` is a dict, it is populated with the per-instance
-        serving detail callers like the keystore layer need:
-        ``record["served_copy"]`` (B,) holds the copy that served each
-        successful instance (-1 elsewhere) and ``record["observed"]``
-        (B, n) the observed closure row of that serving bank.
+        Returns ``(success, served_copy, observed)`` aligned with
+        ``rows``: whether each access was served (``False`` for rows
+        already exhausted or exhausted during this step), the copy that
+        served it (-1 when none did) and the ``(len(rows), n)`` observed
+        closure row of that serving bank (all ``False`` when none did).
+
+        Raises :class:`~repro.errors.ConfigurationError` before touching
+        any array when ``rows`` repeats an index or leaves
+        ``[0, instances)``: a repeated row would serve two accesses for
+        one wear cycle.
         """
-        if mask is None:
-            mask = np.ones(self.instances, dtype=bool)
-        if record is not None:
-            record["served_copy"] = np.full(self.instances, -1,
-                                            dtype=np.int64)
-            record["observed"] = np.zeros((self.instances, self.n),
-                                          dtype=bool)
-        pending = mask & ~self.exhausted
-        self.total_accesses[pending] += 1
-        success = np.zeros(self.instances, dtype=bool)
-        while pending.any():
-            b = np.flatnonzero(pending)
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(
+                rows.dtype, np.integer)):
+            raise ConfigurationError(
+                f"rows must be a 1-D array of instance indices, got "
+                f"dtype {rows.dtype} and shape {rows.shape}")
+        rows = rows.astype(np.int64, copy=False)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.instances):
+            raise ConfigurationError(
+                f"rows must lie in [0, {self.instances}), got "
+                f"{rows.min()}..{rows.max()}")
+        if rows.size > 1 and np.unique(rows).size != rows.size:
+            raise ConfigurationError("rows must not repeat an instance")
+        success = np.zeros(rows.size, dtype=bool)
+        served_copy = np.full(rows.size, -1, dtype=np.int64)
+        served_observed = np.zeros((rows.size, self.n), dtype=bool)
+        # Positions into ``rows`` still attempting, in the given order.
+        pending = np.flatnonzero(self.current[rows] < self.copies)
+        self.total_accesses[rows[pending]] += 1
+        while pending.size:
+            b = rows[pending]
             c = self.current[b]
-            # A dead current bank (only reachable through external state
-            # manipulation) is skipped without wear, like the scalar path.
-            pre_dead = self.bank_dead[b, c]
-            if pre_dead.any():
-                skip = b[pre_dead]
+            keep = np.zeros(pending.size, dtype=bool)
+            live = ~self.bank_dead[b, c]
+            at = pending
+            if not live.all():
+                # A dead current bank (only reachable through external
+                # state manipulation) is skipped without wear, like the
+                # scalar path.
+                skip = b[~live]
                 self.current[skip] += 1
-                pending[skip[self.current[skip] >= self.copies]] = False
-                b, c = b[~pre_dead], c[~pre_dead]
+                keep[~live] = self.current[skip] < self.copies
+                b, c, at = b[live], c[live], pending[live]
                 if b.size == 0:
+                    pending = pending[keep]
                     continue
             self.bank_accesses[b, c] += 1
             used = self.used[b, c]                       # (m, n) copy
@@ -321,11 +347,10 @@ class WearState:
                 observed = closed
                 served = physical >= self.k
                 latch = ~served
-            success[b[served]] = True
-            pending[b[served]] = False
-            if record is not None and served.any():
-                record["served_copy"][b[served]] = c[served]
-                record["observed"][b[served]] = observed[served]
+            won = at[served]
+            success[won] = True
+            served_copy[won] = c[served]
+            served_observed[won] = observed[served]
             fell_over = ~served
             if fell_over.any():
                 db, dc = b[fell_over], c[fell_over]
@@ -336,13 +361,15 @@ class WearState:
                         self.bank_accesses[db[lb], dc[lb]], 0, self.copies,
                         np.empty(0))
                 self.current[db] += 1
-                pending[db[self.current[db] >= self.copies]] = False
-        newly_exhausted = mask & self.exhausted & ~success
-        if OBS.enabled and newly_exhausted.any():
-            telemetry.record_batch_exhaustion(
-                np.empty(0), int(newly_exhausted.sum()), self.copies,
-                self.total_accesses[newly_exhausted])
-        return success
+            keep[live] = fell_over & (self.current[b] < self.copies)
+            pending = pending[keep]
+        if OBS.enabled:
+            exhausted = ~success & (self.current[rows] >= self.copies)
+            if exhausted.any():
+                telemetry.record_batch_exhaustion(
+                    np.empty(0), int(exhausted.sum()), self.copies,
+                    self.total_accesses[rows[exhausted]])
+        return success, served_copy, served_observed
 
     # ------------------------------------------------------------------
     # Closed form
@@ -483,9 +510,10 @@ class WearState:
             active = ~self.exhausted
             if max_accesses is not None:
                 active &= served < max_accesses
-            if not active.any():
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
                 return served
-            served += self.step_access(active)
+            served[rows] += self.step_access(rows)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WearState(instances={self.instances}, "

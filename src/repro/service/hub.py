@@ -7,6 +7,12 @@ row per tenant - so a batch of concurrent ``access`` requests is served
 by **one** vectorized ``step_access`` kernel call per shape instead of
 N object-mode actuations.
 
+Cost is bounded by the work asked for, not by the pool size: a pool's
+backing arrays double their capacity when full, so provisioning N
+tenants copies O(N) rows in total; a round hands the kernel the row
+indices of its tenants, which reads and writes only those rows; and
+``provision`` and ``status`` of one tenant query only that tenant's row.
+
 Bit-identity with sequential handling (the differential acceptance
 criterion) falls out of two facts:
 
@@ -23,9 +29,8 @@ Durability: every state-changing operation is appended (and fsynced) to
 the :class:`~repro.service.ledger.WearLedger` *before* the engine
 executes it, and :meth:`WearHub.recover` rebuilds the exact state by
 replaying that history - closed-form fast-forward for hook-free
-tenants (the touched-state resume of this PR's engine satellite),
-stepped replay through the live fault RNG for fault tenants, with
-snapshot cross-checking.
+tenants (the engine's touched-state resume), stepped replay through
+the live fault RNG for fault tenants, with snapshot cross-checking.
 """
 
 from __future__ import annotations
@@ -53,8 +58,9 @@ from repro.sim.rng import make_rng, substream
 
 __all__ = ["WearHub", "TenantRecord"]
 
-_STATE_ARRAYS = ("used", "bank_accesses", "bank_dead", "current",
-                 "total_accesses")
+#: The per-row arrays of a pool's :class:`WearState`.
+_POOL_ARRAYS = ("lifetime", "used", "bank_accesses", "bank_dead", "current",
+                "total_accesses")
 
 
 class _RowDispatchHook:
@@ -63,25 +69,37 @@ class _RowDispatchHook:
     Rows without a hook pass their physical closures through untouched,
     which is semantically identical to running the kernel hook-free
     (the dead-latch condition collapses to the same expression when
-    ``observed == closed``).
+    ``observed == closed``); only rows with a hook are visited.
     """
 
     def __init__(self) -> None:
         self.row_hooks: dict[int, object] = {}
 
     def on_bank_actuate(self, state, instances, copies, closed):
+        if not self.row_hooks:
+            return closed
+        rows = instances.tolist()
+        hooked = [j for j, row in enumerate(rows) if row in self.row_hooks]
+        if not hooked:
+            return closed
         observed = closed.copy()
-        for j in range(len(instances)):
-            hook = self.row_hooks.get(int(instances[j]))
-            if hook is not None:
-                observed[j] = hook.on_bank_actuate(
-                    state, instances[j:j + 1], copies[j:j + 1],
-                    closed[j:j + 1])[0]
+        for j in hooked:
+            observed[j] = self.row_hooks[rows[j]].on_bank_actuate(
+                state, instances[j:j + 1], copies[j:j + 1],
+                closed[j:j + 1])[0]
         return observed
 
 
 class _Pool:
-    """All tenants sharing one architecture shape ``(copies, n, k)``."""
+    """All tenants sharing one architecture shape ``(copies, n, k)``.
+
+    The state's arrays are views of the first ``instances`` rows of
+    backing arrays whose capacity doubles when full, so appending a row
+    is amortized O(1) rather than a copy of the whole pool.  The views
+    are re-pointed after every append;
+    :class:`~repro.engine.views.SwitchView` and the hub read through the
+    state's attributes, so nothing holds a stale array.
+    """
 
     def __init__(self, copies: int, n: int, k: int) -> None:
         self.copies = copies
@@ -89,26 +107,27 @@ class _Pool:
         self.k = k
         self.dispatch = _RowDispatchHook()
         self.state: WearState | None = None
+        self._backing: dict[str, np.ndarray] = {}
 
     def add_row(self, lifetimes: np.ndarray) -> int:
         """Append one pristine instance row; returns its row index."""
         if self.state is None:
             self.state = WearState(lifetimes, self.k,
                                    vector_hook=self.dispatch)
+            self._backing = {name: getattr(self.state, name)
+                             for name in _POOL_ARRAYS}
             return 0
-        state = self.state
-        state.lifetime = np.concatenate([state.lifetime, lifetimes])
-        state.used = np.concatenate(
-            [state.used, np.zeros((1, self.copies, self.n), np.int64)])
-        state.bank_accesses = np.concatenate(
-            [state.bank_accesses, np.zeros((1, self.copies), np.int64)])
-        state.bank_dead = np.concatenate(
-            [state.bank_dead, np.zeros((1, self.copies), bool)])
-        state.current = np.concatenate(
-            [state.current, np.zeros(1, np.int64)])
-        state.total_accesses = np.concatenate(
-            [state.total_accesses, np.zeros(1, np.int64)])
-        return state.instances - 1
+        row = self.state.instances
+        if row == len(self._backing["lifetime"]):
+            for name, array in self._backing.items():
+                grown = np.zeros((2 * row,) + array.shape[1:],
+                                 dtype=array.dtype)
+                grown[:row] = array
+                self._backing[name] = grown
+        self._backing["lifetime"][row] = lifetimes[0]
+        for name, array in self._backing.items():
+            setattr(self.state, name, array[:row + 1])
+        return row
 
 
 class TenantRecord:
@@ -129,7 +148,7 @@ class TenantRecord:
 
     @property
     def exhausted(self) -> bool:
-        return bool(self.pool.state.exhausted[self.row])
+        return bool(self.pool.state.current[self.row] >= self.pool.copies)
 
 
 def _validate_params(request: dict) -> dict:
@@ -225,7 +244,7 @@ class WearHub:
         tenant = self._build_tenant(name, params)
         if OBS.enabled:
             OBS.metrics.inc("svc.provisions")
-        capacity = int(tenant.pool.state.remaining_capacity()[tenant.row])
+        capacity = int(tenant.pool.state.remaining_capacity(tenant.row))
         return ok(tenant=name, capacity=capacity, copies=params["copies"],
                   n=params["n"], k=params["k"])
 
@@ -376,24 +395,18 @@ class WearHub:
     def _execute_round(self, live: list[TenantRecord],
                        responses: dict[str, dict]) -> None:
         """Run one kernel call per pool and build per-tenant responses."""
-        by_pool: dict[tuple[int, int, int], list[TenantRecord]] = {}
+        by_pool: dict[_Pool, list[TenantRecord]] = {}
         for tenant in live:
-            key = (tenant.pool.copies, tenant.pool.n, tenant.pool.k)
-            by_pool.setdefault(key, []).append(tenant)
+            by_pool.setdefault(tenant.pool, []).append(tenant)
         results: dict[str, tuple[bool, int, np.ndarray]] = {}
         kernel_started = time.perf_counter() if OBS.enabled else 0.0
-        for key, tenants in by_pool.items():
-            pool = self.pools[key]
-            mask = np.zeros(pool.state.instances, dtype=bool)
-            for tenant in tenants:
-                mask[tenant.row] = True
-            record: dict = {}
-            success = pool.state.step_access(mask, record=record)
-            for tenant in tenants:
-                results[tenant.name] = (
-                    bool(success[tenant.row]),
-                    int(record["served_copy"][tenant.row]),
-                    record["observed"][tenant.row])
+        for pool, tenants in by_pool.items():
+            rows = np.array([tenant.row for tenant in tenants],
+                            dtype=np.int64)
+            success, served_copy, observed = pool.state.step_access(rows)
+            for j, tenant in enumerate(tenants):
+                results[tenant.name] = (bool(success[j]),
+                                        int(served_copy[j]), observed[j])
         if OBS.enabled:
             OBS.metrics.observe("svc.kernel_s",
                                 time.perf_counter() - kernel_started)
@@ -439,12 +452,20 @@ class WearHub:
                 return denied("unknown-tenant",
                               f"tenant {name!r} is not provisioned",
                               tenant=name)
-            return ok(tenant=name, **self._tenant_status(tenant))
+            remaining = tenant.pool.state.remaining_capacity(tenant.row)
+            return ok(tenant=name,
+                      **self._tenant_status(tenant, int(remaining)))
+        # One capacity query per pool, as in wear_gauges, not one
+        # whole-pool query per tenant.
+        remaining = {pool: pool.state.remaining_capacity()
+                     for pool in self.pools.values()
+                     if pool.state is not None}
         return ok(rounds=self.rounds,
-                  tenants={t.name: self._tenant_status(t)
+                  tenants={t.name: self._tenant_status(
+                      t, int(remaining[t.pool][t.row]))
                            for t in self.tenants.values()})
 
-    def _tenant_status(self, tenant: TenantRecord) -> dict:
+    def _tenant_status(self, tenant: TenantRecord, remaining: int) -> dict:
         state = tenant.pool.state
         status = {
             "attempts": tenant.attempts,
@@ -452,7 +473,7 @@ class WearHub:
             "exhausted": tenant.exhausted,
             "current_copy": int(state.current[tenant.row]),
             "dead_banks": int(state.bank_dead[tenant.row].sum()),
-            "remaining": int(state.remaining_capacity()[tenant.row]),
+            "remaining": remaining,
             "wear_cycles": int(state.used[tenant.row].sum()),
         }
         if tenant.fault_model is not None:

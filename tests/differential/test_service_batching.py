@@ -6,12 +6,14 @@ and the same final wear arrays, and the same WAL bytes - as serving the
 same requests one at a time in arrival order.  Pinned here over an
 interleaved multi-tenant schedule, with and without fault models (fault
 tenants consume their own RNG substreams, so batch composition must not
-perturb them).
+perturb them), at 4 tenants and at 37, whose pool grows through several
+capacity doublings while it is provisioned.
 """
 
 import numpy as np
 import pytest
 
+from repro.engine.state import WearState
 from repro.service.hub import WearHub
 from repro.service.ledger import WearLedger
 from repro.service.protocol import encode_frame
@@ -34,9 +36,26 @@ SCHEDULE = (
 ) * 4
 
 
-def _provision_requests(faulty: bool) -> list[dict]:
+def _names(tenants: int) -> tuple[str, ...]:
+    if tenants == len(TENANTS):
+        return TENANTS
+    return tuple(f"t{i:02d}" for i in range(tenants))
+
+
+def _schedule(tenants: int) -> tuple[tuple[str, ...], ...]:
+    """:data:`SCHEDULE` at 4 tenants, else seeded rounds of distinct
+    tenants in shuffled arrival order."""
+    if tenants == len(TENANTS):
+        return SCHEDULE
+    names = _names(tenants)
+    rng = np.random.default_rng(tenants)
+    return tuple(tuple(names[i] for i in rng.permutation(tenants)[
+        :rng.integers(1, tenants + 1)]) for _ in range(50))
+
+
+def _provision_requests(faulty: bool, tenants: int = 4) -> list[dict]:
     requests = []
-    for index, name in enumerate(TENANTS):
+    for index, name in enumerate(_names(tenants)):
         faults = None
         if faulty and index % 2 == 0:  # mix fault and fault-free tenants
             faults = {"misfire_rate": 0.15, "timeout_rate": 0.05}
@@ -49,14 +68,34 @@ def _provision_requests(faulty: bool) -> list[dict]:
     return requests
 
 
-def _drive(tmp_path, label: str, faulty: bool,
-           batched: bool) -> tuple[list[bytes], WearHub]:
+def _assert_pool_matches_one_step_build(hub: WearHub, requests: list[dict],
+                                        tmp_path) -> None:
+    """The grown pool equals a ``WearState`` built in one step from the
+    lifetimes each tenant gets when it is provisioned alone."""
+    lifetimes = []
+    for request in requests:
+        solo = WearHub(WearLedger(str(tmp_path / "solo")))
+        solo.provision(request, log=False)
+        lifetimes.append(solo.tenants[request["tenant"]].pool.state.lifetime)
+    (pool,) = hub.pools.values()
+    built = WearState(np.concatenate(lifetimes), pool.k)
+    for field in ("lifetime", "used", "bank_accesses", "bank_dead",
+                  "current", "total_accesses"):
+        grown = getattr(pool.state, field)
+        assert grown.dtype == getattr(built, field).dtype, field
+        assert np.array_equal(grown, getattr(built, field)), field
+
+
+def _drive(tmp_path, label: str, faulty: bool, batched: bool,
+           tenants: int = 4) -> tuple[list[bytes], WearHub]:
     hub = WearHub(WearLedger(str(tmp_path / label)))
     hub.ledger.open_for_append()
-    for request in _provision_requests(faulty):
+    requests = _provision_requests(faulty, tenants)
+    for request in requests:
         assert hub.provision(request)["status"] == "ok"
+    _assert_pool_matches_one_step_build(hub, requests, tmp_path)
     frames: list[bytes] = []
-    for round_names in SCHEDULE:
+    for round_names in _schedule(tenants):
         if batched:
             responses = hub.serve_round(list(round_names))
             frames.extend(encode_frame(responses[name])
@@ -82,13 +121,17 @@ def _state_arrays(hub: WearHub) -> dict[str, dict[str, np.ndarray]]:
     return out
 
 
-@pytest.mark.parametrize("faulty", [False, True],
-                         ids=["fault-free", "with-faults"])
-def test_batched_rounds_match_sequential_bit_for_bit(tmp_path, faulty):
+@pytest.mark.parametrize(
+    ("faulty", "tenants"),
+    [(False, 4), (True, 4), (False, 37), (True, 37)],
+    ids=["fault-free", "with-faults", "fault-free-37", "with-faults-37"])
+def test_batched_rounds_match_sequential_bit_for_bit(tmp_path, faulty,
+                                                     tenants):
     batched_frames, batched_hub = _drive(tmp_path, "batched", faulty,
-                                         batched=True)
+                                         batched=True, tenants=tenants)
     sequential_frames, sequential_hub = _drive(tmp_path, "sequential",
-                                               faulty, batched=False)
+                                               faulty, batched=False,
+                                               tenants=tenants)
 
     # Every response, as its exact wire bytes.
     assert batched_frames == sequential_frames
@@ -99,13 +142,13 @@ def test_batched_rounds_match_sequential_bit_for_bit(tmp_path, faulty):
     # Final engine arrays, per tenant.
     batched_arrays = _state_arrays(batched_hub)
     sequential_arrays = _state_arrays(sequential_hub)
-    for name in TENANTS:
+    for name in batched_hub.tenants:
         for field, value in batched_arrays[name].items():
             assert np.array_equal(value, sequential_arrays[name][field]), \
                 f"{name}.{field} diverged under batching"
 
     # Counters and fault-injection tallies.
-    for name in TENANTS:
+    for name in batched_hub.tenants:
         batched_tenant = batched_hub.tenants[name]
         sequential_tenant = sequential_hub.tenants[name]
         assert batched_tenant.attempts == sequential_tenant.attempts

@@ -41,6 +41,11 @@ from repro.faults.injectors import (
 )
 
 
+def _step_all(state):
+    """One access to every instance; returns the per-instance success."""
+    return state.step_access(np.arange(state.instances))[0]
+
+
 def _fault_model(seed):
     return FaultModel([TransientMisfire(0.15),
                        StuckClosedConversion(0.5)], seed=seed)
@@ -161,7 +166,7 @@ class TestVectorPrematureStuckOpen:
                           vector_hook=vector_hook_for(model))
         # The failed access falls over through both copies; every live
         # switch of each actuated bank fractures.
-        assert not state.step_access()[0]
+        assert not _step_all(state)[0]
         assert model.injectors[0].injections == 6
 
 
@@ -188,7 +193,7 @@ class TestVectorStuckClosedConversion:
         state = WearState(np.ones((1, 1, 1)), 1,
                           vector_hook=vector_hook_for(model))
         for _ in range(5):
-            assert state.step_access()[0]
+            assert _step_all(state)[0]
         assert state.total_accesses[0] == 5
         assert model.injectors[0].injections == 1
 
@@ -337,7 +342,7 @@ class TestVectorHookSite:
         # Healthy bank, hook reports nothing closed: the access falls
         # over, but the physically-alive bank must NOT latch dead.
         state = WearState(np.full((1, 2, 2), 9.0), 1, vector_hook=AllOpen())
-        success = state.step_access()
+        success = _step_all(state)
         assert not success[0]
         assert not state.bank_dead.any()
         assert state.exhausted[0]  # fell over past both copies
@@ -350,6 +355,6 @@ class TestVectorHookSite:
         # Worn-out bank, hook reports closures: serves via the hook, and
         # the physical dead state must not stop it (ceiling violation).
         state = WearState(np.zeros((1, 1, 2)), 1, vector_hook=AllClosed())
-        assert state.step_access()[0]
-        assert state.step_access()[0]
+        assert _step_all(state)[0]
+        assert _step_all(state)[0]
         assert state.total_accesses[0] == 2

@@ -82,7 +82,7 @@ class TestConstruction:
     def test_pristine_until_touched(self, rng):
         state = WearState.fabricate(MODEL, 2, 2, 3, 1, rng)
         assert state.is_pristine
-        state.step_access()
+        state.step_access(np.arange(state.instances))
         assert not state.is_pristine
 
 
@@ -147,10 +147,55 @@ class TestSteppedVsScalar:
     def test_mask_limits_the_step_to_selected_instances(self):
         state = WearState(np.full((3, 1, 2), 5.0), 1)
         mask = np.array([True, False, True])
-        success = state.step_access(mask)
+        success = np.zeros(3, dtype=bool)
+        success[mask] = state.step_access(np.flatnonzero(mask))[0]
         assert success.tolist() == [True, False, True]
         assert state.total_accesses.tolist() == [1, 0, 1]
         assert state.used[1].sum() == 0
+
+
+class TestStepRows:
+    ARRAYS = ("lifetime", "used", "bank_accesses", "bank_dead", "current",
+              "total_accesses")
+
+    @pytest.mark.parametrize("rows", [[0, 0], [2, 1, 2], [-1], [3],
+                                      [[0, 1]], [True, False, True], [0.5]],
+                             ids=["repeat", "repeat-later", "negative",
+                                  "past-end", "2-d", "bool-mask", "float"])
+    def test_bad_rows_raise_before_any_array_changes(self, rows):
+        state = WearState(np.full((3, 2, 2), 5.0), 1)
+        state.step_access(np.array([1]))
+        before = {name: getattr(state, name).copy() for name in self.ARRAYS}
+        with pytest.raises(ConfigurationError):
+            state.step_access(np.array(rows))
+        for name, value in before.items():
+            assert np.array_equal(getattr(state, name), value), name
+
+    def test_results_and_hook_follow_the_given_row_order(self):
+        seen = []
+
+        class Spy:
+            def on_bank_actuate(self, state, instances, copies, closed):
+                seen.append(instances.tolist())
+                return closed
+
+        lifetimes = np.full((3, 2, 2), 5.0)
+        lifetimes[1, 0] = 0.0  # row 1 falls over to its second copy
+        state = WearState(lifetimes, 1, vector_hook=Spy())
+        success, served_copy, observed = state.step_access(
+            np.array([2, 1, 0]))
+        assert seen == [[2, 1, 0], [1]]
+        assert success.tolist() == [True, True, True]
+        assert served_copy.tolist() == [0, 1, 0]
+        assert observed.all()
+
+    def test_empty_rows_touch_nothing(self):
+        state = WearState(np.full((2, 1, 2), 5.0), 1)
+        success, served_copy, observed = state.step_access(
+            np.array([], dtype=np.int64))
+        assert success.shape == served_copy.shape == (0,)
+        assert observed.shape == (0, 2)
+        assert state.is_pristine
 
 
 class TestClosedFormVsStepped:
@@ -172,7 +217,7 @@ class TestClosedFormVsStepped:
     def test_touched_state_falls_back_to_stepped(self):
         lifetimes = np.full((2, 2, 3), 4.0)
         state = WearState(lifetimes, 1)
-        state.step_access()  # no longer pristine
+        state.step_access(np.arange(2))  # no longer pristine
         reference = WearState(lifetimes.copy(), 1)
         reference._run_stepped(None)
         state.run_to_exhaustion()

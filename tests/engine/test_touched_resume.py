@@ -10,6 +10,8 @@ copies - because that is exactly what a restored snapshot looks like.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.state import WearState
 
@@ -37,7 +39,7 @@ def _touch(state, rng, steps):
     """Partially drive and externally abuse ``state`` in a seeded way."""
     for _ in range(steps):
         mask = rng.random(state.instances) < 0.7
-        state.step_access(mask)
+        state.step_access(np.flatnonzero(mask))
     # External mutations a checkpoint restore can legally carry.
     for _ in range(state.instances):
         b = int(rng.integers(state.instances))
@@ -100,9 +102,36 @@ def test_remaining_capacity_matches_actual_serves():
     assert state.remaining_capacity().tolist() == [0] * 5
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), instances=st.integers(1, 7),
+       copies=st.integers(1, 4), n=st.integers(1, 5), data=st.data())
+def test_row_queries_equal_the_full_queries_indexed(seed, instances, copies,
+                                                    n, data):
+    k = data.draw(st.integers(1, n), label="k")
+    rng = np.random.default_rng(seed)
+    state = WearState(rng.uniform(0.0, 6.0, size=(instances, copies, n)), k)
+    _touch(state, rng, steps=int(rng.integers(0, 6)))
+    row = st.integers(0, instances - 1)
+    for b, c in data.draw(st.lists(st.tuples(row, st.integers(0, copies - 1)),
+                                   max_size=4), label="dead banks"):
+        state.bank_dead[b, c] = True
+    state.current[data.draw(st.lists(row, max_size=2),
+                            label="exhausted rows")] = copies
+    rows = data.draw(st.one_of(
+        row, st.slices(instances),
+        st.lists(row, max_size=2 * instances).map(
+            lambda r: np.array(r, dtype=np.int64))), label="rows")
+    for query in (state.remaining_switch_closes,
+                  state.remaining_bank_budgets, state.remaining_capacity):
+        expected = query()[rows]
+        got = query(rows)
+        assert np.shape(got) == np.shape(expected), query.__name__
+        assert np.array_equal(got, expected), query.__name__
+
+
 def test_remaining_capacity_is_pure():
     state = WearState(np.full((2, 2, 2), 3.0), 1)
-    state.step_access()
+    state.step_access(np.arange(2))
     before = _clone(state)
     state.remaining_capacity()
     _assert_states_equal(state, before)
@@ -112,12 +141,11 @@ def test_step_record_reports_serving_copy_and_observed_row():
     lifetimes = np.array([[[2.0, 2.0], [5.0, 5.0]],
                           [[0.0, 0.0], [0.0, 0.0]]])
     state = WearState(lifetimes, 1)
-    record = {}
-    success = state.step_access(record=record)
+    success, served_copy, observed = state.step_access(np.arange(2))
     assert success.tolist() == [True, False]
-    assert record["served_copy"].tolist() == [0, -1]
-    assert record["observed"][0].tolist() == [True, True]
-    assert not record["observed"][1].any()
+    assert served_copy.tolist() == [0, -1]
+    assert observed[0].tolist() == [True, True]
+    assert not observed[1].any()
 
 
 def test_step_record_observed_comes_from_the_hook():
@@ -128,7 +156,7 @@ def test_step_record_observed_comes_from_the_hook():
             return observed
 
     state = WearState(np.full((1, 1, 3), 5.0), 1, vector_hook=FirstOnly())
-    record = {}
-    assert state.step_access(record=record)[0]
-    assert record["served_copy"][0] == 0
-    assert record["observed"][0].tolist() == [True, False, False]
+    success, served_copy, observed = state.step_access(np.arange(1))
+    assert success[0]
+    assert served_copy[0] == 0
+    assert observed[0].tolist() == [True, False, False]

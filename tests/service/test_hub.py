@@ -1,12 +1,13 @@
 """Tests for the multi-tenant wear hub (provisioning, rounds, recovery)."""
 
+import numpy as np
 import pytest
 
 from repro.connection.architecture import LimitedUseConnection
 from repro.core.degradation import PAPER_CRITERIA, DesignPoint
 from repro.core.weibull import WeibullDistribution
 from repro.errors import ConfigurationError, DeviceWornOutError
-from repro.service.hub import WearHub
+from repro.service.hub import WearHub, _Pool, _RowDispatchHook
 from repro.service.ledger import WearLedger
 from repro.sim.rng import make_rng
 
@@ -56,6 +57,55 @@ class TestProvision:
         assert len(hub.pools) == 2
         assert hub.tenants["a"].pool is hub.tenants["b"].pool
         assert hub.tenants["a"].row != hub.tenants["b"].row
+
+
+class TestPool:
+    def test_capacity_doubles_and_stays_under_twice_the_rows(self):
+        # The differential batching suite pins the arrays' contents.
+        pool = _Pool(COPIES, N, K)
+        for b in range(37):
+            assert pool.add_row(np.full((1, COPIES, N), 4.0)) == b
+            assert pool.state.instances == b + 1
+            # The smallest power of two holding b + 1 rows: < 2x them.
+            capacity = len(pool.state.used.base if b else pool.state.used)
+            assert capacity == 1 << b.bit_length()
+
+    def test_switch_views_stay_live_across_growth(self):
+        pool = _Pool(1, 2, 1)
+        pool.add_row(np.full((1, 1, 2), 5.0))
+        view = pool.state.view(0, 0, 1)
+        for _ in range(9):
+            pool.add_row(np.full((1, 1, 2), 3.0))
+        view.add_wear(2)
+        assert pool.state.used[0, 0, 1] == 2
+        pool.state.step_access(np.array([0]))
+        assert view.cycles_used == 3
+
+
+class TestRowDispatch:
+    def test_no_hooks_pass_closures_through(self):
+        closed = np.ones((3, 2), dtype=bool)
+        observed = _RowDispatchHook().on_bank_actuate(
+            None, np.arange(3), np.zeros(3, dtype=np.int64), closed)
+        assert observed is closed
+
+    def test_only_hooked_rows_are_visited(self):
+        calls = []
+
+        class Invert:
+            def on_bank_actuate(self, state, instances, copies, closed):
+                calls.append(instances.tolist())
+                return ~closed
+
+        dispatch = _RowDispatchHook()
+        dispatch.row_hooks[5] = Invert()
+        closed = np.ones((3, 2), dtype=bool)
+        observed = dispatch.on_bank_actuate(
+            None, np.array([7, 5, 2]), np.zeros(3, dtype=np.int64), closed)
+        assert calls == [[5]]
+        assert observed.tolist() == [[True, True], [False, False],
+                                     [True, True]]
+        assert closed.all()
 
 
 class TestServeRound:
@@ -117,6 +167,31 @@ class TestStatus:
         status = hub.status()
         assert set(status["tenants"]) == {"a", "b"}
         assert hub.status("ghost")["status"] == "unknown-tenant"
+
+    def test_all_tenant_status_matches_the_wear_gauges(self, hub):
+        hub.provision(_provision_request(
+            "fault", seed=1, faults={"misfire_rate": 0.2}))
+        for name, seed in (("touched", 2), ("spent", 3), ("fresh", 4)):
+            hub.provision(_provision_request(name, seed=seed))
+        for _ in range(5):
+            hub.serve_round(["fault", "touched"])
+        for _ in range(10_000):
+            if hub.tenants["spent"].exhausted:
+                break
+            hub.serve_round(["spent"])
+        status = hub.status()["tenants"]
+        gauges = hub.wear_gauges()
+        assert set(status) == set(gauges)
+        assert status["spent"]["exhausted"]
+        for name, gauge in gauges.items():
+            assert status[name]["remaining"] == gauge["remaining_capacity"]
+            for field in ("current_copy", "dead_banks", "wear_cycles",
+                          "exhausted"):
+                assert status[name][field] == gauge[field], (name, field)
+            single = hub.status(name)
+            assert single.pop("status") == "ok"
+            assert single.pop("tenant") == name
+            assert single == status[name]
 
     def test_fault_tenant_reports_injections(self, hub):
         hub.provision(_provision_request(faults={"misfire_rate": 0.2}))
@@ -261,7 +336,6 @@ class TestSelfContainedSnapshot:
         tenant, mirror = hub.tenants["t0"], recovered.tenants["t0"]
         assert mirror.attempts == tenant.attempts
         assert mirror.served == tenant.served
-        import numpy as np
         for field in ("used", "lifetime", "bank_accesses", "bank_dead",
                       "current", "total_accesses"):
             assert np.array_equal(
@@ -273,6 +347,39 @@ class TestSelfContainedSnapshot:
             assert recovered.recorded_response(
                 "t0", f"post-{index}") == response
         recovered.ledger.close()
+
+    def test_round_trip_across_a_pool_growth_boundary(self, tmp_path):
+        # Three rows before the snapshot (capacity 4), six after it
+        # (capacity 8): recovery rebuilds the pool through the growth.
+        hub = WearHub(WearLedger(str(tmp_path)))
+        hub.ledger.open_for_append()
+        names = [f"t{i}" for i in range(6)]
+        for i, name in enumerate(names):
+            if i == 3:
+                hub.serve_round([(n, f"pre-{n}") for n in names[:3]])
+                hub.write_snapshot()
+            hub.provision(_provision_request(
+                name, seed=i, faults=self.FAULTS if i % 2 else None))
+        for index in range(4):
+            hub.serve_round([(n, f"post-{index}-{n}") for n in names])
+        hub.ledger.close()
+
+        recovered = WearHub(WearLedger(str(tmp_path)))
+        recovered.recover()
+        recovered.ledger.close()
+        assert recovered.status()["tenants"] == hub.status()["tenants"]
+        for name in names:
+            tenant, mirror = hub.tenants[name], recovered.tenants[name]
+            assert mirror.row == tenant.row
+            for field in ("used", "lifetime", "bank_accesses", "bank_dead",
+                          "current", "total_accesses"):
+                assert np.array_equal(
+                    getattr(tenant.pool.state, field)[tenant.row],
+                    getattr(mirror.pool.state, field)[mirror.row]), field
+            for index in range(4):
+                rid = f"post-{index}-{name}"
+                assert recovered.recorded_response(name, rid) \
+                    == hub.recorded_response(name, rid)
 
     def test_keyed_responses_survive_the_snapshot(self, tmp_path):
         hub = WearHub(WearLedger(str(tmp_path)))
