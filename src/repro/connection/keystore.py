@@ -53,21 +53,19 @@ class BankKeyStore:
       interchangeable; this makes the actual trade-off explicit.
 
     ``bank_id`` tags errors with the copy this store belongs to, and
-    ``fault_hook`` (a :class:`repro.faults.FaultModel`) is consulted on
-    every share readout so fault campaigns can corrupt or time out the
-    register path; with no hook attached readout is a plain list index.
-    ``batched_readout`` routes each recovery's readouts through the
-    hook's batched ``on_shares_readout`` site in one call instead of a
-    per-share Python loop - bit-identical for every shipped injector by
-    the :mod:`repro.faults.injectors` substream contract (pinned in
+    ``fault_hook`` (a :class:`repro.faults.FaultModel`) sees every
+    recovery's share readouts, in one batched ``on_shares_readout``
+    call, so fault campaigns can corrupt or time out the register path;
+    with no hook attached readout is a plain list index.  The batched
+    call is bit-identical to consulting the model share by share, by the
+    :mod:`repro.faults.injectors` substream contract (pinned in
     ``tests/differential``).
     """
 
     def __init__(self, secret: bytes, n: int, k: int,
                  rng: np.random.Generator, scheme: str = "shamir",
                  bank_id: int = 0,
-                 fault_hook: "FaultHook | None" = None,
-                 batched_readout: bool = False) -> None:
+                 fault_hook: "FaultHook | None" = None) -> None:
         if not secret:
             raise ConfigurationError("secret must be non-empty")
         if not 1 <= k <= n:
@@ -79,8 +77,6 @@ class BankKeyStore:
         self.scheme = scheme
         self.bank_id = bank_id
         self.fault_hook = fault_hook
-        self.batched_readout = (batched_readout and fault_hook is not None
-                                and hasattr(fault_hook, "on_shares_readout"))
         self._secret_len = len(secret)
         if k == 1:
             self._shares = [secret] * n
@@ -179,22 +175,6 @@ class BankKeyStore:
     def _shares(self, value) -> None:
         self._shares_list = value
 
-    def _share_data(self, index: int) -> bytes:
-        """Raw stored share bytes, before any fault injection."""
-        return (self._shares[index] if self._mode == "replicas"
-                else self._shares[index].data)
-
-    def _read_share_data(self, index: int) -> bytes | None:
-        """One register readout, through the fault hook when attached.
-
-        Returns None when an injected timeout loses the share for this
-        attempt (the caller treats it as missing, not corrupt).
-        """
-        data = self._share_data(index)
-        if self.fault_hook is None:
-            return data
-        return self.fault_hook.on_share_readout(self.bank_id, index, data)
-
     def recover(self, live_indices: list[int]) -> bytes:
         """Recover the secret from the switches that closed.
 
@@ -213,22 +193,20 @@ class BankKeyStore:
         if min(live_indices) < 0 or max(live_indices) >= self.n:
             raise ConfigurationError("switch index out of range")
 
-        if self.batched_readout:
-            shares = self._shares
-            raw = ([shares[i] for i in live_indices]
-                   if self._mode == "replicas"
-                   else [shares[i].data for i in live_indices])
+        shares = self._shares
+        datas = ([shares[i] for i in live_indices]
+                 if self._mode == "replicas"
+                 else [shares[i].data for i in live_indices])
+        if self.fault_hook is not None:
+            # One batched readout; None marks a share an injected
+            # timeout lost this attempt (missing, not corrupt).
             datas = self.fault_hook.on_shares_readout(
-                self.bank_id, live_indices, raw)
-            if None in datas:
-                live = [(i, data) for i, data in zip(live_indices, datas)
-                        if data is not None]
-            else:
-                live = list(zip(live_indices, datas))
-        else:
-            live = [(i, data) for i, data in
-                    ((i, self._read_share_data(i)) for i in live_indices)
+                self.bank_id, live_indices, datas)
+        if None in datas:
+            live = [(i, data) for i, data in zip(live_indices, datas)
                     if data is not None]
+        else:
+            live = list(zip(live_indices, datas))
         timeouts = len(live_indices) - len(live)
         if len(live) < self.k:
             raise InsufficientSharesError(

@@ -44,6 +44,7 @@ from repro.connection.keystore import BankKeyStore
 from repro.core.degradation import DesignPoint
 from repro.core.hardware import SimulatedBank
 from repro.core.variation import NoVariation, ProcessVariation
+from repro.engine.hooks import vector_hook_for
 from repro.engine.state import WearState
 from repro.errors import (
     CodingError,
@@ -55,7 +56,7 @@ from repro.errors import (
 from repro.obs.recorder import OBS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.hooks import FaultHook
+    from repro.faults.injectors import FaultModel
 
 __all__ = ["RetryPolicy", "CopyHealth", "AccessStats",
            "ResilientAccessController"]
@@ -167,27 +168,21 @@ class ResilientAccessController:
     def __init__(self, design: DesignPoint, secret: bytes,
                  rng: np.random.Generator,
                  variation: ProcessVariation | None = None,
-                 fault_hook: "FaultHook | None" = None,
+                 fault_hook: "FaultModel | None" = None,
                  policy: RetryPolicy | None = None,
-                 rs_fallback: bool = True,
-                 vectorized: bool = False) -> None:
+                 rs_fallback: bool = True) -> None:
         self.design = design
         self.policy = policy or RetryPolicy()
         self.stats = AccessStats()
         self._digest = hashlib.sha256(secret).digest()
-        self._fault_hook = fault_hook
         rs_possible = rs_fallback and design.k > 1 and design.n <= 255
         self.rs_fallback = rs_possible
-        # ``vectorized`` swaps the per-switch scalar hook loop and the
-        # per-share readout loop for batched engine hooks - bit-identical
-        # by the repro.engine.hooks contract (pinned in
-        # tests/differential), so campaigns use it by default.
-        vector_hook = None
-        if vectorized and fault_hook is not None:
-            from repro.engine.hooks import vector_hook_for
-
-            vector_hook = vector_hook_for(fault_hook)
-        batched = vectorized and fault_hook is not None
+        # The fault model reaches the banks as one batched engine hook
+        # and the keystores as one batched readout per recovery -
+        # bit-identical to consulting it switch by switch and share by
+        # share (the repro.engine.hooks contract, pinned in
+        # tests/differential).
+        vector_hook = vector_hook_for(fault_hook)
         variation = variation or NoVariation()
         # One shared engine state backs every copy; lifetimes are drawn
         # per copy, interleaved with the keystore splits, preserving the
@@ -201,18 +196,15 @@ class ResilientAccessController:
                 design.device, design.n, rng)
             self._stores.append(
                 BankKeyStore(secret, design.n, design.k, rng,
-                             bank_id=copy, fault_hook=fault_hook,
-                             batched_readout=batched))
+                             bank_id=copy, fault_hook=fault_hook))
             self._rs_stores.append(
                 BankKeyStore(secret, design.n, design.k, rng, scheme="rs",
-                             bank_id=copy, fault_hook=fault_hook,
-                             batched_readout=batched)
+                             bank_id=copy, fault_hook=fault_hook)
                 if rs_possible else None)
             self._health.append(CopyHealth(bank_id=copy))
         self._state = WearState(lifetimes, design.k)
         self._banks = [
             SimulatedBank.from_state(self._state, 0, copy,
-                                     fault_hook=fault_hook,
                                      vector_hook=vector_hook)
             for copy in range(design.copies)]
         self.accesses = 0

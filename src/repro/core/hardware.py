@@ -20,14 +20,18 @@ comes in two flavours:
 
 - **array mode** (:meth:`SimulatedBank.from_state`, what
   :func:`build_serial_copies` produces): the bank is a window onto one
-  ``(instance, copy)`` row of a shared engine state.  ``bank.switches``
-  yields cached :class:`~repro.engine.views.SwitchView` objects, so fault
-  injectors and tests keep poking individual switches.
+  ``(instance, copy)`` row of a shared engine state, actuated by the
+  engine kernel plus at most one batched
+  :class:`~repro.engine.hooks.VectorFaultHook` call per access.
+  ``bank.switches`` yields cached :class:`~repro.engine.views.SwitchView`
+  objects, so tests keep poking individual switches.
 - **object mode** (the plain constructor): the bank adopts caller-owned
   :class:`~repro.core.device.NEMSSwitch` objects, which remain the source
   of truth - required when one physical switch is shared between
-  structures.  This is also the scalar reference implementation the
-  differential suite and the bench's engine section compare against.
+  structures.  A fault hook here is consulted switch by switch, right
+  after each switch's own actuation.  This is also the scalar reference
+  implementation the differential suite and the bench's engine section
+  compare against.
 """
 
 from __future__ import annotations
@@ -40,12 +44,15 @@ from repro.core.device import NEMSSwitch
 from repro.core.variation import ProcessVariation
 from repro.core.weibull import WeibullDistribution
 from repro.engine import telemetry
+from repro.engine.hooks import vector_hook_for
 from repro.engine.state import WearState
 from repro.errors import ConfigurationError, DeviceWornOutError
 from repro.obs.recorder import OBS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.hooks import VectorFaultHook
     from repro.faults.hooks import FaultHook
+    from repro.faults.injectors import FaultModel
 
 __all__ = ["SimulatedBank", "SerialCopies", "build_serial_copies"]
 
@@ -78,25 +85,24 @@ class SimulatedBank:
 
     @classmethod
     def from_state(cls, state: WearState, instance: int = 0, copy: int = 0,
-                   fault_hook: "FaultHook | None" = None,
-                   vector_hook=None) -> "SimulatedBank":
+                   vector_hook: "VectorFaultHook | None" = None,
+                   ) -> "SimulatedBank":
         """An engine-backed bank over one ``(instance, copy)`` state row.
 
         Wear, access counts and the dead-latch live in (and stay
         consistent with) the shared arrays; ``switches`` holds the
-        cached per-switch views.  ``vector_hook`` (a
-        :class:`~repro.engine.hooks.VectorFaultHook`, typically from
-        :func:`~repro.engine.hooks.vector_hook_for` over ``fault_hook``)
-        makes ``access()`` run one batched kernel round plus one hook
-        call instead of the per-switch scalar loop - bit-identical by
-        the hooks-module contract, pinned in ``tests/differential``.
+        cached per-switch views.  ``vector_hook`` (typically
+        :func:`~repro.engine.hooks.vector_hook_for` of a fault model)
+        is called once per access on the kernel's closure row -
+        bit-identical to consulting the model switch by switch by the
+        hooks-module contract, pinned in ``tests/differential``.
         """
         bank = object.__new__(cls)
         bank._switches = None  # built on first use; see ``switches``
         bank.k = state.k
         bank._accesses = 0
         bank._dead = False
-        bank._fault_hook = fault_hook
+        bank._fault_hook = None
         bank._vector_hook = vector_hook
         bank._state = state
         bank._instance, bank._copy = instance, copy
@@ -169,19 +175,21 @@ class SimulatedBank:
             return []
         if self._state is not None:
             self._state.bank_accesses[self._instance, self._copy] += 1
+            if self._vector_hook is not None:
+                return self._access_vector()
+            closed = self._access_array()
         else:
             self._accesses += 1
-        if self._fault_hook is None:
-            if self._state is not None:
-                closed = self._access_array()
-            else:
-                closed = [i for i, s in enumerate(self.switches)
-                          if s.actuate()]
-            if len(closed) < self.k:
-                self._latch_dead()
-            return closed
-        if self._vector_hook is not None and self._state is not None:
-            return self._access_vector()
+            if self._fault_hook is not None:
+                return self._access_hooked()
+            closed = [i for i, s in enumerate(self.switches)
+                      if s.actuate()]
+        if len(closed) < self.k:
+            self._latch_dead()
+        return closed
+
+    def _access_hooked(self) -> list[int]:
+        """Object mode with a fault hook: actuate, then inject, per switch."""
         hook = self._fault_hook.on_switch_actuate
         physical = 0
         observed: list[int] = []
@@ -204,9 +212,9 @@ class SimulatedBank:
     def _access_vector(self) -> list[int]:
         """One kernel round plus one batched hook call (vector hook).
 
-        The scalar hooked loop interleaves actuation and injection per
-        switch, but actuation never consults the hook and every shipped
-        injector only touches the switch it is handed, so
+        The object-mode hooked loop interleaves actuation and injection
+        per switch, but actuation never consults the hook and every
+        shipped injector only touches the switch it is handed, so
         actuate-everything-then-inject-everything observes identical
         state.  The dead-latch keys on physical closures measured *at
         actuation time* - injector wear added afterwards (temperature
@@ -311,20 +319,22 @@ def build_serial_copies(model: WeibullDistribution, n_copies: int,
                         n_per_bank: int, k: int,
                         rng: np.random.Generator,
                         variation: ProcessVariation | None = None,
-                        fault_hook: "FaultHook | None" = None,
+                        fault_hook: "FaultModel | None" = None,
                         ) -> SerialCopies:
     """Fabricate a full N x (k-of-n) architecture from a device model.
 
     The instance is backed by one shared engine
     :class:`~repro.engine.state.WearState` fabricated in the scalar draw
     order (bit-identical lifetimes); ``fault_hook`` (a
-    :class:`repro.faults.FaultModel`) is attached to every bank and
+    :class:`repro.faults.FaultModel`) is attached to every bank through
+    one :func:`~repro.engine.hooks.vector_hook_for` hook, and
     fabrication draws are unaffected by its presence.
     """
     if n_copies < 1:
         raise ConfigurationError("need at least one copy")
     state = WearState.fabricate(model, 1, n_copies, n_per_bank, k, rng,
                                 variation)
-    banks = [SimulatedBank.from_state(state, 0, copy, fault_hook=fault_hook)
+    vector_hook = vector_hook_for(fault_hook)
+    banks = [SimulatedBank.from_state(state, 0, copy, vector_hook=vector_hook)
              for copy in range(n_copies)]
     return SerialCopies(banks)

@@ -15,18 +15,18 @@ Layer map:
 - :mod:`repro.engine.views` - cached per-switch views duck-typing
   :class:`~repro.core.device.NEMSSwitch` so fault injectors and tests can
   keep poking individual switches;
-- :mod:`repro.engine.hooks` - the vectorized fault-hook protocol plus the
-  scalar adapter that lets every existing :class:`repro.faults.FaultModel`
-  drive the batched engine unchanged;
+- :mod:`repro.engine.hooks` - the vectorized fault-hook protocol and the
+  native batched form of every shipped actuation injector, built from a
+  :class:`repro.faults.FaultModel` by
+  :func:`~repro.engine.hooks.vector_hook_for`;
 - :mod:`repro.engine.telemetry` - the single home of the ``hw.*``
   observability counters that were previously scattered per subsystem.
 
 See ``docs/engine.md`` for the state layout and the bit-identity argument.
 """
 
-from repro.engine.hooks import (ScalarHookAdapter, VectorFaultHook,
-                                VectorFaultPipeline, VectorPrematureStuckOpen,
-                                VectorReadoutTimeout, VectorShareCorruption,
+from repro.engine.hooks import (VectorFaultHook, VectorFaultPipeline,
+                                VectorPrematureStuckOpen,
                                 VectorStuckClosedConversion,
                                 VectorTemperatureDrift, VectorTransientMisfire,
                                 vector_hook_for)
@@ -34,13 +34,10 @@ from repro.engine.state import WearState
 from repro.engine.views import SwitchView
 
 __all__ = [
-    "ScalarHookAdapter",
     "SwitchView",
     "VectorFaultHook",
     "VectorFaultPipeline",
     "VectorPrematureStuckOpen",
-    "VectorReadoutTimeout",
-    "VectorShareCorruption",
     "VectorStuckClosedConversion",
     "VectorTemperatureDrift",
     "VectorTransientMisfire",

@@ -1,48 +1,40 @@
 """Fault-hook interfaces for the vectorized engine.
 
-The scalar hardware layer consults a fault hook once per switch
-actuation (:class:`repro.faults.hooks.FaultHook`); the batched engine
-actuates a whole bank row per instance in one kernel, so its hook site
-is bank-granular: :class:`VectorFaultHook` receives the physical closure
-matrix of every bank actuated this step and returns the *observed* one.
+The scalar injectors of :mod:`repro.faults.injectors` are written per
+switch (``on_switch_actuate``); the batched engine actuates a whole bank
+row per instance in one kernel, so its hook site is bank-granular:
+:class:`VectorFaultHook` receives the physical closure matrix of every
+bank actuated this step and returns the *observed* one.
 
-:class:`ScalarHookAdapter` bridges the two worlds: it wraps any scalar
-hook (e.g. a :class:`repro.faults.FaultModel` pipeline) and replays the
-exact scalar call order - instances in batch order, switches in index
-order, each hook call receiving the cached
-:class:`~repro.engine.views.SwitchView` for that switch.  Because every
-shipped injector only reads/mutates the switch it is handed (and draws
-from its own per-injector stream in call order), the adapter is
-bit-compatible with the object-mode loop in
-:meth:`repro.core.hardware.SimulatedBank.access`.
-
-Every shipped actuation injector also has a *native* batched
-implementation here (``Vector*``), and :func:`vector_hook_for` composes
-them into a :class:`VectorFaultPipeline` for mixed-injector models.
-Stage-major evaluation (one injector across the whole batch, then the
-next) consumes each injector's dedicated substream in exactly the
-scalar cell-major order, because an injector's draw condition at one
-switch depends only on that switch's state after the earlier stages -
-see ``docs/fault_vectorization.md`` for the porting recipe and the full
-bit-identity argument (pinned by ``tests/differential``).
+Every shipped actuation injector has a *native* batched implementation
+here (``Vector*``), and :func:`vector_hook_for` composes them into a
+:class:`VectorFaultPipeline` for mixed-injector models.  Readout-site
+injectors have no actuation stage at all: their batched work happens in
+:meth:`repro.faults.injectors.FaultModel.on_shares_readout`.  Stage-major
+evaluation (one injector across the whole batch, then the next) consumes
+each injector's dedicated substream in exactly the scalar cell-major
+order, because an injector's draw condition at one switch depends only
+on that switch's state after the earlier stages - see
+``docs/fault_vectorization.md`` for the porting recipe and the full
+bit-identity argument.  The scalar per-switch reference these natives
+are checked against lives with the tests (``tests/differential``).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.state import WearState
-    from repro.faults.hooks import FaultHook
 
-__all__ = ["VectorFaultHook", "ScalarHookAdapter",
-           "VectorTransientMisfire", "VectorPrematureStuckOpen",
-           "VectorStuckClosedConversion", "VectorShareCorruption",
-           "VectorReadoutTimeout", "VectorTemperatureDrift",
-           "VectorFaultPipeline", "vector_hook_for"]
+__all__ = ["VectorFaultHook", "VectorTransientMisfire",
+           "VectorPrematureStuckOpen", "VectorStuckClosedConversion",
+           "VectorTemperatureDrift", "VectorFaultPipeline",
+           "vector_hook_for"]
 
 
 @runtime_checkable
@@ -63,34 +55,6 @@ class VectorFaultHook(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class ScalarHookAdapter:
-    """Drive a scalar :class:`~repro.faults.hooks.FaultHook` from the engine.
-
-    Calls ``hook.on_switch_actuate(view, closed)`` for every switch of
-    every actuated bank, instance-major then switch-index order - the
-    same order (and hence the same fault-RNG streams) as the scalar
-    hardware loop.
-    """
-
-    def __init__(self, hook: "FaultHook") -> None:
-        self.hook = hook
-
-    def on_bank_actuate(self, state: "WearState", instances: np.ndarray,
-                        copies: np.ndarray, closed: np.ndarray,
-                        ) -> np.ndarray:
-        observed = np.zeros_like(closed)
-        on_switch = self.hook.on_switch_actuate
-        for row in range(closed.shape[0]):
-            b, c = int(instances[row]), int(copies[row])
-            for i in range(state.n):
-                observed[row, i] = bool(
-                    on_switch(state.view(b, c, i), bool(closed[row, i])))
-        return observed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ScalarHookAdapter({self.hook!r})"
-
-
 class VectorTransientMisfire:
     """Native batched :class:`~repro.faults.injectors.TransientMisfire`.
 
@@ -101,7 +65,7 @@ class VectorTransientMisfire:
     ``rng.random()`` calls, so drawing one batch over the row-major
     closed positions reproduces the scalar fault-RNG stream bit for bit
     (pinned in ``tests/engine/test_hooks.py``) - without ``m`` Python
-    round-trips through :class:`ScalarHookAdapter`.
+    round-trips through the per-switch injector.
 
     Injection counts are written back to the wrapped injector so
     campaign stats stay in one place.
@@ -327,38 +291,6 @@ class VectorTemperatureDrift:
                 f"temperature_c={self.injector.temperature_c})")
 
 
-class _ReadoutOnlyNative:
-    """Base for readout-site injectors: a no-op at the actuation site.
-
-    The scalar injector consumes no RNG draws during switch actuation,
-    so the native hook passes the closure matrix through untouched; the
-    batched readout work happens in
-    :meth:`repro.faults.injectors.FaultModel.on_shares_readout`, which
-    the keystore layer calls once per recovery with the same per-injector
-    stream these hooks share.
-    """
-
-    def __init__(self, injector, rng: np.random.Generator) -> None:
-        self.injector = injector
-        self.rng = rng
-
-    def on_bank_actuate(self, state: "WearState", instances: np.ndarray,
-                        copies: np.ndarray, closed: np.ndarray,
-                        ) -> np.ndarray:
-        return closed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(rate={self.injector.rate})"
-
-
-class VectorShareCorruption(_ReadoutOnlyNative):
-    """Native :class:`~repro.faults.injectors.ShareCorruption` (readout-only)."""
-
-
-class VectorReadoutTimeout(_ReadoutOnlyNative):
-    """Native :class:`~repro.faults.injectors.ReadoutTimeout` (readout-only)."""
-
-
 class VectorFaultPipeline:
     """Ordered composition of native hooks, one stage per injector.
 
@@ -367,23 +299,17 @@ class VectorFaultPipeline:
     switch state (which earlier stages' per-cell mutations have already
     updated), exactly what the scalar per-switch pipeline sees cell by
     cell.  With per-injector RNG substreams the two orders consume every
-    stream identically, so the pipeline is bit-identical to
-    :class:`ScalarHookAdapter` over the same model - without the
-    per-switch Python round-trips.
+    stream identically, so the pipeline is bit-identical to the scalar
+    model - without the per-switch Python round-trips.
     """
 
     def __init__(self, hooks) -> None:
         self.hooks = list(hooks)
-        # Readout-only stages are identity at the actuate site and draw
-        # nothing there, so skipping them changes neither observations
-        # nor any RNG stream.
-        self._actuate_hooks = [h for h in self.hooks
-                               if not isinstance(h, _ReadoutOnlyNative)]
 
     def on_bank_actuate(self, state: "WearState", instances: np.ndarray,
                         copies: np.ndarray, closed: np.ndarray,
                         ) -> np.ndarray:
-        for hook in self._actuate_hooks:
+        for hook in self.hooks:
             closed = hook.on_bank_actuate(state, instances, copies, closed)
         return closed
 
@@ -391,58 +317,56 @@ class VectorFaultPipeline:
         return f"VectorFaultPipeline({self.hooks!r})"
 
 
-#: Injector types already warned about (fallback warnings fire once per
-#: type per process, not once per constructed hook).
-_warned_fallback: set[str] = set()
-
-
 def vector_hook_for(hook) -> "VectorFaultHook | None":
-    """The fastest engine hook equivalent to scalar ``hook``.
+    """The engine hook equivalent to the :class:`~repro.faults.FaultModel`
+    ``hook``.
 
-    A :class:`~repro.faults.FaultModel` whose injectors *all* have
-    registered native batched implementations gets those natives -
-    composed into a :class:`VectorFaultPipeline` when there is more than
-    one - with bit-identical fault-RNG streams and no per-switch Python
-    calls.  A model containing any injector without a native (e.g. a
-    user-defined subclass) falls back to :class:`ScalarHookAdapter`,
-    which is bit-compatible with every well-behaved scalar hook; the
-    fallback warns once per injector type so silent serialization does
-    not masquerade as the fast path.  ``None`` stays ``None``.
+    Each injector that overrides
+    :meth:`~repro.faults.injectors.FaultInjector.on_switch_actuate` gets
+    its registered native batched implementation, drawing from that
+    injector's own substream - composed into a
+    :class:`VectorFaultPipeline` when there is more than one.  An
+    injector that does not override it has no actuation stage: it draws
+    nothing at the actuation site, so leaving it out changes neither an
+    observation nor a stream.  A model with no actuation stage (and
+    ``None``) gives ``None``, so the engine runs hook-free.
+
+    Raises :class:`~repro.errors.ConfigurationError` for a hook that is
+    not a ``FaultModel`` and for an actuation injector without a native:
+    the engine has no per-switch fallback.
     """
     if hook is None:
         return None
     from repro.faults.injectors import (
+        FaultInjector,
         FaultModel,
         PrematureStuckOpen,
-        ReadoutTimeout,
-        ShareCorruption,
         StuckClosedConversion,
         TemperatureDrift,
         TransientMisfire,
     )
 
+    if not isinstance(hook, FaultModel):
+        raise ConfigurationError(
+            f"fault hook {hook!r} is not a FaultModel; the engine has no "
+            f"per-switch fallback")
     natives = {TransientMisfire: VectorTransientMisfire,
                PrematureStuckOpen: VectorPrematureStuckOpen,
                StuckClosedConversion: VectorStuckClosedConversion,
-               ShareCorruption: VectorShareCorruption,
-               ReadoutTimeout: VectorReadoutTimeout,
                TemperatureDrift: VectorTemperatureDrift}
-    if isinstance(hook, FaultModel) and hook.injectors:
-        stages = []
-        for injector, stream in zip(hook.injectors, hook.streams):
-            native = natives.get(type(injector))
-            if native is None:
-                name = type(injector).__name__
-                if name not in _warned_fallback:
-                    _warned_fallback.add(name)
-                    warnings.warn(
-                        f"fault injector {name} has no native vector hook; "
-                        f"the whole pipeline falls back to the per-switch "
-                        f"ScalarHookAdapter (bit-identical but slow)",
-                        RuntimeWarning, stacklevel=2)
-                return ScalarHookAdapter(hook)
-            stages.append(native(injector, stream))
-        if len(stages) == 1:
-            return stages[0]
-        return VectorFaultPipeline(stages)
-    return ScalarHookAdapter(hook)
+    stages = []
+    for injector, stream in zip(hook.injectors, hook.streams):
+        kind = type(injector)
+        if kind.on_switch_actuate is FaultInjector.on_switch_actuate:
+            continue
+        native = natives.get(kind)
+        if native is None:
+            raise ConfigurationError(
+                f"fault injector {kind.__name__} overrides "
+                f"on_switch_actuate but has no native vector hook")
+        stages.append(native(injector, stream))
+    if not stages:
+        return None
+    if len(stages) == 1:
+        return stages[0]
+    return VectorFaultPipeline(stages)

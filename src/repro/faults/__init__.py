@@ -4,8 +4,8 @@ Injectors model the physical failure deviations of Section 2.1 (and the
 targeted-wearout threat model of the related work): transient misfires,
 premature fracture, stiction (stuck-closed), share corruption, readout
 timeouts and environmental temperature drift.  A :class:`FaultModel`
-aggregates injectors and attaches to banks, decision trees and
-keystores as a zero-overhead-when-disabled ``fault_hook``;
+aggregates injectors and attaches to banks and keystores as a
+zero-overhead-when-disabled ``fault_hook``;
 :mod:`repro.faults.campaign` runs checkpointed campaigns that measure
 ceiling violations and availability under a fault mix.
 """

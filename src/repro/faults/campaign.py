@@ -147,19 +147,15 @@ def security_ceiling(design: DesignPoint) -> int:
 
 
 def run_fault_trial(design: DesignPoint, config: FaultCampaignConfig,
-                    rng: np.random.Generator,
-                    vectorized: bool = True) -> dict:
+                    rng: np.random.Generator) -> dict:
     """Fabricate one instance, drive it to destruction, record metrics.
 
     All randomness (fabrication, Shamir splits, fault draws) comes from
     ``rng``; passing the same generator state reproduces the trial
-    exactly.  Returns a JSON-safe dict.
-
-    ``vectorized`` (the default) runs the fault pipeline through the
-    engine's native batched hooks; ``False`` keeps the per-switch scalar
-    loop.  The two are bit-identical - the differential suite compares
-    whole trial records across the flag - so the flag exists for those
-    tests and for debugging, not as a semantic choice.
+    exactly.  Returns a JSON-safe dict.  The fault pipeline runs
+    through the engine's native batched hooks; the differential suite
+    compares whole trial records against a per-switch, per-share
+    scalar reference.
     """
     fault_rng = derive_rng(rng)
     model = build_fault_model(config, fault_rng)
@@ -167,7 +163,7 @@ def run_fault_trial(design: DesignPoint, config: FaultCampaignConfig,
                          quarantine_after=config.quarantine_after)
     controller = ResilientAccessController(
         design, CAMPAIGN_SECRET, rng, fault_hook=model, policy=policy,
-        rs_fallback=config.rs_fallback, vectorized=vectorized)
+        rs_fallback=config.rs_fallback)
     ceiling = security_ceiling(design)
     cap = (config.max_accesses if config.max_accesses is not None
            else ceiling + max(design.t, 8))
@@ -296,18 +292,16 @@ class FaultCampaignReport:
 
 def _campaign_trial(index: int, rng: np.random.Generator,
                     design: DesignPoint,
-                    config: FaultCampaignConfig,
-                    vectorized: bool = True) -> dict:
+                    config: FaultCampaignConfig) -> dict:
     """Picklable per-trial adapter shared by the serial and parallel paths."""
-    return run_fault_trial(design, config, rng, vectorized=vectorized)
+    return run_fault_trial(design, config, rng)
 
 
 def run_fault_campaign(design: DesignPoint, config: FaultCampaignConfig,
                        trials: int, seed: int,
                        checkpoint_path: str | None = None,
                        checkpoint_every: int = 10,
-                       workers: int | None = None,
-                       vectorized: bool = True) -> FaultCampaignReport:
+                       workers: int | None = None) -> FaultCampaignReport:
     """Run (or resume) a checkpointed fault-injection campaign.
 
     ``workers`` runs the campaign sharded across a process pool
@@ -315,8 +309,6 @@ def run_fault_campaign(design: DesignPoint, config: FaultCampaignConfig,
     from the substream ``(seed, i)`` either way, so the report - and the
     checkpoint file - is bit-identical for any worker count, and a
     checkpoint written under one count resumes under another.
-    ``vectorized`` trials are likewise bit-identical to scalar ones, so
-    checkpoints mix freely across all three axes.
     """
     meta = {"kind": "fault-campaign",
             "design": design_to_dict(design),
@@ -326,13 +318,13 @@ def run_fault_campaign(design: DesignPoint, config: FaultCampaignConfig,
 
         records = run_parallel_trials(
             _campaign_trial, trials, seed,
-            trial_args=(design, config, vectorized),
+            trial_args=(design, config),
             workers=workers, checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every, meta=meta)
         return FaultCampaignReport.from_records(records, config)
 
     def trial(index: int, rng: np.random.Generator) -> dict:
-        return _campaign_trial(index, rng, design, config, vectorized)
+        return _campaign_trial(index, rng, design, config)
 
     records = run_checkpointed_trials(trial, trials, seed, checkpoint_path,
                                       checkpoint_every, meta)

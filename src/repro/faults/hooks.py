@@ -1,18 +1,20 @@
-"""The typed fault-hook contract shared by every injection site.
+"""The typed fault-hook contract shared by the injection sites.
 
-``fault_hook=None`` plumbing used to be untyped: banks, keystores,
-decision trees and the resilient controller each accepted "something
-with ``on_switch_actuate`` / ``on_share_readout``".  :class:`FaultHook`
-names that structural contract once, as a runtime-checkable
-:class:`~typing.Protocol`, so the scalar sites and the vectorized
-engine adapter (:class:`repro.engine.hooks.ScalarHookAdapter`) check
-against one definition.  :class:`repro.faults.FaultModel` satisfies it;
-so does any test double with the two methods.
+:class:`FaultHook` names, as a runtime-checkable
+:class:`~typing.Protocol`, the two methods the stateful layers call on a
+fault hook: an object-mode :class:`~repro.core.hardware.SimulatedBank`
+consults ``on_switch_actuate`` switch by switch, and a
+:class:`~repro.connection.keystore.BankKeyStore` hands each recovery's
+readouts to ``on_shares_readout``.  Engine-backed banks take the
+batched form of a :class:`repro.faults.FaultModel` instead
+(:func:`repro.engine.hooks.vector_hook_for`).
+:class:`repro.faults.FaultModel` satisfies the protocol; so does any
+test double with the two methods.
 
-This module is dependency-free on purpose: consumers in ``core``,
-``connection`` and ``pads`` import it under ``typing.TYPE_CHECKING``
-(importing ``repro.faults`` at runtime would cycle back through the
-hardware layer).
+This module is dependency-free on purpose: consumers in ``core`` and
+``connection`` import it under ``typing.TYPE_CHECKING`` (importing
+``repro.faults`` at runtime would cycle back through the hardware
+layer).
 """
 
 from __future__ import annotations
@@ -50,16 +52,18 @@ class SwitchLike(Protocol):
 
 @runtime_checkable
 class FaultHook(Protocol):
-    """The scalar fault-injection contract (both sites).
+    """The fault-injection contract (both sites).
 
     ``on_switch_actuate`` is consulted after each physical switch
     actuation with the raw outcome and returns the observed one;
-    ``on_share_readout`` is consulted on each share / leaf-register
-    read and may corrupt the bytes or return ``None`` (timeout).
+    ``on_shares_readout`` is consulted once per recovery with the share
+    bytes read at ``indices`` and returns them in the same order, any
+    of them corrupted or ``None`` (timeout).
     """
 
     def on_switch_actuate(self, switch: SwitchLike, closed: bool,
                           ) -> bool: ...  # pragma: no cover - protocol
 
-    def on_share_readout(self, bank_id: int, index: int, data: bytes,
-                         ) -> bytes | None: ...  # pragma: no cover
+    def on_shares_readout(self, bank_id: int, indices: list[int],
+                          datas: list,
+                          ) -> list: ...  # pragma: no cover - protocol

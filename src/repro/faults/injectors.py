@@ -9,13 +9,15 @@ this module *injects* them into live hardware so experiments can observe
 whether an architecture degrades gracefully (availability loss) or
 breaks its security ceiling (extra accesses past the design bound).
 
-Design: hardware objects (:class:`~repro.core.hardware.SimulatedBank`,
-:class:`~repro.pads.decision_tree.HardwareDecisionTree`,
-:class:`~repro.connection.keystore.BankKeyStore`) accept an optional
+Design: the stateful hardware
+(:func:`~repro.core.hardware.build_serial_copies`,
+:class:`~repro.connection.resilient.ResilientAccessController`, the
+service's fault tenants) and
+:class:`~repro.connection.keystore.BankKeyStore` accept an optional
 ``fault_hook`` - a :class:`FaultModel` aggregating any number of
-:class:`FaultInjector` instances.  With no hook attached the hot paths
-run exactly as before (a single ``is None`` branch), so fault support
-costs nothing when disabled.
+:class:`FaultInjector` instances.  With no hook attached
+the hot paths run exactly as before (a single ``is None`` branch), so
+fault support costs nothing when disabled.
 
 Two injection sites cover every fault in the taxonomy:
 
@@ -24,9 +26,16 @@ Two injection sites cover every fault in the taxonomy:
   switch (premature stuck-open), force a worn-out switch to keep
   conducting (stuck-closed conversion), or add hidden wear
   (temperature drift);
-- ``on_share_readout(bank_id, index, data)`` - consulted when a share /
-  leaf register is read; may corrupt the bytes (bit flips) or return
-  None (readout timeout: the share is missing this attempt).
+- ``on_share_readout(bank_id, index, data)`` - consulted when a share
+  is read; may corrupt the bytes (bit flips) or return None (readout
+  timeout: the share is missing this attempt).
+
+These per-switch and per-share methods are the reference semantics.
+Engine-backed banks run an injector's actuation site through its native
+batched form (:func:`repro.engine.hooks.vector_hook_for`; an injector
+that does not override ``on_switch_actuate`` has no actuation stage),
+and keystores run the readout site through
+:meth:`FaultModel.on_shares_readout`, one call per recovery.
 
 RNG substream contract
 ----------------------

@@ -41,7 +41,7 @@ class OneTimePad:
     def __init__(self, height: int, n_copies: int, k: int,
                  device: WeibullDistribution, rng: np.random.Generator,
                  variation: ProcessVariation | None = None,
-                 key_bytes: int | None = None, fault_hook=None) -> None:
+                 key_bytes: int | None = None) -> None:
         if not 1 <= k <= n_copies <= 255:
             raise ConfigurationError(
                 f"need 1 <= k <= n <= 255, got k={k}, n={n_copies}")
@@ -68,8 +68,7 @@ class OneTimePad:
                 for leaf in range(leaves)
             ]
             self.copies.append(HardwareDecisionTree(
-                height, contents, device, rng, variation,
-                fault_hook=fault_hook))
+                height, contents, device, rng, variation))
         self._share_len = key_bytes
 
     @property
@@ -113,12 +112,12 @@ class OneTimePadChip:
     def __init__(self, n_pads: int, height: int, n_copies: int, k: int,
                  device: WeibullDistribution, rng: np.random.Generator,
                  variation: ProcessVariation | None = None,
-                 key_bytes: int | None = None, fault_hook=None) -> None:
+                 key_bytes: int | None = None) -> None:
         if n_pads < 1:
             raise ConfigurationError("need at least one pad")
         self.pads = [
             OneTimePad(height, n_copies, k, device, rng, variation,
-                       key_bytes, fault_hook=fault_hook)
+                       key_bytes)
             for _ in range(n_pads)
         ]
         self.device = device

@@ -12,18 +12,15 @@ leaf - which is why adversarial path-guessing destroys the tree quickly.
 
 Since the :mod:`repro.engine` refactor the per-switch wear lives in one
 flat ``(1, 1, switch_count)`` :class:`~repro.engine.state.WearState`.
-The hot no-hook traversal updates the ``H`` touched cells with one fancy
-index per call; :meth:`HardwareDecisionTree.path_switches` still hands
-out per-switch :class:`~repro.engine.views.SwitchView` objects (cached,
-identity-stable) so fault injectors and tests keep poking individual
-switches.
+A traversal updates the ``H`` touched cells with one fancy index per
+call; :meth:`HardwareDecisionTree.path_switches` still hands out
+per-switch :class:`~repro.engine.views.SwitchView` objects (cached,
+identity-stable) so tests keep poking individual switches.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,12 +32,7 @@ from repro.engine.views import SwitchView
 from repro.errors import ConfigurationError, RegisterDestroyedError
 from repro.obs.recorder import OBS
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.hooks import FaultHook
-
 __all__ = ["path_bits_to_leaf", "HardwareDecisionTree"]
-
-_tree_ids = itertools.count()
 
 
 def path_bits_to_leaf(path: str) -> int:
@@ -69,8 +61,7 @@ class HardwareDecisionTree:
 
     def __init__(self, height: int, leaf_contents: list[bytes],
                  device: WeibullDistribution, rng: np.random.Generator,
-                 variation: ProcessVariation | None = None,
-                 fault_hook: "FaultHook | None" = None) -> None:
+                 variation: ProcessVariation | None = None) -> None:
         if height < 1:
             raise ConfigurationError("tree height must be >= 1")
         leaves = 2 ** (height - 1)
@@ -98,8 +89,6 @@ class HardwareDecisionTree:
         self._path_cache: dict[int, np.ndarray] = {}
         self._registers = [ReadDestructiveRegister(c) for c in leaf_contents]
         self.traversals = 0
-        self.tree_id = next(_tree_ids)
-        self._fault_hook = fault_hook
 
     # ------------------------------------------------------------------
     @property
@@ -165,28 +154,18 @@ class HardwareDecisionTree:
     def _traverse(self, path: str) -> bytes | None:
         self.traversals += 1
         leaf = self._leaf_index(path)
-        if self._fault_hook is None:
-            # Vectorized path: one fancy-indexed update of the H touched
-            # cells, with exact per-switch actuate semantics (a failed
-            # switch takes no further wear; a fractional remainder still
-            # closes once).
-            idx = self._path_indices(leaf)
-            sel_life = self._lifetime_row[idx]
-            sel_used = self._used_row[idx]
-            alive = sel_used < sel_life
-            new_used = sel_used + alive
-            self._used_row[idx] = new_used
-            if not bool(np.all(alive & (new_used <= sel_life))):
-                return None
-        else:
-            hook = self._fault_hook.on_switch_actuate
-            closed = [hook(s, s.actuate()) for s in self.path_switches(path)]
-            if not all(closed):
-                return None
+        # One fancy-indexed update of the H touched cells, with exact
+        # per-switch actuate semantics (a failed switch takes no further
+        # wear; a fractional remainder still closes once).
+        idx = self._path_indices(leaf)
+        sel_life = self._lifetime_row[idx]
+        sel_used = self._used_row[idx]
+        alive = sel_used < sel_life
+        new_used = sel_used + alive
+        self._used_row[idx] = new_used
+        if not bool(np.all(alive & (new_used <= sel_life))):
+            return None
         try:
-            data = self._registers[leaf].read()
+            return self._registers[leaf].read()
         except RegisterDestroyedError:
             return None
-        if self._fault_hook is not None:
-            data = self._fault_hook.on_share_readout(self.tree_id, leaf, data)
-        return data

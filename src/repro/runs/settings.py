@@ -19,15 +19,13 @@ Format::
     beta = 6.0
 
 Any key other than ``kind``/``after`` is passed to the step executor as
-a parameter.  Parsing uses :mod:`tomllib` where available (Python
-3.11+) and falls back to a small built-in parser covering exactly this
-subset (tables, strings, numbers, booleans, one-line arrays) on 3.10 -
-settings files stay valid TOML either way.
+a parameter.  Parsing uses :mod:`tomllib`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import tomllib
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -86,112 +84,11 @@ class PipelineSettings:
 
 
 # ----------------------------------------------------------------------
-# Minimal TOML-subset fallback (Python 3.10 has no tomllib).
-def _parse_scalar(text: str):
-    text = text.strip()
-    if not text:
-        raise ConfigurationError("empty TOML value")
-    if text[0] == '"':
-        if len(text) < 2 or text[-1] != '"':
-            raise ConfigurationError(f"unterminated string: {text!r}")
-        return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"unsupported TOML value {text!r} (fallback parser "
-            f"supports strings, numbers, booleans and one-line "
-            f"arrays)") from None
-
-
-def _split_array(body: str) -> list[str]:
-    items, depth, quoted, current = [], 0, False, []
-    for char in body:
-        if char == '"' and (not current or current[-1] != "\\"):
-            quoted = not quoted
-        if not quoted:
-            if char == "[":
-                depth += 1
-            elif char == "]":
-                depth -= 1
-            elif char == "," and depth == 0:
-                items.append("".join(current))
-                current = []
-                continue
-        current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        items.append(tail)
-    return items
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigurationError(
-                f"fallback TOML parser needs one-line arrays: {text!r}")
-        return [_parse_value(item) for item in _split_array(text[1:-1])]
-    return _parse_scalar(text)
-
-
-def _strip_comment(line: str) -> str:
-    quoted = False
-    for index, char in enumerate(line):
-        if char == '"' and (index == 0 or line[index - 1] != "\\"):
-            quoted = not quoted
-        elif char == "#" and not quoted:
-            return line[:index]
-    return line
-
-
-def _parse_toml_fallback(text: str) -> dict:
-    root: dict = {}
-    table = root
-    for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            table = root
-            for part in line[1:-1].strip().split("."):
-                key = part.strip().strip('"')
-                if not key:
-                    raise ConfigurationError(
-                        f"bad TOML table header: {raw!r}")
-                table = table.setdefault(key, {})
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigurationError(f"bad TOML line: {raw!r}")
-        table[key.strip().strip('"')] = _parse_value(value)
-    return root
-
-
-def _load_toml(text: str) -> dict:
-    try:
-        import tomllib
-    except ImportError:
-        return _parse_toml_fallback(text)
-    return tomllib.loads(text)
-
-
-# ----------------------------------------------------------------------
 def parse_settings(text: str) -> PipelineSettings:
     """Parse and validate pipeline settings from TOML text."""
     try:
-        payload = _load_toml(text)
-    except ConfigurationError:
-        raise
-    except Exception as exc:  # tomllib.TOMLDecodeError and friends
+        payload = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
         raise ConfigurationError(f"bad pipeline settings: {exc}") from exc
     pipeline = payload.get("pipeline")
     if not isinstance(pipeline, dict) or not pipeline.get("name"):

@@ -282,8 +282,9 @@ class WearHub:
         if pool is None:
             pool = self.pools[key] = _Pool(copies, n, k)
         row = pool.add_row(lifetimes)
-        if fault_model is not None:
-            pool.dispatch.row_hooks[row] = vector_hook_for(fault_model)
+        hook = vector_hook_for(fault_model)
+        if hook is not None:
+            pool.dispatch.row_hooks[row] = hook
         tenant = TenantRecord(name, params, pool, row, stores, fault_model)
         self.tenants[name] = tenant
         return tenant
@@ -570,8 +571,8 @@ class WearHub:
         the tenant's provision parameters (fabrication is deterministic
         from them), and fault tenants add their possibly-mutated
         lifetimes (:class:`~repro.faults.PrematureStuckOpen` shortens
-        them irreversibly), the fault generator's bit state and each
-        injector's own state.  Recovery therefore never needs the
+        them irreversibly), the fault generators' bit states, each
+        injector's injection count and the stuck-closed verdicts.  Recovery therefore never needs the
         records the snapshot covers - which is what licenses
         :meth:`~repro.service.ledger.WearLedger.rotate_segment` to seal
         them away.  The retained idempotency responses ride along so a
@@ -607,25 +608,9 @@ class WearHub:
     def _export_fault_state(self, tenant: TenantRecord) -> dict:
         """Everything needed to resume the tenant's fault pipeline."""
         model = tenant.fault_model
-        state = tenant.pool.state
-        injectors = []
-        for injector in model.injectors:
-            exported: dict = {"injections": injector.injections}
-            converted = getattr(injector, "_converted", None)
-            if converted is not None:
-                # Scalar stuck-closed state is keyed by process-lifetime
-                # switch ids; translate to stable (copy, index) coords
-                # through the views the adapter actuated.
-                by_id = {view.switch_id: (c, i)
-                         for (b, c, i), view in state._views.items()
-                         if b == tenant.row}
-                exported["converted"] = sorted(
-                    [*by_id[switch_id], sticky]
-                    for switch_id, sticky in converted.items()
-                    if switch_id in by_id)
-            injectors.append(exported)
         payload = {"rng_state": model.rng.bit_generator.state,
-                   "injectors": injectors,
+                   "injectors": [{"injections": injector.injections}
+                                 for injector in model.injectors],
                    # Per-injector substream states: the streams were
                    # jumped from the root at model construction and have
                    # advanced independently since, so the root state
@@ -658,7 +643,6 @@ class WearHub:
     def _restore_fault_state(self, tenant: TenantRecord,
                              payload: dict) -> None:
         model = tenant.fault_model
-        state = tenant.pool.state
         model.rng.bit_generator.state = payload["rng_state"]
         # Old snapshots predate per-stream export; their streams were
         # freshly jumped from the restored root, which is the pre-export
@@ -669,10 +653,6 @@ class WearHub:
         for injector, exported in zip(model.injectors,
                                       payload["injectors"]):
             injector.injections = int(exported["injections"])
-            if "converted" in exported:
-                injector._converted = {
-                    state.view(tenant.row, c, i).switch_id: bool(sticky)
-                    for c, i, sticky in exported["converted"]}
         hook = self._find_stuck_hook(tenant)
         if hook is not None:
             hook.converted = {

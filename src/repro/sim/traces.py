@@ -135,8 +135,7 @@ class ReplayReport:
 def replay_trace(designs: list[DesignPoint], passcodes: list[str],
                  storage: bytes, trace: list[TraceEvent],
                  rng: np.random.Generator,
-                 migrate_below_fraction: float = 0.05,
-                 vectorized: bool = True) -> ReplayReport:
+                 migrate_below_fraction: float = 0.05) -> ReplayReport:
     """Replay a trace on an M-way phone with automatic migration.
 
     The deployment migrates to the next module proactively when the
@@ -146,12 +145,10 @@ def replay_trace(designs: list[DesignPoint], passcodes: list[str],
     load-bearing one: wrong counts here cost availability, never
     confidentiality).
 
-    ``vectorized`` (the default) batches each stretch of events between
-    migration-trigger points into one engine fast-forward instead of a
-    per-event login loop; ``False`` keeps the event-by-event reference
-    loop.  The two arms produce identical reports and hardware state
-    (pinned in ``tests/differential``), so the flag exists for those
-    tests and for debugging, not as a semantic choice.
+    Each stretch of events between migration-trigger points runs as one
+    engine fast-forward instead of a per-event login loop; the report
+    and hardware state match an event-by-event login reference (pinned
+    in ``tests/differential``).
     """
     if not 0.0 <= migrate_below_fraction < 1.0:
         raise ConfigurationError(
@@ -160,12 +157,7 @@ def replay_trace(designs: list[DesignPoint], passcodes: list[str],
         started = time.perf_counter()
     phone = MWayPhone(designs, passcodes, storage, rng)
     report = ReplayReport()
-    if vectorized:
-        _replay_vector(designs, passcodes, phone, trace, report,
-                       migrate_below_fraction)
-    else:
-        _replay_scalar(designs, passcodes, phone, trace, report,
-                       migrate_below_fraction)
+    _replay(designs, passcodes, phone, trace, report, migrate_below_fraction)
     if OBS.enabled:
         elapsed = time.perf_counter() - started
         attempts = (report.owner_logins + report.owner_typos
@@ -195,55 +187,14 @@ def _migrate(phone: MWayPhone, report: ReplayReport) -> None:
         OBS.metrics.inc("replay.migrations")
 
 
-def _replay_scalar(designs: list[DesignPoint], passcodes: list[str],
-                   phone: MWayPhone, trace: list[TraceEvent],
-                   report: ReplayReport,
-                   migrate_below_fraction: float) -> None:
-    """Event-by-event reference arm: one login per trace event."""
-    module_budget = designs[0].guaranteed_accesses
-    used_on_module = 0
-    module_index = 0
-    for event in trace:
-        # Proactive migration near the advisory budget's edge.
-        remaining = module_budget - used_on_module
-        if (remaining <= module_budget * migrate_below_fraction
-                and module_index < phone.m - 1):
-            try:
-                _migrate(phone, report)
-            except DeviceWornOutError:
-                report.died_on_day = event.day
-                report.died_during_migration = True
-                break
-            module_index += 1
-            module_budget = designs[module_index].guaranteed_accesses
-            used_on_module = 0
-        passcode = passcodes[module_index]
-        try:
-            if event.kind is EventKind.OWNER_LOGIN:
-                result = phone.login(passcode)
-                report.owner_logins += result.success
-            elif event.kind is EventKind.OWNER_TYPO:
-                phone.login(passcode + "-typo")
-                report.owner_typos += 1
-            else:
-                result = phone.login("0000-thief")
-                report.attacker_attempts += 1
-                report.attacker_breached |= result.success
-        except DeviceWornOutError:
-            report.died_on_day = event.day
-            break
-        used_on_module += 1
-        report.days_served = event.day + 1
-
-
 def _next_trigger_use(budget: int, fraction: float) -> int:
     """Smallest advisory use count at which the migration check fires.
 
-    The scalar arm evaluates ``(budget - used) <= budget * fraction``
-    with Python's exact int-vs-float comparison, so the crossover is
-    located with the *same* comparison (a float-guess seed plus at most
-    a couple of exact adjustment steps) rather than float ``ceil``
-    arithmetic, which could round differently for large budgets.
+    The per-event check is ``(budget - used) <= budget * fraction`` with
+    Python's exact int-vs-float comparison, so the crossover is located
+    with the *same* comparison (a float-guess seed plus at most a couple
+    of exact adjustment steps) rather than float ``ceil`` arithmetic,
+    which could round differently for large budgets.
     """
     threshold = budget * fraction
     use = budget - math.floor(threshold)
@@ -254,11 +205,10 @@ def _next_trigger_use(budget: int, fraction: float) -> int:
     return use
 
 
-def _replay_vector(designs: list[DesignPoint], passcodes: list[str],
-                   phone: MWayPhone, trace: list[TraceEvent],
-                   report: ReplayReport,
-                   migrate_below_fraction: float) -> None:
-    """Batched arm: engine fast-forward between migration triggers.
+def _replay(designs: list[DesignPoint], passcodes: list[str],
+            phone: MWayPhone, trace: list[TraceEvent], report: ReplayReport,
+            migrate_below_fraction: float) -> None:
+    """Engine fast-forward between migration triggers.
 
     Between migrations a login consumes exactly one connection access
     and draws no randomness, and its outcome is determined by the
@@ -268,7 +218,7 @@ def _replay_vector(designs: list[DesignPoint], passcodes: list[str],
     through the real :meth:`MWayPhone.migrate` - they draw fabrication
     randomness - and the migration-trigger points depend only on the
     advisory counter, never on wear, so they are located up front with
-    the scalar arm's exact comparison.
+    the per-event check's exact comparison.
     """
     n_events = len(trace)
     if n_events == 0:
@@ -299,7 +249,7 @@ def _replay_vector(designs: list[DesignPoint], passcodes: list[str],
             used_on_module = 0
         # Serve every event up to (excluding) the next trigger point.
         # At least one event is always served between checks - the
-        # scalar arm performs exactly one migration check per event.
+        # per-event loop performs exactly one migration check per event.
         if module_index < phone.m - 1:
             chunk = max(1, _next_trigger_use(module_budget,
                                              migrate_below_fraction)
@@ -315,8 +265,8 @@ def _replay_vector(designs: list[DesignPoint], passcodes: list[str],
             attacks = int(np.count_nonzero(batch == 2))
             report.attacker_attempts += attacks
             if attacks and passcodes[module_index] == "0000-thief":
-                # The thief guessed the module passcode: the scalar
-                # arm's login would have succeeded.
+                # The thief guessed the module passcode: a real login
+                # would have succeeded.
                 report.attacker_breached = True
             report.days_served = int(days[pos + served - 1]) + 1
             used_on_module += served

@@ -1,6 +1,6 @@
 """Differential harness: serial vs parallel vs analytic cross-validation.
 
-Three families of guarantees live here, one per module:
+Each module pins one family of guarantees:
 
 - ``test_serial_parallel_identity`` - the parallel engine is a pure
   refactoring of the serial loop: byte-identical results and checkpoint
@@ -15,5 +15,9 @@ Three families of guarantees live here, one per module:
   with and without fault models;
 - ``test_service_recovery`` - a SIGKILLed service instance recovers its
   exact wear history from the durable ledger, truncating (never
-  absorbing) a torn trailing WAL record.
+  absorbing) a torn trailing WAL record;
+- ``test_fault_vector_identity``, ``test_replay_identity`` and
+  ``test_hub_readout`` - the batched fault, replay, drain and hub
+  readout paths are bit-identical to the scalar reference arms in
+  ``_reference``, which exist only here.
 """

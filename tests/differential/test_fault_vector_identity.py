@@ -1,16 +1,20 @@
 """Scalar-vs-native bit-identity of the vectorized fault pipeline.
 
-The engine's native batched hooks (:mod:`repro.engine.hooks`) promise
-bit-identity to the scalar per-switch/per-share injector loop for every
-shipped injector and for any attachment order - the RNG substream
-contract of :mod:`repro.faults.injectors`.  This suite pins that promise
-end to end through ``run_fault_trial``: whole trial records (per-trial
-wear, outcomes, injection counts) must match across the ``vectorized``
-flag for
+The engine's native batched hooks (:mod:`repro.engine.hooks`) and the
+keystores' batched readout promise bit-identity to the scalar
+per-switch/per-share injector loop for every shipped injector and for
+any attachment order - the RNG substream contract of
+:mod:`repro.faults.injectors`.  This suite pins that promise end to end
+against the test-side reference (:mod:`tests.differential._reference`:
+object-mode banks that inject right after each switch's own actuation,
+keystores that read one share at a time): whole trial records
+(per-trial wear, outcomes, injection counts) must match
+``run_fault_trial`` for
 
 - each injector alone,
-- mixed pipelines in every attachment order, and
-- the full six-injector mix,
+- mixed pipelines in every attachment order,
+- the full six-injector mix, and
+- a custom readout-only injector,
 
 plus the hardware state arrays the trial leaves behind.
 """
@@ -29,7 +33,9 @@ from repro.faults.campaign import (
     FaultCampaignConfig,
     run_fault_trial,
 )
+from repro.engine.hooks import VectorTransientMisfire, vector_hook_for
 from repro.faults.injectors import (
+    FaultInjector,
     FaultModel,
     ReadoutTimeout,
     ShareCorruption,
@@ -37,6 +43,11 @@ from repro.faults.injectors import (
     TransientMisfire,
 )
 from repro.sim.rng import make_rng
+from tests.differential._reference import (
+    ReferenceController,
+    bank_arrays,
+    reference_fault_trial,
+)
 
 
 def _design(bound=40):
@@ -62,10 +73,8 @@ def test_single_injector_trial_records_identical(name):
     design = _design()
     config = SINGLE_INJECTOR_CONFIGS[name]
     for seed in range(3):
-        scalar = run_fault_trial(design, config, make_rng(seed),
-                                 vectorized=False)
-        native = run_fault_trial(design, config, make_rng(seed),
-                                 vectorized=True)
+        scalar = reference_fault_trial(design, config, make_rng(seed))
+        native = run_fault_trial(design, config, make_rng(seed))
         assert scalar == native, f"{name} seed {seed}"
 
 
@@ -78,21 +87,18 @@ def test_full_mix_trial_records_identical():
                                  corruption_rate=0.02,
                                  timeout_rate=0.01)
     for seed in range(3):
-        scalar = run_fault_trial(design, config, make_rng(seed),
-                                 vectorized=False)
-        native = run_fault_trial(design, config, make_rng(seed),
-                                 vectorized=True)
+        scalar = reference_fault_trial(design, config, make_rng(seed))
+        native = run_fault_trial(design, config, make_rng(seed))
         assert scalar == native, f"seed {seed}"
 
 
-def _drive(design, injectors, seed, vectorized):
+def _drive(design, injectors, seed, controller_class):
     """Drive one controller to destruction; return outcomes + state."""
     rng = make_rng(seed)
     model = FaultModel(list(injectors), rng=make_rng(seed + 1))
-    controller = ResilientAccessController(
+    controller = controller_class(
         design, CAMPAIGN_SECRET, rng, fault_hook=model,
-        policy=RetryPolicy(max_attempts=3, quarantine_after=2),
-        vectorized=vectorized)
+        policy=RetryPolicy(max_attempts=3, quarantine_after=2))
     outcomes = []
     for _ in range(design.copies * (design.t + 2) + design.t + 8):
         try:
@@ -103,16 +109,22 @@ def _drive(design, injectors, seed, vectorized):
             break
         except CodingError as exc:
             outcomes.append(f"coding:{type(exc).__name__}")
-    state = controller._state
     return {
         "outcomes": outcomes,
         "injections": [inj.injections for inj in model.injectors],
         "streams": [s.bit_generator.state["state"] for s in model.streams],
-        "used": state.used.copy(),
-        "bank_accesses": state.bank_accesses.copy(),
-        "bank_dead": state.bank_dead.copy(),
+        **bank_arrays(controller._banks),
         "stats": controller.stats,
     }
+
+
+def _assert_same_drive(scalar, native):
+    assert scalar["outcomes"] == native["outcomes"]
+    assert scalar["injections"] == native["injections"]
+    assert scalar["streams"] == native["streams"]
+    for array in ("used", "lifetime", "bank_accesses", "bank_dead"):
+        np.testing.assert_array_equal(scalar[array], native[array])
+    assert scalar["stats"] == native["stats"]
 
 
 #: An actuation injector, a persistent-conversion injector and a readout
@@ -129,26 +141,51 @@ ORDER_INJECTORS = [
 def test_mixed_pipeline_identical_in_every_attachment_order(order):
     design = _design(24)
     injectors = [ORDER_INJECTORS[i]() for i in order]
-    scalar = _drive(design, injectors, seed=11, vectorized=False)
+    scalar = _drive(design, injectors, 11, ReferenceController)
     injectors = [ORDER_INJECTORS[i]() for i in order]
-    native = _drive(design, injectors, seed=11, vectorized=True)
-    assert scalar["outcomes"] == native["outcomes"]
-    assert scalar["injections"] == native["injections"]
-    assert scalar["streams"] == native["streams"]
-    np.testing.assert_array_equal(scalar["used"], native["used"])
-    np.testing.assert_array_equal(scalar["bank_accesses"],
-                                  native["bank_accesses"])
-    np.testing.assert_array_equal(scalar["bank_dead"], native["bank_dead"])
-    assert scalar["stats"] == native["stats"]
+    native = _drive(design, injectors, 11, ResilientAccessController)
+    _assert_same_drive(scalar, native)
 
 
 def test_readout_pair_identical_in_both_orders():
     design = _design(24)
     for order in ([ShareCorruption(0.05), ReadoutTimeout(0.03)],
                   [ReadoutTimeout(0.03), ShareCorruption(0.05)]):
-        scalar = _drive(design, order, seed=5, vectorized=False)
+        scalar = _drive(design, order, 5, ReferenceController)
         rebuilt = [type(inj)(inj.rate) for inj in order]
-        native = _drive(design, rebuilt, seed=5, vectorized=True)
-        assert scalar["outcomes"] == native["outcomes"]
-        assert scalar["streams"] == native["streams"]
-        np.testing.assert_array_equal(scalar["used"], native["used"])
+        native = _drive(design, rebuilt, 5, ResilientAccessController)
+        _assert_same_drive(scalar, native)
+
+
+class FlipFirstByte(FaultInjector):
+    """A user-defined readout-only injector that draws from its stream."""
+
+    name = "flip-first-byte"
+
+    def __init__(self, rate):
+        super().__init__()
+        self.rate = rate
+
+    def on_share_readout(self, bank_id, index, data, rng):
+        if rng.random() < self.rate:
+            self.injections += 1
+            return bytes([data[0] ^ 0x01]) + data[1:]
+        return data
+
+
+def test_custom_readout_only_injector_matches_reference():
+    """A custom injector without ``on_switch_actuate`` runs natively:
+    no actuation stage, per-share readout replayed by the batched
+    default, record for record equal to the reference."""
+    misfire = vector_hook_for(FaultModel([FlipFirstByte(0.1),
+                                          TransientMisfire(0.03)], seed=1))
+    assert isinstance(misfire, VectorTransientMisfire)
+    assert vector_hook_for(FaultModel([FlipFirstByte(0.1)], seed=1)) is None
+    design = _design(24)
+    for make in (lambda: [FlipFirstByte(0.1)],
+                 lambda: [FlipFirstByte(0.1), TransientMisfire(0.03),
+                          ReadoutTimeout(0.02)]):
+        scalar = _drive(design, make(), 7, ReferenceController)
+        native = _drive(design, make(), 7, ResilientAccessController)
+        _assert_same_drive(scalar, native)
+        assert native["injections"][0] > 0

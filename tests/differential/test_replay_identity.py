@@ -1,13 +1,14 @@
-"""Bit-identity of the batched replay/drain arms against their scalar loops.
+"""Bit-identity of the batched replay/drain paths against login loops.
 
 ``replay_trace`` and ``simulate_drain_attack`` collapse stretches of
 logins onto one engine fast-forward
 (:meth:`~repro.connection.architecture.LimitedUseConnection.serve_accesses`).
 This suite pins the collapse: reports, final RNG state and the hardware
-wear arrays must match the event-by-event reference arm exactly -
-including migrations, mid-trace exhaustion, empty traces and attacker
-bursts.  Scalar logins pay the real KDF, so the designs and traces here
-are deliberately tiny.
+wear arrays must match the event-by-event reference in
+:mod:`tests.differential._reference` exactly - including migrations,
+mid-trace exhaustion, empty traces and attacker bursts.  Reference
+logins pay the real KDF, so the designs and traces here are
+deliberately tiny.
 """
 
 from dataclasses import asdict
@@ -21,6 +22,11 @@ from repro.core.sizing import size_architecture
 from repro.sim.rng import make_rng
 from repro.sim.timeline import UsageProfile
 from repro.sim.traces import EventKind, TraceEvent, generate_trace, replay_trace
+from tests.differential._reference import (
+    reference_drain_attack,
+    reference_replay_trace,
+    replay_events,
+)
 
 
 def _design(bound=24):
@@ -30,10 +36,10 @@ def _design(bound=24):
 
 def _replay_both(designs, passcodes, trace, seed, fraction=0.05):
     results = []
-    for vectorized in (False, True):
+    for replay in (reference_replay_trace, replay_trace):
         rng = make_rng(seed)
-        report = replay_trace(designs, passcodes, b"secret disk!", trace,
-                              rng, fraction, vectorized=vectorized)
+        report = replay(designs, passcodes, b"secret disk!", trace, rng,
+                        fraction)
         results.append({
             "report": asdict(report),
             "rng": rng.bit_generator.state,
@@ -84,7 +90,7 @@ def test_attacker_burst_identical():
 
 def test_thief_passcode_breach_identical():
     # The degenerate module whose passcode IS the thief guess: the
-    # vectorized arm must flag the breach exactly like the scalar login.
+    # batched replay must flag the breach exactly like a real login.
     trace = [TraceEvent(0, EventKind.ATTACKER_GUESS)]
     scalar, vector = _replay_both([_design(40)], ["0000-thief"], trace,
                                   seed=31)
@@ -101,13 +107,13 @@ def test_empty_trace_identical():
 def test_replay_hardware_state_identical():
     """The wear arrays, not just the report, must match afterwards."""
     from repro.connection.phone import MWayPhone
-    from repro.sim.traces import _replay_scalar, _replay_vector, ReplayReport
+    from repro.sim.traces import _replay, ReplayReport
 
     designs = [_design(16), _design(16)]
     passcodes = ["pc-0", "pc-1"]
     trace = _trace(days=6, seed=41, mean_daily=3.0)
     snapshots = []
-    for arm in (_replay_scalar, _replay_vector):
+    for arm in (replay_events, _replay):
         rng = make_rng(43)
         phone = MWayPhone(designs, passcodes, b"secret disk!", rng)
         report = ReplayReport()
@@ -138,8 +144,8 @@ def test_replay_hardware_state_identical():
 @pytest.mark.parametrize("owner,attacker", [(1, 1), (3, 2), (1, 0), (2, 5)])
 def test_drain_attack_identical(owner, attacker):
     design = _design(12)
-    scalar = simulate_drain_attack(design, "pc", make_rng(47), owner,
-                                   attacker, vectorized=False)
+    scalar = reference_drain_attack(design, "pc", make_rng(47), owner,
+                                    attacker)
     vector = simulate_drain_attack(design, "pc", make_rng(47), owner,
-                                   attacker, vectorized=True)
+                                   attacker)
     assert scalar == vector

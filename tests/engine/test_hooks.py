@@ -1,15 +1,15 @@
-"""The vector hook surface: natives, pipeline, and the scalar adapter.
+"""The vector hook surface: natives, pipeline, and the ``vector_hook_for``
+rule, checked against the test-side scalar adapter.
 
-The adapter's contract is bit-compatibility: driving a batched state
-through ``ScalarHookAdapter(model)`` must replay the same fault-RNG
-streams - and hence produce the same wear, deaths and access bounds - as
-the object-mode hardware loop consulting the same model per switch.
-Every native hook (and the composed pipeline) then has to match the
-adapter bit for bit, which the parametrized identity tests here pin at
-the engine level; whole-trial identity lives in ``tests/differential``.
+The adapter (:class:`tests.differential._reference.ScalarHookAdapter`)
+is bit-compatible with the object-mode hardware loop: driving a batched
+state through ``ScalarHookAdapter(model)`` must replay the same
+fault-RNG streams - and hence produce the same wear, deaths and access
+bounds - as the loop consulting the same model per switch.  Every
+native hook (and the composed pipeline) then has to match the adapter
+bit for bit, which the parametrized identity tests here pin at the
+engine level; whole-trial identity lives in ``tests/differential``.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -17,18 +17,16 @@ import pytest
 from repro.core.device import NEMSSwitch
 from repro.core.hardware import SerialCopies, SimulatedBank
 from repro.engine.hooks import (
-    ScalarHookAdapter,
     VectorFaultHook,
     VectorFaultPipeline,
     VectorPrematureStuckOpen,
-    VectorReadoutTimeout,
-    VectorShareCorruption,
     VectorStuckClosedConversion,
     VectorTemperatureDrift,
     VectorTransientMisfire,
     vector_hook_for,
 )
 from repro.engine.state import WearState
+from repro.errors import ConfigurationError
 from repro.faults.injectors import (
     FaultInjector,
     FaultModel,
@@ -39,6 +37,7 @@ from repro.faults.injectors import (
     TemperatureDrift,
     TransientMisfire,
 )
+from tests.differential._reference import ScalarHookAdapter
 
 
 def _step_all(state):
@@ -227,22 +226,24 @@ class TestVectorTemperatureDrift:
 
 
 class TestReadoutOnlyNatives:
-    """Corruption/timeout natives are actuate-site no-ops by design."""
+    """Corruption/timeout have no actuation stage: their native batched
+    form is ``on_shares_readout``, so the engine never calls them."""
 
     @pytest.mark.parametrize("factory", [
         lambda: ShareCorruption(0.5), lambda: ReadoutTimeout(0.5)])
     def test_passthrough_and_no_draws(self, factory):
-        model = FaultModel([factory()], seed=8)
+        assert vector_hook_for(FaultModel([factory()], seed=8)) is None
+        # Behind an actuation injector the readout injector adds no
+        # stage, and stepping the engine leaves its stream untouched.
+        model = FaultModel([TransientMisfire(0.5), factory()], seed=8)
         hook = vector_hook_for(model)
-        assert isinstance(hook, (VectorShareCorruption,
-                                 VectorReadoutTimeout))
-        state = WearState(np.full((1, 1, 3), 5.0), 1)
-        closed = np.array([[True, False, True]])
-        before = model.streams[0].bit_generator.state
-        observed = hook.on_bank_actuate(state, np.array([0]),
-                                        np.array([0]), closed)
-        assert np.array_equal(observed, closed)
-        assert model.streams[0].bit_generator.state == before
+        assert isinstance(hook, VectorTransientMisfire)
+        state = WearState(np.full((1, 1, 3), 5.0), 1, vector_hook=hook)
+        before = model.streams[1].bit_generator.state
+        for _ in range(3):
+            _step_all(state)
+        assert model.streams[1].bit_generator.state == before
+        assert model.injectors[1].injections == 0
 
 
 class TestVectorFaultPipeline:
@@ -279,6 +280,7 @@ class TestVectorFaultPipeline:
 class TestVectorHookFor:
     def test_none_stays_none(self):
         assert vector_hook_for(None) is None
+        assert vector_hook_for(FaultModel([], seed=3)) is None
 
     def test_lone_misfire_goes_native(self):
         model = FaultModel([TransientMisfire(0.2)], seed=3)
@@ -300,10 +302,19 @@ class TestVectorHookFor:
                             TemperatureDrift(60.0), ShareCorruption(0.1),
                             ReadoutTimeout(0.1)], seed=3)
         hook = vector_hook_for(model)
+        # The four actuation injectors get engine stages, each on its
+        # own substream; the two readout injectors batch through their
+        # own on_shares_readout instead.
         assert isinstance(hook, VectorFaultPipeline)
-        assert len(hook.hooks) == 6
+        assert [type(h) for h in hook.hooks] == [
+            VectorTransientMisfire, VectorPrematureStuckOpen,
+            VectorStuckClosedConversion, VectorTemperatureDrift]
+        assert [h.rng for h in hook.hooks] == model.streams[:4]
+        for readout in (ShareCorruption, ReadoutTimeout):
+            assert (readout.on_shares_readout
+                    is not FaultInjector.on_shares_readout)
 
-    def test_unknown_injector_falls_back_to_adapter_and_warns_once(self):
+    def test_unknown_actuation_injector_is_rejected(self):
         class CustomInjector(FaultInjector):
             name = "custom"
 
@@ -312,25 +323,19 @@ class TestVectorHookFor:
 
         model = FaultModel([TransientMisfire(0.2), CustomInjector()],
                            seed=3)
-        import repro.engine.hooks as hooks_module
-        hooks_module._warned_fallback.discard("CustomInjector")
-        with pytest.warns(RuntimeWarning, match="CustomInjector"):
-            hook = vector_hook_for(model)
-        assert isinstance(hook, ScalarHookAdapter)
-        assert hook.hook is model
-        # Second construction: fallback still engages, but silently.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            again = vector_hook_for(model)
-        assert isinstance(again, ScalarHookAdapter)
+        with pytest.raises(ConfigurationError, match="CustomInjector"):
+            vector_hook_for(model)
 
-    def test_non_model_hook_falls_back_to_adapter(self):
+    def test_non_model_hook_is_rejected(self):
         class Custom:
             def on_switch_actuate(self, switch, closed):
                 return closed
 
-        hook = vector_hook_for(Custom())
-        assert isinstance(hook, ScalarHookAdapter)
+            def __repr__(self):
+                return "Custom()"
+
+        with pytest.raises(ConfigurationError, match=r"Custom\(\)"):
+            vector_hook_for(Custom())
 
 
 class TestVectorHookSite:

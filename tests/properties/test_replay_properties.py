@@ -3,10 +3,12 @@
 Hypothesis drives the replay through the awkward shapes the fixed-seed
 differential suite cannot enumerate: profiles whose days draw zero
 events, traces that exhaust the hardware mid-day, and truncation at an
-arbitrary prefix.  Every property holds for both arms, and the central
-one - scalar/vectorized report identity - is itself a property here.
+arbitrary prefix.  Every property holds for both ``replay_trace`` and
+the login-by-login reference (:mod:`tests.differential._reference`),
+and the central one - report identity between the two - is itself a
+property here.
 
-The designs are tiny on purpose: the scalar arm pays the real KDF per
+The designs are tiny on purpose: the reference pays the real KDF per
 login, so example budgets stay small.
 """
 
@@ -26,6 +28,7 @@ from repro.sim.traces import (
     generate_trace,
     replay_trace,
 )
+from tests.differential._reference import reference_replay_trace
 
 _DESIGN_CACHE: dict = {}
 
@@ -67,10 +70,10 @@ def _reports(trace, bound, seed, fraction, modules=1):
     designs = [_design(bound)] * modules
     passcodes = [f"pc-{i}" for i in range(modules)]
     out = []
-    for vectorized in (False, True):
+    for replay in (reference_replay_trace, replay_trace):
         rng = make_rng(seed)
-        report = replay_trace(designs, passcodes, b"property storage",
-                              trace, rng, fraction, vectorized=vectorized)
+        report = replay(designs, passcodes, b"property storage", trace,
+                        rng, fraction)
         out.append((asdict(report), rng.bit_generator.state))
     return out
 
@@ -104,14 +107,12 @@ class TestReplayArmIdentity:
 class TestReplayInvariants:
     @given(recipe=trace_recipes,
            seed=st.integers(min_value=0, max_value=2 ** 16),
-           vectorized=st.booleans())
+           replay=st.sampled_from([reference_replay_trace, replay_trace]))
     @settings(max_examples=10, deadline=None)
-    def test_report_accounting_is_consistent(self, recipe, seed,
-                                             vectorized):
+    def test_report_accounting_is_consistent(self, recipe, seed, replay):
         trace = _trace_from_recipe(recipe)
-        report = replay_trace([_design(8)], ["pc-0"], b"property storage",
-                              trace, make_rng(seed), 0.05,
-                              vectorized=vectorized)
+        report = replay([_design(8)], ["pc-0"], b"property storage",
+                        trace, make_rng(seed), 0.05)
         served = (report.owner_logins + report.owner_typos
                   + report.attacker_attempts)
         assert served <= len(trace)
@@ -129,17 +130,16 @@ class TestReplayInvariants:
 
     @given(days=st.integers(min_value=1, max_value=6),
            seed=st.integers(min_value=0, max_value=2 ** 16),
-           vectorized=st.booleans())
+           replay=st.sampled_from([reference_replay_trace, replay_trace]))
     @settings(max_examples=6, deadline=None)
     def test_exhaustion_mid_day_dies_on_a_served_day(self, days, seed,
-                                                     vectorized):
+                                                     replay):
         """A dense single day exhausts the tiny device partway through:
         the death day must be a day the trace actually contains."""
         trace = [TraceEvent(day, EventKind.OWNER_LOGIN)
                  for day in range(days) for _ in range(20)]
-        report = replay_trace([_design(6)], ["pc-0"], b"property storage",
-                              trace, make_rng(seed), 0.05,
-                              vectorized=vectorized)
+        report = replay([_design(6)], ["pc-0"], b"property storage",
+                        trace, make_rng(seed), 0.05)
         assert report.died_on_day is not None
         assert 0 <= report.died_on_day < days
         assert report.end_state is EndState.WORN_OUT

@@ -1,13 +1,9 @@
-"""Pipeline settings tests: parsing, validation, DAG order, fallback."""
+"""Pipeline settings tests: parsing, validation, DAG order."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runs.settings import (
-    _parse_toml_fallback,
-    load_settings,
-    parse_settings,
-)
+from repro.runs.settings import load_settings, parse_settings
 
 VALID = """\
 [pipeline]
@@ -80,6 +76,7 @@ kind = "bench"
          'after = ["ghost"]\n', "unknown steps"),
         ('[pipeline]\nname = "p"\n[steps.s]\nkind = "bench"\n'
          'after = ["s"]\n', "itself"),
+        ("x = {inline", "bad pipeline settings"),        # malformed TOML
     ])
     def test_invalid_settings_raise(self, mutation, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -102,47 +99,3 @@ after = ["a"]
     def test_load_settings_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_settings(str(tmp_path / "absent.toml"))
-
-
-class TestFallbackParser:
-    """The 3.10 fallback must agree with tomllib on our subset."""
-
-    def test_matches_tomllib_on_the_reference_file(self):
-        tomllib = pytest.importorskip("tomllib")
-        assert _parse_toml_fallback(VALID) == tomllib.loads(VALID)
-
-    def test_scalars_arrays_and_comments(self):
-        parsed = _parse_toml_fallback(
-            'title = "a # not-comment"  # real comment\n'
-            "count = 3\n"
-            "rate = 0.5\n"
-            "on = true\n"
-            "off = false\n"
-            'names = ["x", "y"]\n'
-            "empty = []\n")
-        assert parsed == {"title": "a # not-comment", "count": 3,
-                          "rate": 0.5, "on": True, "off": False,
-                          "names": ["x", "y"], "empty": []}
-
-    def test_dotted_tables_nest(self):
-        parsed = _parse_toml_fallback(
-            "[steps.one]\nkind = \"bench\"\n"
-            "[steps.two]\nkind = \"report\"\n")
-        assert parsed == {"steps": {"one": {"kind": "bench"},
-                                    "two": {"kind": "report"}}}
-
-    def test_rejects_unsupported_constructs(self):
-        with pytest.raises(ConfigurationError):
-            _parse_toml_fallback("bad line without equals\n")
-        with pytest.raises(ConfigurationError):
-            _parse_toml_fallback("x = {inline = 1}\n")
-
-    def test_parse_settings_via_fallback(self, monkeypatch):
-        """Force the fallback path even on 3.11+."""
-        import repro.runs.settings as settings_module
-
-        monkeypatch.setattr(settings_module, "_load_toml",
-                            settings_module._parse_toml_fallback)
-        settings = settings_module.parse_settings(VALID)
-        assert [step.name for step in settings.steps] == \
-            ["bench-a", "campaign", "delta"]
