@@ -481,12 +481,14 @@ def _auto_bench_baseline(args, current_run_id: str | None) -> dict | None:
     """Resolve a ``--compare auto`` baseline from the run registry.
 
     The baseline is the most recent successful bench run recorded on
-    this host at the same scale (the in-flight run excluded) that still
-    has a readable registered report artifact.  Returns ``None`` -
-    after printing a clear error - when the registry holds no such run.
+    this host at the same scale (the in-flight run excluded) whose
+    registered report artifact is still readable and a valid report of
+    the current schema.  Returns ``None`` - after printing a clear
+    error - when the registry holds no such run.
     """
     import socket
 
+    from repro.obs.bench import validate_bench_report
     from repro.runs.store import RunStore
 
     try:
@@ -511,7 +513,8 @@ def _auto_bench_baseline(args, current_run_id: str | None) -> dict | None:
                     with open(artifact["path"],
                               encoding="utf-8") as handle:
                         baseline = json.load(handle)
-                except (OSError, json.JSONDecodeError):
+                    validate_bench_report(baseline)
+                except (OSError, json.JSONDecodeError, ConfigurationError):
                     continue
                 print(f"--compare auto: baseline is run "
                       f"{run['id'][:12]} ({artifact['path']})")

@@ -4,7 +4,9 @@
 layer the observability subsystem instruments - with pinned seeds and
 sizes, and emits a schema-versioned JSON report.  Committing one report
 per milestone seeds the perf trajectory: future PRs prove a speedup by
-diffing two reports of the same scale.
+diffing two reports of the same scale.  Only reports of the schema this
+module writes (:data:`BENCH_SCHEMA_VERSION`) validate, so a committed
+baseline is regenerated whenever the schema changes.
 
 The suite also measures the cost of the instrumentation itself.
 :func:`measure_disabled_overhead` is a paired A/B test on the Monte
@@ -17,40 +19,13 @@ run interleaved and the overhead is reported from the per-arm minima
 benchmark timings).  CI fails the build when B exceeds A by more than
 3%, pinning the "zero cost when disabled" claim.
 
-Schema 2 adds an ``engine`` section: a paired scalar-vs-vectorized A/B
-measurement of the hardware-mode Monte Carlo (arm A drives one
-object-mode :class:`~repro.core.hardware.SerialCopies` per trial exactly
-as the pre-engine code did; arm B is the batched
-:func:`~repro.sim.montecarlo.simulate_access_bounds_hardware` over one
-struct-of-arrays :class:`~repro.engine.state.WearState`).  Both arms
-consume the same RNG substreams, so the section also records whether
-their results were bit-identical.
-
-Schema 3 adds two sections.  ``service`` drives the limited-use
-authorization service end to end - an in-process
-:class:`~repro.service.server.WearService` on a loopback port, loaded by
-:func:`~repro.service.client.run_loadgen` - and records requests/s plus
-the batch-size distribution the coalescer achieved (the ``svc.loadgen``
-workload row carries the same run's throughput into the compare gate).
-``memory`` runs representative workloads in fresh subprocesses and
-records each child's peak RSS (``getrusage(RUSAGE_SELF).ru_maxrss``),
-giving every report a memory ceiling per workload.
-
-Schema 4 adds a ``fleet`` section and the ``svc.fleet`` workload row:
-a real multi-shard fleet (subprocess shards under a
-:class:`~repro.service.supervisor.FleetSupervisor`, tenant-hash routed
-by :class:`~repro.service.fleet.FleetClient`) driven end to end by
-:func:`~repro.service.fleet.run_fleet_loadgen`, recording aggregate
-throughput plus the per-shard request split.
-
-Schema 5 adds a ``capacity`` section and the ``capacity.estimate``
-workload row.  The workload times the censored-fit + forecast pipeline
-(:func:`repro.capacity.calibrate.calibration_sweep`) at a scale-sized
-instance count; the section runs the sweep at its *pinned defaults*
-regardless of scale, because its ``gate_ok`` verdict - nominal-90%
-forecast coverage inside tolerance AND median ``(alpha, beta)``
-relative error shrinking monotonically with trace length - is only
-guaranteed at those settings.  CI gates on the section, not the row.
+Beyond the timed workload rows, a report carries sections that record
+what a throughput number cannot: ``scaling`` (wall clock of the sharded
+campaign engine against worker count), ``service`` and ``fleet`` (an
+in-process :class:`~repro.service.server.WearService` and a supervised
+multi-shard fleet driven end to end, with their outcome mix, batch
+shape and per-shard split) and ``memory`` (each representative
+workload's peak RSS, measured in a fresh subprocess).
 
 Two reports of the same scale are diffed by
 :func:`compare_bench_reports`, which flags any workload whose throughput
@@ -89,9 +64,7 @@ __all__ = [
     "SCALES",
     "SCALING_WORKERS",
     "compare_bench_reports",
-    "measure_capacity_calibration",
     "measure_disabled_overhead",
-    "measure_engine_speedup",
     "measure_fleet_load",
     "measure_memory_ceilings",
     "measure_parallel_scaling",
@@ -103,7 +76,7 @@ __all__ = [
     "write_bench_report",
 ]
 
-BENCH_SCHEMA_VERSION = 5
+BENCH_SCHEMA_VERSION = 6
 
 #: Workload sizes per scale.  "smoke" finishes in a few seconds (CI);
 #: "full" gives tighter percentiles for committed milestone reports;
@@ -121,7 +94,6 @@ SCALES: dict[str, dict] = {
         "overhead_repeats": 2,
         "overhead_trials": 20,
         "scaling_trials": 16,
-        "engine_trials": 4,
         "svc_tenants": 2,
         "svc_requests": 12,
         "svc_concurrency": 4,
@@ -143,7 +115,6 @@ SCALES: dict[str, dict] = {
         "overhead_repeats": 7,
         "overhead_trials": 400,
         "scaling_trials": 600,
-        "engine_trials": 60,
         "svc_tenants": 4,
         "svc_requests": 120,
         "svc_concurrency": 8,
@@ -165,7 +136,6 @@ SCALES: dict[str, dict] = {
         "overhead_repeats": 15,
         "overhead_trials": 2000,
         "scaling_trials": 3000,
-        "engine_trials": 300,
         "svc_tenants": 8,
         "svc_requests": 600,
         "svc_concurrency": 16,
@@ -189,14 +159,6 @@ SCALING_WORKERS = (1, 2, 4)
 def _bench_design(bound: int = 2000) -> DesignPoint:
     return size_architecture(10.0, 8.0, bound, k_fraction=0.10,
                              criteria=PAPER_CRITERIA, window="fractional")
-
-
-def _small_design(bound: int = 200) -> DesignPoint:
-    return _bench_design(bound)
-
-
-def _replay_design(bound: int = 1000) -> DesignPoint:
-    return _bench_design(bound)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +188,8 @@ def _workload_mc_hardware(params: dict, seed: int) -> tuple[int, str]:
     from repro.sim.montecarlo import simulate_access_bounds_hardware
 
     trials = params["mc_hardware_trials"]
-    simulate_access_bounds_hardware(_small_design(), trials, make_rng(seed))
+    simulate_access_bounds_hardware(_bench_design(200), trials,
+                                    make_rng(seed))
     return trials, "trials"
 
 
@@ -236,7 +199,8 @@ def _workload_faults_campaign(params: dict, seed: int) -> tuple[int, str]:
     trials = params["faults_trials"]
     config = FaultCampaignConfig(misfire_rate=0.01, corruption_rate=0.01,
                                  timeout_rate=0.005)
-    run_fault_campaign(_small_design(), config, trials=trials, seed=seed)
+    run_fault_campaign(_bench_design(200), config, trials=trials,
+                       seed=seed)
     return trials, "trials"
 
 
@@ -247,8 +211,8 @@ def _workload_replay_trace(params: dict, seed: int) -> tuple[int, str]:
     rng = make_rng(seed)
     trace = generate_trace(UsageProfile(mean_daily=10.0),
                            params["replay_days"], rng)
-    replay_trace([_replay_design()], ["bench-0"], b"bench storage", trace,
-                 rng)
+    replay_trace([_bench_design(1000)], ["bench-0"], b"bench storage",
+                 trace, rng)
     return len(trace), "events"
 
 
@@ -345,8 +309,9 @@ def _workload_capacity_estimate(params: dict, seed: int) -> tuple[int, str]:
     """Time the censored-fit + forecast pipeline on ground-truth sweeps.
 
     The seed offset keeps the workload's substreams disjoint from the
-    section's pinned gate sweep; accuracy is NOT judged here (small
-    instance counts at tiny/smoke scales are too noisy for the gate),
+    pinned sweep ``repro capacity calibrate --gate`` judges; accuracy is
+    NOT judged here (small instance counts at tiny/smoke scales are too
+    noisy for the gate),
     only fit+forecast throughput.  The tight (12, 8) gate cell is
     dropped: at 16 instances it can all-censor on unlucky seeds, and a
     timing row must never depend on luck.
@@ -448,87 +413,6 @@ def measure_disabled_overhead(repeats: int = 7, trials: int = 400,
     }
 
 
-def _scalar_hardware_reference(design: DesignPoint, trials: int,
-                               rng: np.random.Generator,
-                               max_accesses: int | None = None,
-                               ) -> np.ndarray:
-    """Hardware-mode access bounds exactly as before the engine landed.
-
-    One object-mode :class:`~repro.core.hardware.SimulatedBank` per copy
-    wrapping individually fabricated
-    :class:`~repro.core.device.NEMSSwitch` objects, driven to
-    destruction trial by trial.  Kept as the A-arm of the engine
-    speedup measurement and as the reference the B-arm must match
-    bit-for-bit.
-    """
-    from repro.core.device import NEMSSwitch
-    from repro.core.hardware import SerialCopies, SimulatedBank
-
-    bounds = np.empty(trials, dtype=np.int64)
-    for index in range(trials):
-        banks = []
-        for _ in range(design.copies):
-            switches = NEMSSwitch.fabricate_batch(design.device, design.n,
-                                                  rng)
-            banks.append(SimulatedBank(switches, design.k))
-        serial = SerialCopies(banks)
-        bounds[index] = serial.count_successful_accesses(max_accesses)
-    return bounds
-
-
-def measure_engine_speedup(trials: int, seed: int = 0,
-                           repeats: int = 3) -> dict:
-    """Paired A/B throughput of the scalar vs vectorized hardware path.
-
-    Arm A fabricates and drives one object-mode ``SerialCopies`` per
-    trial (the pre-engine implementation, transcribed verbatim in
-    :func:`_scalar_hardware_reference`); arm B is the batched
-    :func:`~repro.sim.montecarlo.simulate_access_bounds_hardware` over
-    one struct-of-arrays :class:`~repro.engine.state.WearState`.  Arms
-    run interleaved on identical per-rep substreams; the report carries
-    the per-arm minima, the speedup, and whether the two arms returned
-    bit-identical access bounds (the differential suite pins this; the
-    bench records it per run).
-    """
-    from repro.sim.montecarlo import simulate_access_bounds_hardware
-
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
-    if repeats < 1:
-        raise ConfigurationError("repeats must be >= 1")
-    design = _small_design()
-    # Warm both code paths before timing.
-    _scalar_hardware_reference(design, 1, substream(seed, 0))
-    simulate_access_bounds_hardware(design, 1, substream(seed, 0))
-    a_times: list[float] = []
-    b_times: list[float] = []
-    bit_identical = True
-    for rep in range(repeats):
-        started = time.perf_counter()
-        scalar_bounds = _scalar_hardware_reference(design, trials,
-                                                   substream(seed, rep))
-        a_times.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        engine_bounds = simulate_access_bounds_hardware(design, trials,
-                                                        substream(seed, rep))
-        b_times.append(time.perf_counter() - started)
-        bit_identical &= bool(np.array_equal(scalar_bounds, engine_bounds))
-    best_a, best_b = min(a_times), min(b_times)
-    return {
-        "workload": "mc.hardware",
-        "trials": trials,
-        "repeats": repeats,
-        "scalar_min_s": best_a,
-        "scalar_median_s": sorted(a_times)[len(a_times) // 2],
-        "engine_min_s": best_b,
-        "engine_median_s": sorted(b_times)[len(b_times) // 2],
-        "scalar_throughput_per_s": trials / best_a if best_a > 0 else None,
-        "engine_throughput_per_s": trials / best_b if best_b > 0 else None,
-        "speedup": best_a / best_b if best_b > 0 else None,
-        "bit_identical": bit_identical,
-    }
-
-
 def measure_parallel_scaling(trials: int, seed: int = 0,
                              worker_counts: tuple[int, ...] = SCALING_WORKERS,
                              ) -> dict:
@@ -547,7 +431,7 @@ def measure_parallel_scaling(trials: int, seed: int = 0,
 
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    design = _small_design()
+    design = _bench_design(200)
     # One warm-up pass so fork/pool start-up costs are paid before timing.
     simulate_access_bounds_checkpointed(design, 2, seed, hardware=True,
                                         workers=1)
@@ -600,27 +484,10 @@ def measure_service_load(params: dict, seed: int = 0) -> dict:
     }
 
 
-def measure_capacity_calibration() -> dict:
-    """The pinned estimator calibration sweep, gate verdict included.
-
-    Always runs :func:`repro.capacity.calibrate.calibration_sweep` at
-    its pinned defaults - grid, trace lengths, instance count, resample
-    and draw budgets, seed - because the coverage and error-monotonicity
-    gates are calibrated for exactly those settings; scale never changes
-    them.  The full per-cell table rides in the report so a gate
-    failure is diagnosable from the artifact alone.
-    """
-    from repro.capacity.calibrate import calibration_sweep, check_calibration
-
-    payload = calibration_sweep()
-    payload["problems"] = check_calibration(payload)
-    return payload
-
-
 def measure_fleet_load(params: dict, seed: int = 0) -> dict:
     """Multi-shard fleet throughput plus the per-shard request split.
 
-    The schema-4 twin of :func:`measure_service_load`: one supervised
+    The multi-shard twin of :func:`measure_service_load`: one supervised
     fleet campaign at the scale's pinned population (always >= 2
     shards), recording what the compare gate's ``svc.fleet`` row cannot
     - the outcome mix, the tenant-hash request split across shards, and
@@ -754,11 +621,8 @@ def run_bench_suite(scale: str = "smoke", seed: int = 0,
         repeats=params["overhead_repeats"],
         trials=params["overhead_trials"], seed=seed)
     scaling = measure_parallel_scaling(params["scaling_trials"], seed=seed)
-    engine = measure_engine_speedup(params["engine_trials"], seed=seed,
-                                    repeats=repeats)
     service = measure_service_load(params, seed=seed)
     fleet = measure_fleet_load(params, seed=seed)
-    capacity = measure_capacity_calibration()
     memory = measure_memory_ceilings(scale, seed=seed)
     from repro.runs.provenance import collect_provenance
 
@@ -779,139 +643,76 @@ def run_bench_suite(scale: str = "smoke", seed: int = 0,
         "workloads": workloads,
         "overhead": overhead,
         "scaling": scaling,
-        "engine": engine,
         "service": service,
         "fleet": fleet,
-        "capacity": capacity,
         "memory": memory,
     }
 
 
-_REQUIRED_TOP_KEYS = ("schema_version", "kind", "date", "scale", "seed",
-                      "environment", "workloads", "overhead", "scaling")
-_REQUIRED_WORKLOAD_KEYS = ("name", "repeats", "units", "unit", "wall_s",
-                           "throughput_per_s")
-_REQUIRED_OVERHEAD_KEYS = ("hot_path", "repeats", "trials",
-                           "baseline_min_s", "instrumented_disabled_min_s",
-                           "overhead_pct")
-_REQUIRED_SCALING_KEYS = ("workload", "trials", "host_cpus", "configs")
-_REQUIRED_SCALING_CONFIG_KEYS = ("workers", "wall_s", "throughput_per_s",
-                                 "speedup_vs_1")
-_REQUIRED_ENGINE_KEYS = ("workload", "trials", "repeats", "scalar_min_s",
-                         "engine_min_s", "scalar_throughput_per_s",
-                         "engine_throughput_per_s", "speedup",
-                         "bit_identical")
-_REQUIRED_SERVICE_KEYS = ("workload", "tenants", "requests", "concurrency",
-                          "requests_per_s", "served", "outcomes", "rounds",
-                          "batch_size_mean", "batch_size_max", "batch_sizes")
-_REQUIRED_FLEET_KEYS = ("workload", "shards", "tenants", "requests",
-                        "concurrency", "requests_per_s", "served",
-                        "outcomes", "per_shard_requests", "busy_retries",
-                        "reconnects")
-_REQUIRED_MEMORY_KEYS = ("platform", "workloads")
-_REQUIRED_MEMORY_ROW_KEYS = ("name", "peak_rss_bytes", "peak_rss_mib")
-_REQUIRED_CAPACITY_KEYS = ("schema_version", "grid", "trace_lengths",
-                           "instances", "fits", "coverage",
-                           "coverage_bounds", "median_rel_err_by_length",
-                           "error_monotone", "coverage_ok", "gate_ok")
-#: Schema versions the validator accepts; 1 predates the engine section,
-#: 2 predates the service and memory sections, 3 predates fleet,
-#: 4 predates capacity.
-_ACCEPTED_SCHEMA_VERSIONS = (1, 2, 3, 4, BENCH_SCHEMA_VERSION)
+#: Required keys of each report section.
+_SECTION_KEYS = {
+    "overhead": ("hot_path", "repeats", "trials", "baseline_min_s",
+                 "instrumented_disabled_min_s", "overhead_pct"),
+    "scaling": ("workload", "trials", "host_cpus", "configs"),
+    "service": ("workload", "tenants", "requests", "concurrency",
+                "requests_per_s", "served", "outcomes", "rounds",
+                "batch_size_mean", "batch_size_max", "batch_sizes"),
+    "fleet": ("workload", "shards", "tenants", "requests", "concurrency",
+              "requests_per_s", "served", "outcomes", "per_shard_requests",
+              "busy_retries", "reconnects"),
+    "memory": ("platform", "workloads"),
+}
+#: Required keys of every row of a report's lists of rows, by
+#: ``(section, list)``; section ``None`` is the report itself.
+_ROW_KEYS = {
+    (None, "workloads"): ("name", "repeats", "units", "unit", "wall_s",
+                          "throughput_per_s"),
+    ("scaling", "configs"): ("workers", "wall_s", "throughput_per_s",
+                             "speedup_vs_1"),
+    ("memory", "workloads"): ("name", "peak_rss_bytes", "peak_rss_mib"),
+}
+_TOP_KEYS = ("schema_version", "kind", "date", "scale", "seed",
+             "environment", "workloads", *_SECTION_KEYS)
 
 
 def validate_bench_report(payload: dict) -> None:
     """Raise :class:`ConfigurationError` unless ``payload`` is a valid
-    bench report (schema 1-5; the ``engine`` section arrived in 2, the
-    ``service`` and ``memory`` sections in 3, the ``fleet`` section in
-    4, the ``capacity`` section in 5)."""
-    if not isinstance(payload, dict):
-        raise ConfigurationError("bench report must be a JSON object")
-    if payload.get("schema_version") not in _ACCEPTED_SCHEMA_VERSIONS \
-            or payload.get("kind") != "bench-report":
+    bench report of the schema this module writes."""
+    if not isinstance(payload, dict) or payload.get("kind") != "bench-report":
+        raise ConfigurationError("not a bench report (wrong kind)")
+    version = payload.get("schema_version")
+    if version != BENCH_SCHEMA_VERSION:
         raise ConfigurationError(
-            "not a bench report (wrong kind or schema_version)")
-    missing = [key for key in _REQUIRED_TOP_KEYS if key not in payload]
+            f"bench report schema {version!r} is not "
+            f"{BENCH_SCHEMA_VERSION}; regenerate it with `repro bench`")
+    missing = [key for key in _TOP_KEYS if key not in payload]
     if missing:
         raise ConfigurationError(
             f"bench report is missing top-level keys: {missing}")
-    if not payload["workloads"]:
-        raise ConfigurationError("bench report has no workloads")
-    for workload in payload["workloads"]:
-        bad = [key for key in _REQUIRED_WORKLOAD_KEYS if key not in workload]
+    for section, required in _SECTION_KEYS.items():
+        bad = [key for key in required if key not in payload[section]]
         if bad:
             raise ConfigurationError(
-                f"workload {workload.get('name')!r} is missing {bad}")
+                f"bench report {section} section is missing {bad}")
+    for (section, name), required in _ROW_KEYS.items():
+        label = name if section is None else f"{section} {name}"
+        rows = (payload if section is None else payload[section])[name]
+        if not rows:
+            raise ConfigurationError(f"bench report has no {label}")
+        for row in rows:
+            bad = [key for key in required if key not in row]
+            if bad:
+                raise ConfigurationError(
+                    f"{label} row {row.get('name', row.get('workers'))!r} "
+                    f"is missing {bad}")
+    for workload in payload["workloads"]:
         for stat in ("min", "median", "mean", "max"):
             if stat not in workload["wall_s"]:
                 raise ConfigurationError(
                     f"workload {workload['name']!r} wall_s lacks {stat!r}")
-    bad = [key for key in _REQUIRED_OVERHEAD_KEYS
-           if key not in payload["overhead"]]
-    if bad:
+    if payload["fleet"]["shards"] < 2:
         raise ConfigurationError(
-            f"bench report overhead section is missing {bad}")
-    bad = [key for key in _REQUIRED_SCALING_KEYS
-           if key not in payload["scaling"]]
-    if bad:
-        raise ConfigurationError(
-            f"bench report scaling section is missing {bad}")
-    if not payload["scaling"]["configs"]:
-        raise ConfigurationError("bench report scaling has no configs")
-    for config in payload["scaling"]["configs"]:
-        bad = [key for key in _REQUIRED_SCALING_CONFIG_KEYS
-               if key not in config]
-        if bad:
-            raise ConfigurationError(
-                f"scaling config for workers={config.get('workers')!r} "
-                f"is missing {bad}")
-    if payload["schema_version"] >= 2:
-        if "engine" not in payload:
-            raise ConfigurationError(
-                "schema-2 bench report is missing its engine section")
-        bad = [key for key in _REQUIRED_ENGINE_KEYS
-               if key not in payload["engine"]]
-        if bad:
-            raise ConfigurationError(
-                f"bench report engine section is missing {bad}")
-    if payload["schema_version"] >= 3:
-        for section, required in (("service", _REQUIRED_SERVICE_KEYS),
-                                  ("memory", _REQUIRED_MEMORY_KEYS)):
-            if section not in payload:
-                raise ConfigurationError(
-                    f"schema-3 bench report is missing its "
-                    f"{section} section")
-            bad = [key for key in required if key not in payload[section]]
-            if bad:
-                raise ConfigurationError(
-                    f"bench report {section} section is missing {bad}")
-        for row in payload["memory"]["workloads"]:
-            bad = [key for key in _REQUIRED_MEMORY_ROW_KEYS
-                   if key not in row]
-            if bad:
-                raise ConfigurationError(
-                    f"memory row {row.get('name')!r} is missing {bad}")
-    if payload["schema_version"] >= 4:
-        if "fleet" not in payload:
-            raise ConfigurationError(
-                "schema-4 bench report is missing its fleet section")
-        bad = [key for key in _REQUIRED_FLEET_KEYS
-               if key not in payload["fleet"]]
-        if bad:
-            raise ConfigurationError(
-                f"bench report fleet section is missing {bad}")
-        if payload["fleet"]["shards"] < 2:
-            raise ConfigurationError(
-                "bench fleet section must span at least 2 shards")
-    if payload["schema_version"] >= 5:
-        if "capacity" not in payload:
-            raise ConfigurationError(
-                "schema-5 bench report is missing its capacity section")
-        bad = [key for key in _REQUIRED_CAPACITY_KEYS
-               if key not in payload["capacity"]]
-        if bad:
-            raise ConfigurationError(
-                f"bench report capacity section is missing {bad}")
+            "bench fleet section must span at least 2 shards")
 
 
 def compare_bench_reports(baseline: dict, candidate: dict,
@@ -921,15 +722,13 @@ def compare_bench_reports(baseline: dict, candidate: dict,
     Both reports are validated and must share a scale (cross-scale
     throughputs are not comparable).  A workload *regresses* when its
     candidate throughput falls below ``baseline * (1 - threshold)``;
-    the engine section's vectorized throughput is compared the same way
-    (as the ``engine.hardware`` row) when both reports carry one.
-    Workloads present in only one report are listed, not scored.
+    workloads present in only one report are listed, not scored.
 
-    Memory ceilings gate in the *opposite* direction: when both reports
-    carry a ``memory`` section, each shared workload regresses when its
-    candidate peak RSS exceeds ``baseline * (1 + threshold)``.  Memory
-    rows are reported separately (``memory_rows``) but feed the same
-    ``regressions`` verdict, prefixed ``mem.``.
+    Memory ceilings gate in the *opposite* direction: each workload in
+    both ``memory`` sections regresses when its candidate peak RSS
+    exceeds ``baseline * (1 + threshold)``.  Memory rows are reported
+    separately (``memory_rows``) but feed the same ``regressions``
+    verdict, prefixed ``mem.``.
     """
     validate_bench_report(baseline)
     validate_bench_report(candidate)
@@ -942,8 +741,11 @@ def compare_bench_reports(baseline: dict, candidate: dict,
     base_by_name = {w["name"]: w for w in baseline["workloads"]}
     cand_by_name = {w["name"]: w for w in candidate["workloads"]}
     rows = []
-
-    def add_row(name: str, base_tp, cand_tp) -> None:
+    for name in base_by_name:
+        if name not in cand_by_name:
+            continue
+        base_tp = base_by_name[name]["throughput_per_s"]
+        cand_tp = cand_by_name[name]["throughput_per_s"]
         if base_tp and cand_tp:
             delta_pct = (cand_tp - base_tp) / base_tp * 100.0
             regressed = cand_tp < base_tp * (1.0 - threshold)
@@ -956,38 +758,27 @@ def compare_bench_reports(baseline: dict, candidate: dict,
             "delta_pct": delta_pct,
             "regressed": regressed,
         })
-
-    for name in base_by_name:
-        if name in cand_by_name:
-            add_row(name, base_by_name[name]["throughput_per_s"],
-                    cand_by_name[name]["throughput_per_s"])
-    if "engine" in baseline and "engine" in candidate:
-        add_row("engine.hardware",
-                baseline["engine"]["engine_throughput_per_s"],
-                candidate["engine"]["engine_throughput_per_s"])
     memory_rows = []
-    if "memory" in baseline and "memory" in candidate:
-        base_mem = {row["name"]: row
-                    for row in baseline["memory"]["workloads"]}
-        cand_mem = {row["name"]: row
-                    for row in candidate["memory"]["workloads"]}
-        for name in base_mem:
-            if name not in cand_mem:
-                continue
-            base_rss = base_mem[name]["peak_rss_bytes"]
-            cand_rss = cand_mem[name]["peak_rss_bytes"]
-            if base_rss and cand_rss:
-                delta_pct = (cand_rss - base_rss) / base_rss * 100.0
-                regressed = cand_rss > base_rss * (1.0 + threshold)
-            else:
-                delta_pct, regressed = None, False
-            memory_rows.append({
-                "name": f"mem.{name}",
-                "baseline_peak_rss_bytes": base_rss,
-                "candidate_peak_rss_bytes": cand_rss,
-                "delta_pct": delta_pct,
-                "regressed": regressed,
-            })
+    base_mem = {row["name"]: row for row in baseline["memory"]["workloads"]}
+    cand_mem = {row["name"]: row
+                for row in candidate["memory"]["workloads"]}
+    for name in base_mem:
+        if name not in cand_mem:
+            continue
+        base_rss = base_mem[name]["peak_rss_bytes"]
+        cand_rss = cand_mem[name]["peak_rss_bytes"]
+        if base_rss and cand_rss:
+            delta_pct = (cand_rss - base_rss) / base_rss * 100.0
+            regressed = cand_rss > base_rss * (1.0 + threshold)
+        else:
+            delta_pct, regressed = None, False
+        memory_rows.append({
+            "name": f"mem.{name}",
+            "baseline_peak_rss_bytes": base_rss,
+            "candidate_peak_rss_bytes": cand_rss,
+            "delta_pct": delta_pct,
+            "regressed": regressed,
+        })
     return {
         "baseline": {"date": baseline["date"], "scale": baseline["scale"]},
         "candidate": {"date": candidate["date"],
@@ -1101,51 +892,28 @@ def render_bench_report(payload: dict) -> str:
              f"{overhead['hot_path']}: {overhead['overhead_pct']:+.2f}% "
              f"(A={overhead['baseline_min_s'] * 1e3:.1f} ms, "
              f"B={overhead['instrumented_disabled_min_s'] * 1e3:.1f} ms)"]
-    engine = payload.get("engine")
-    if engine:
-        identical = "yes" if engine["bit_identical"] else "NO"
-        lines.append(
-            f"engine speedup on {engine['workload']}: "
-            f"{engine['speedup']:.1f}x "
-            f"(scalar {engine['scalar_throughput_per_s']:,.0f} trials/s "
-            f"-> vectorized {engine['engine_throughput_per_s']:,.0f} "
-            f"trials/s, bit-identical: {identical})")
-    service = payload.get("service")
-    if service:
-        outcomes = ", ".join(f"{status}={count}" for status, count
-                             in sorted(service["outcomes"].items()))
-        lines.append(
-            f"service load: {service['requests']} requests / "
-            f"{service['tenants']} tenants at "
-            f"{service['requests_per_s']:,.0f} req/s, "
-            f"{service['rounds']} rounds "
-            f"(mean batch {service['batch_size_mean']:.2f}, "
-            f"max {service['batch_size_max']}); outcomes: {outcomes}")
-    fleet = payload.get("fleet")
-    if fleet:
-        outcomes = ", ".join(f"{status}={count}" for status, count
-                             in sorted(fleet["outcomes"].items()))
-        lines.append(
-            f"fleet load: {fleet['requests']} requests / "
-            f"{fleet['tenants']} tenants across {fleet['shards']} "
-            f"shards at {fleet['requests_per_s']:,.0f} req/s "
-            f"(per-shard split {fleet['per_shard_requests']}, "
-            f"{fleet['busy_retries']} busy retries, "
-            f"{fleet['reconnects']} reconnects); outcomes: {outcomes}")
-    capacity = payload.get("capacity")
-    if capacity:
-        curve = " -> ".join(
-            f"{capacity['median_rel_err_by_length'][str(length)]:.4f}"
-            for length in capacity["trace_lengths"])
-        verdict = "PASS" if capacity["gate_ok"] else "FAIL"
-        lines.append(
-            f"capacity calibration: coverage {capacity['coverage']:.3f} "
-            f"(bounds {capacity['coverage_bounds']}), median rel err by "
-            f"trace length {curve}, gate {verdict}")
-    memory = payload.get("memory")
-    if memory:
-        ceilings = ", ".join(
-            f"{row['name']}={row['peak_rss_mib']:,.0f} MiB"
-            for row in memory["workloads"])
-        lines.append(f"peak RSS ceilings: {ceilings}")
+    service = payload["service"]
+    outcomes = ", ".join(f"{status}={count}" for status, count
+                         in sorted(service["outcomes"].items()))
+    lines.append(
+        f"service load: {service['requests']} requests / "
+        f"{service['tenants']} tenants at "
+        f"{service['requests_per_s']:,.0f} req/s, "
+        f"{service['rounds']} rounds "
+        f"(mean batch {service['batch_size_mean']:.2f}, "
+        f"max {service['batch_size_max']}); outcomes: {outcomes}")
+    fleet = payload["fleet"]
+    outcomes = ", ".join(f"{status}={count}" for status, count
+                         in sorted(fleet["outcomes"].items()))
+    lines.append(
+        f"fleet load: {fleet['requests']} requests / "
+        f"{fleet['tenants']} tenants across {fleet['shards']} "
+        f"shards at {fleet['requests_per_s']:,.0f} req/s "
+        f"(per-shard split {fleet['per_shard_requests']}, "
+        f"{fleet['busy_retries']} busy retries, "
+        f"{fleet['reconnects']} reconnects); outcomes: {outcomes}")
+    ceilings = ", ".join(
+        f"{row['name']}={row['peak_rss_mib']:,.0f} MiB"
+        for row in payload["memory"]["workloads"])
+    lines.append(f"peak RSS ceilings: {ceilings}")
     return "\n".join(lines)

@@ -50,6 +50,9 @@ OUTCOMES = ("running", "ok", "failed", "interrupted")
 #: Bumped when the table layout changes incompatibly.
 _DB_SCHEMA_VERSION = 1
 
+#: Seconds any statement may wait for another process's lock.
+_BUSY_TIMEOUT_S = 30.0
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -133,11 +136,12 @@ class RunStore:
         self.path = path or default_db_path()
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
-        self._conn = sqlite3.connect(self.path, timeout=30.0)
+        self._conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S)
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._enable_wal()
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA busy_timeout=30000")
+        self._conn.execute(
+            f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")
         with self._conn:
             self._conn.executescript(_SCHEMA)
             row = self._conn.execute(
@@ -153,6 +157,28 @@ class RunStore:
                     f"run database {self.path!r} has schema "
                     f"{row['value']}, newer than this library "
                     f"({_DB_SCHEMA_VERSION}); upgrade repro")
+
+    def _enable_wal(self) -> None:
+        """Switch to WAL journaling, waiting out a concurrent first open.
+
+        SQLite does not apply the busy timeout to ``journal_mode``: while
+        another process creates or converts the same fresh file, the
+        pragma fails at once with "database is locked", and a recorder
+        would lose its row.  That one error is retried, with backoff,
+        within the same budget every other statement gets.
+        """
+        deadline = time.monotonic() + _BUSY_TIMEOUT_S
+        delay = 0.001
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "database is locked" not in str(exc) \
+                        or time.monotonic() + delay > deadline:
+                    raise
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

@@ -27,10 +27,11 @@ criterion) falls out of two facts:
 
 Durability: every state-changing operation is appended (and fsynced) to
 the :class:`~repro.service.ledger.WearLedger` *before* the engine
-executes it, and :meth:`WearHub.recover` rebuilds the exact state by
-replaying that history - closed-form fast-forward for hook-free
-tenants (the engine's touched-state resume), stepped replay through
-the live fault RNG for fault tenants, with snapshot cross-checking.
+executes it, and :meth:`WearHub.recover` rebuilds the exact state from
+the latest self-contained snapshot plus the records after it -
+closed-form fast-forward for hook-free tenants (the engine's
+touched-state resume), stepped replay through the restored fault RNG
+for fault tenants.
 """
 
 from __future__ import annotations
@@ -565,7 +566,7 @@ class WearHub:
     # ------------------------------------------------------------------
     # Durability
     def write_snapshot(self) -> None:
-        """Persist a **self-contained** (format-2) snapshot.
+        """Persist a **self-contained** snapshot.
 
         Beyond the replay-checkable engine arrays, every entry carries
         the tenant's provision parameters (fabrication is deterministic
@@ -601,7 +602,7 @@ class WearHub:
         # tenant entries ride there and the retained idempotency
         # responses ride in the snapshot meta.
         self.ledger.write_snapshot(
-            self.ledger.next_seq - 1, entries, format=2,
+            self.ledger.next_seq - 1, entries,
             responses=[[name, rid, response] for (name, rid), response
                        in self._responses.items()])
 
@@ -644,11 +645,8 @@ class WearHub:
                              payload: dict) -> None:
         model = tenant.fault_model
         model.rng.bit_generator.state = payload["rng_state"]
-        # Old snapshots predate per-stream export; their streams were
-        # freshly jumped from the restored root, which is the pre-export
-        # behaviour those snapshots were written under.
         for stream, exported in zip(model.streams,
-                                    payload.get("stream_states", [])):
+                                    payload["stream_states"]):
             stream.bit_generator.state = exported
         for injector, exported in zip(model.injectors,
                                       payload["injectors"]):
@@ -657,96 +655,51 @@ class WearHub:
         if hook is not None:
             hook.converted = {
                 (tenant.row, int(c), int(i)): bool(sticky)
-                for c, i, sticky in payload.get("converted", [])}
+                for c, i, sticky in payload["converted"]}
 
     def recover(self) -> int:
         """Rebuild the hub from the durable ledger; returns records seen.
 
-        With a **format-2** snapshot, the snapshot alone reconstructs
-        every tenant as of its ``last_seq`` - parameters refabricate the
-        hardware, arrays/lifetimes/fault state restore on top - and only
-        the records *after* it replay (hook-free tenants through the
-        closed form, fault tenants stepped through their restored fault
-        RNG).  Records the snapshot covers are skipped, which is what
-        makes sealed-away segments safe.
-
-        Format-1 snapshots keep the original discipline: the full
-        history replays from seq 0, hook-free tenants restore their
-        arrays at the snapshot boundary, and fault tenants are
-        cross-checked against it.  Any disagreement raises
-        :class:`~repro.errors.LedgerCorruptionError`.
+        The snapshot, when there is one, reconstructs every tenant as of
+        its ``last_seq`` - parameters refabricate the hardware, arrays,
+        lifetimes and fault state restore on top - and only the records
+        *after* it replay (hook-free tenants through the closed form,
+        fault tenants stepped through their restored fault RNG).
+        Records the snapshot covers are skipped, which is what makes
+        sealed-away segments safe.  Without a snapshot every record
+        replays onto an empty hub.
         """
         snapshot, records = self.ledger.replay()
-        fmt = 1
         last_seq = -1
         if snapshot is not None:
-            fmt = int(snapshot["meta"].get("format", 1))
             last_seq = int(snapshot["meta"]["last_seq"])
-        pending: dict[str, int] = {}
-        if fmt >= 2:
             self._restore_from_snapshot(snapshot, last_seq)
-            for record in records:
-                if record["seq"] > last_seq:
-                    self._replay_record(record, pending)
-        else:
-            snap_map = ({entry["tenant"]: entry
-                         for entry in snapshot["results"]}
-                        if snapshot is not None else {})
-            phase1 = [r for r in records if r["seq"] <= last_seq]
-            phase2 = [r for r in records if r["seq"] > last_seq]
-            for record in phase1:
-                self._replay_record(record, pending)
-            # Snapshot boundary: hook-free tenants restore their arrays
-            # directly (their pending phase-1 attempts are covered by
-            # the snapshot); fault tenants were stepped and must agree
-            # with it.
-            if snapshot is not None:
-                for name, tenant in self.tenants.items():
-                    entry = snap_map.get(name)
-                    if entry is None:
-                        raise LedgerCorruptionError(
-                            f"snapshot at seq {last_seq} is missing "
-                            f"tenant {name!r} provisioned earlier",
-                            path=self.ledger.snapshot_path, seq=last_seq)
-                    if tenant.fault_model is None:
-                        pending.pop(name, None)
-                        self._restore_tenant(tenant, entry)
-                    else:
-                        self._check_tenant(tenant, entry, last_seq)
-            for record in phase2:
+        pending: dict[str, int] = {}
+        for record in records:
+            if record["seq"] > last_seq:
                 self._replay_record(record, pending)
         for name, attempts in pending.items():
             self._fast_forward(self.tenants[name], attempts)
         self.ledger.open_for_append()
         if OBS.enabled:
             OBS.event("svc.recovered", records=len(records),
-                      tenants=len(self.tenants),
-                      snapshot_seq=last_seq, snapshot_format=fmt)
+                      tenants=len(self.tenants), snapshot_seq=last_seq)
         return len(records)
 
     def _restore_from_snapshot(self, snapshot: dict, last_seq: int) -> None:
-        """Rebuild every tenant from a self-contained snapshot entry."""
+        """Rebuild every tenant from its self-contained snapshot entry.
+
+        An entry that does not rebuild, or lacks a field the writer
+        always writes, is corruption reported with the tenant's name.
+        """
         for entry in snapshot["results"]:
             try:
-                tenant = self._build_tenant(entry["tenant"],
-                                            _validate_params(entry["params"]))
+                self._restore_tenant(entry)
             except (ConfigurationError, KeyError) as exc:
                 raise LedgerCorruptionError(
                     f"snapshot tenant {entry.get('tenant')!r} does not "
-                    f"rebuild: {exc}", path=self.ledger.snapshot_path,
+                    f"restore: {exc}", path=self.ledger.snapshot_path,
                     seq=last_seq) from exc
-            self._restore_tenant(tenant, entry)
-            state = tenant.pool.state
-            if "lifetime" in entry:
-                state.lifetime[tenant.row] = np.asarray(entry["lifetime"],
-                                                        dtype=float)
-            if entry.get("fault") is not None:
-                if tenant.fault_model is None:
-                    raise LedgerCorruptionError(
-                        f"snapshot tenant {entry['tenant']!r} carries "
-                        f"fault state but provisions without faults",
-                        path=self.ledger.snapshot_path, seq=last_seq)
-                self._restore_fault_state(tenant, entry["fault"])
         for name, rid, response in snapshot["meta"].get("responses", []):
             self._responses[(name, rid)] = response
 
@@ -812,7 +765,10 @@ class WearHub:
         tenant.attempts += attempts
         tenant.served += served
 
-    def _restore_tenant(self, tenant: TenantRecord, entry: dict) -> None:
+    def _restore_tenant(self, entry: dict) -> None:
+        """Refabricate one tenant, then overwrite its state from ``entry``."""
+        tenant = self._build_tenant(entry["tenant"],
+                                    _validate_params(entry["params"]))
         state = tenant.pool.state
         row = tenant.row
         state.used[row] = np.asarray(entry["used"], dtype=np.int64)
@@ -823,27 +779,12 @@ class WearHub:
         state.total_accesses[row] = int(entry["total_accesses"])
         tenant.attempts = int(entry["attempts"])
         tenant.served = int(entry["served"])
-
-    def _check_tenant(self, tenant: TenantRecord, entry: dict,
-                      last_seq: int) -> None:
-        state = tenant.pool.state
-        row = tenant.row
-        replayed = {
-            "attempts": tenant.attempts,
-            "served": tenant.served,
-            "used": state.used[row].tolist(),
-            "bank_accesses": state.bank_accesses[row].tolist(),
-            "bank_dead": state.bank_dead[row].tolist(),
-            "current": int(state.current[row]),
-            "total_accesses": int(state.total_accesses[row]),
-        }
-        for field, value in replayed.items():
-            if entry.get(field) != value:
-                raise LedgerCorruptionError(
-                    f"tenant {tenant.name!r} replay disagrees with the "
-                    f"snapshot at seq {last_seq} on {field!r}: replayed "
-                    f"{value!r}, snapshot has {entry.get(field)!r}",
-                    path=self.ledger.snapshot_path, seq=last_seq)
+        if tenant.fault_model is not None:
+            state.lifetime[row] = np.asarray(entry["lifetime"], dtype=float)
+            self._restore_fault_state(tenant, entry["fault"])
+        elif entry.get("fault") is not None:
+            raise ConfigurationError(
+                "carries fault state but provisions without faults")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WearHub(tenants={len(self.tenants)}, "

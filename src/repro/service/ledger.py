@@ -16,25 +16,23 @@ discipline:
   :class:`~repro.errors.LedgerCorruptionError` - a limited-use service
   must refuse to serve off a wear history it cannot prove;
 - periodic snapshots (``snapshot.json``, written atomically through
-  :func:`repro.sim.checkpoint.save_checkpoint`) record the replayed
-  engine arrays at a known ``seq`` so recovery can fast-forward the
-  hook-free tenants through the closed form and cross-check the replay
-  against an independent record of the same history;
+  :func:`repro.sim.checkpoint.save_checkpoint`) are **self-contained**:
+  as of a known ``seq`` they carry every tenant's provision parameters,
+  engine arrays, lifetimes and fault-RNG/injector state, so recovery
+  restores the snapshot and replays only the records after it;
 - a directory-scoped advisory ``flock`` makes the ledger single-writer:
   a second live instance opening the same directory is refused with
   :class:`~repro.errors.ConfigurationError` (two in-memory copies of
   one wear history would double-serve the same devices), and the lock
   dies with the process so a SIGKILL never wedges the directory.
 
-Snapshot format 1 records only the replayed engine arrays, so the WAL
-is never truncated past it: fault-model tenants replay their access
-records through the live fault RNG from provision time.  Format 2
-snapshots are **self-contained** - they carry provision parameters,
-per-tenant lifetimes and the fault-RNG/injector state - which is what
-makes **segment rotation** sound: once a format-2 snapshot covers the
-active WAL, :meth:`WearLedger.rotate_segment` seals it into
+Because a snapshot stands in for everything it covers, **segment
+rotation** is sound: once a snapshot covers the active WAL,
+:meth:`WearLedger.rotate_segment` seals it into
 ``archive/segment-<first>-<last>.jsonl`` and recovery is bounded by one
-snapshot plus one active segment instead of the full history.
+snapshot plus one active segment instead of the full history.  Only
+the snapshot format this module writes (``meta["format"] == 2``) is
+read back; any other is refused as corruption.
 """
 
 from __future__ import annotations
@@ -63,6 +61,9 @@ ARCHIVE_DIR = "archive"
 #: ``meta["kind"]`` tag distinguishing service snapshots from campaign
 #: checkpoints sharing the same on-disk schema.
 _SNAPSHOT_KIND = "svc-snapshot"
+
+#: ``meta["format"]`` of the self-contained snapshots this module writes.
+_SNAPSHOT_FORMAT = 2
 
 _SEGMENT_RE = re.compile(r"^segment-(\d{8})-(\d{8})\.jsonl$")
 
@@ -174,11 +175,11 @@ class WearLedger:
         intact prefix) and raises
         :class:`~repro.errors.LedgerCorruptionError` on any other
         damage: mid-file garbage, missing ``seq``/``op`` fields, a
-        non-contiguous sequence, or an archive/snapshot/WAL combination
-        whose coverage has a gap.  The returned records are the *active
-        segment* only; after a rotation the self-contained format-2
-        snapshot covers everything archived.  Also primes the next
-        append seq.
+        non-contiguous sequence, a snapshot of another format, or an
+        archive/snapshot/WAL combination whose coverage has a gap.  The
+        returned records are the *active segment* only; after a rotation
+        the self-contained snapshot covers everything archived.  Also
+        primes the next append seq.
         """
         if self._handle is not None:
             raise ConfigurationError(
@@ -198,36 +199,15 @@ class WearLedger:
                     path=self.wal_path, seq=expected)
             expected += 1
 
-        fmt = 1
+        # The snapshot covers everything <= last_seq (nothing without
+        # one); the active segment must butt up against the archive with
+        # no gap, so without a snapshot the WAL starts at seq 0.
         last_seq = -1
         if snapshot is not None:
-            fmt = int(snapshot["meta"].get("format", 1))
             last_seq = int(snapshot["meta"].get("last_seq", -1))
-        if fmt < 2:
-            # Format-1 world: no archive, full history in the active WAL.
-            if segments:
-                raise LedgerCorruptionError(
-                    f"{self.archive_dir} holds sealed segments but the "
-                    f"snapshot is not self-contained (format {fmt})",
-                    path=self.archive_dir)
-            if records and base != 0:
-                raise LedgerCorruptionError(
-                    f"WAL of {self.wal_path} starts at seq {base}, not 0",
-                    path=self.wal_path, seq=base)
-            self._next_seq = len(records)
-            self._active_base = 0
-            if last_seq >= self._next_seq:
-                raise LedgerCorruptionError(
-                    f"snapshot covers seq {last_seq} but the WAL ends at "
-                    f"{self._next_seq - 1}: the WAL lost durable history",
-                    path=self.snapshot_path, seq=last_seq)
-            return snapshot, records
-
-        # Format-2 world: the snapshot covers everything <= last_seq; the
-        # active segment must butt up against the archive with no gap.
         if not records:
-            # Legal only in the rotation crash window: the sealed segment
-            # ends exactly where the covering snapshot does.
+            # Legal only when the archive ends exactly where the snapshot
+            # does: a fresh ledger, or the rotation crash window.
             if archived_end != last_seq:
                 raise LedgerCorruptionError(
                     f"no active WAL and the archive ends at seq "
@@ -270,6 +250,11 @@ class WearLedger:
             raise LedgerCorruptionError(
                 f"{self.snapshot_path} is not a service snapshot",
                 path=self.snapshot_path)
+        if payload["meta"].get("format") != _SNAPSHOT_FORMAT:
+            raise LedgerCorruptionError(
+                f"{self.snapshot_path} has snapshot format "
+                f"{payload['meta'].get('format')!r}, not "
+                f"{_SNAPSHOT_FORMAT}", path=self.snapshot_path)
         return payload
 
     def _load_wal(self) -> list[dict]:
@@ -371,11 +356,11 @@ class WearLedger:
     def rotate_segment(self) -> str | None:
         """Seal the active WAL into the archive; returns the segment path.
 
-        Only legal immediately after a **self-contained** (format >= 2)
-        snapshot covering every appended record: rotation deletes
-        nothing, but recovery stops replaying the sealed records, so the
-        snapshot must stand in for them completely.  A no-op (returns
-        ``None``) when the active segment is empty.
+        Only legal immediately after a snapshot covering every appended
+        record: rotation deletes nothing, but recovery stops replaying
+        the sealed records, so the snapshot must stand in for them
+        completely.  A no-op (returns ``None``) when the active segment
+        is empty.
         """
         if self._handle is None:
             raise ConfigurationError(
@@ -387,10 +372,6 @@ class WearLedger:
             raise ConfigurationError(
                 "rotate_segment requires a service snapshot")
         meta = payload["meta"]
-        if int(meta.get("format", 1)) < 2:
-            raise ConfigurationError(
-                "rotate_segment requires a self-contained (format >= 2) "
-                "snapshot; format-1 snapshots lean on full-history replay")
         if int(meta.get("last_seq", -1)) != self._next_seq - 1:
             raise ConfigurationError(
                 f"rotate_segment requires the snapshot to cover seq "
@@ -420,12 +401,13 @@ class WearLedger:
     # Snapshots
     def write_snapshot(self, last_seq: int, tenants,
                        **meta_extra) -> None:
-        """Atomically persist the replayed state as of ``last_seq``.
+        """Atomically persist the hub's state as of ``last_seq``.
 
         ``meta_extra`` lands in the checkpoint's ``meta`` - the hub uses
-        it to tag self-contained snapshots with ``format=2``.
+        it for the retained idempotency responses.
         """
-        meta = {"kind": _SNAPSHOT_KIND, "last_seq": last_seq}
+        meta = {"kind": _SNAPSHOT_KIND, "last_seq": last_seq,
+                "format": _SNAPSHOT_FORMAT}
         meta.update(meta_extra)
         save_checkpoint(self.snapshot_path, meta=meta, results=tenants)
         if OBS.enabled:

@@ -12,7 +12,6 @@ from repro.obs.bench import (
     SCALING_WORKERS,
     compare_bench_reports,
     measure_disabled_overhead,
-    measure_engine_speedup,
     measure_memory_ceilings,
     measure_parallel_scaling,
     render_bench_comparison,
@@ -150,44 +149,18 @@ class TestValidator:
         with pytest.raises(ConfigurationError):
             validate_bench_report(broken)
 
-    def test_accepts_schema_1_without_engine_section(self, tiny_report):
-        v1 = json.loads(json.dumps(tiny_report))
-        v1["schema_version"] = 1
-        del v1["engine"]
-        validate_bench_report(v1)
-
-    def test_schema_2_requires_the_engine_section(self, tiny_report):
-        broken = json.loads(json.dumps(tiny_report))
-        del broken["engine"]
-        with pytest.raises(ConfigurationError):
-            validate_bench_report(broken)
-        broken = json.loads(json.dumps(tiny_report))
-        del broken["engine"]["speedup"]
-        with pytest.raises(ConfigurationError):
-            validate_bench_report(broken)
-
-
-class TestEngineSection:
-    def test_report_carries_the_speedup_measurement(self, tiny_report):
-        engine = tiny_report["engine"]
-        assert engine["workload"] == "mc.hardware"
-        assert engine["trials"] == SCALES["tiny"]["engine_trials"]
-        assert engine["scalar_min_s"] > 0
-        assert engine["engine_min_s"] > 0
-        assert engine["speedup"] > 0
-        # The batched engine must replay the scalar path bit for bit.
-        assert engine["bit_identical"] is True
-
-    def test_render_includes_the_engine_line(self, tiny_report):
-        text = render_bench_report(tiny_report)
-        assert "engine speedup" in text
-        assert "bit-identical: yes" in text
-
-    def test_standalone_measurement_validates_inputs(self):
-        with pytest.raises(ConfigurationError):
-            measure_engine_speedup(0)
-        with pytest.raises(ConfigurationError):
-            measure_engine_speedup(1, repeats=0)
+    def test_refuses_other_schema_versions(self, tiny_report):
+        # A schema-5 report carries the since-deleted engine and
+        # capacity sections; only the schema this module writes is read.
+        v5 = json.loads(json.dumps(tiny_report))
+        v5["schema_version"] = 5
+        v5["engine"] = {"workload": "mc.hardware", "speedup": 1.0}
+        v5["capacity"] = {"gate_ok": True}
+        with pytest.raises(ConfigurationError,
+                           match=f"schema 5 is not {BENCH_SCHEMA_VERSION}"):
+            validate_bench_report(v5)
+        with pytest.raises(ConfigurationError, match="schema 5"):
+            compare_bench_reports(v5, tiny_report)
 
 
 class TestServiceSection:
@@ -227,12 +200,6 @@ class TestFleetSection:
         assert "fleet load" in text
         assert "shards" in text
 
-    def test_schema_3_accepted_without_the_fleet_section(self, tiny_report):
-        v3 = json.loads(json.dumps(tiny_report))
-        v3["schema_version"] = 3
-        del v3["fleet"]
-        validate_bench_report(v3)
-
     def test_schema_4_requires_the_fleet_section(self, tiny_report):
         broken = json.loads(json.dumps(tiny_report))
         del broken["fleet"]
@@ -248,41 +215,6 @@ class TestFleetSection:
         broken["fleet"]["shards"] = 1
         with pytest.raises(ConfigurationError,
                            match="at least 2 shards"):
-            validate_bench_report(broken)
-
-
-class TestCapacitySection:
-    def test_report_carries_the_pinned_sweep(self, tiny_report):
-        capacity = tiny_report["capacity"]
-        assert capacity["seed"] == 2017  # pinned, never the bench seed
-        assert capacity["problems"] == []
-        assert capacity["gate_ok"] is True
-        assert 0.85 <= capacity["coverage"] <= 0.95
-        lengths = capacity["trace_lengths"]
-        curve = [capacity["median_rel_err_by_length"][str(length)]
-                 for length in lengths]
-        assert curve == sorted(curve, reverse=True)
-
-    def test_render_includes_the_calibration_line(self, tiny_report):
-        text = render_bench_report(tiny_report)
-        assert "capacity calibration" in text
-        assert "gate PASS" in text
-
-    def test_schema_4_accepted_without_the_capacity_section(
-            self, tiny_report):
-        v4 = json.loads(json.dumps(tiny_report))
-        v4["schema_version"] = 4
-        del v4["capacity"]
-        validate_bench_report(v4)
-
-    def test_schema_5_requires_the_capacity_section(self, tiny_report):
-        broken = json.loads(json.dumps(tiny_report))
-        del broken["capacity"]
-        with pytest.raises(ConfigurationError):
-            validate_bench_report(broken)
-        broken = json.loads(json.dumps(tiny_report))
-        del broken["capacity"]["gate_ok"]
-        with pytest.raises(ConfigurationError):
             validate_bench_report(broken)
 
 
@@ -306,13 +238,6 @@ class TestMemorySection:
         with pytest.raises(ConfigurationError):
             measure_memory_ceilings("galactic")
 
-    def test_schema_2_accepted_without_service_and_memory(self, tiny_report):
-        v2 = json.loads(json.dumps(tiny_report))
-        v2["schema_version"] = 2
-        del v2["service"]
-        del v2["memory"]
-        validate_bench_report(v2)
-
     def test_schema_3_requires_both_sections(self, tiny_report):
         for section in ("service", "memory"):
             broken = json.loads(json.dumps(tiny_report))
@@ -332,7 +257,6 @@ class TestCompare:
         assert comparison["missing_in_candidate"] == []
         names = {row["name"] for row in comparison["rows"]}
         assert "mc.hardware" in names
-        assert "engine.hardware" in names
         for row in comparison["rows"]:
             assert row["delta_pct"] == pytest.approx(0.0)
             assert row["regressed"] is False

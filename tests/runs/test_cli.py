@@ -307,6 +307,25 @@ class TestBenchCompareAuto:
         assert "--compare auto: baseline is run" in out
         assert row["id"][:12] in out
 
+    def test_auto_skips_artifacts_of_another_schema(self, capsys,
+                                                    tmp_path):
+        # A bench run recorded by an older version: its artifact is a
+        # schema-5 report, which no longer validates and is skipped.
+        db = str(tmp_path / "reg.db")
+        stale = tmp_path / "BENCH_stale.json"
+        stale.write_text(json.dumps({
+            "schema_version": 5, "kind": "bench-report", "scale": "tiny",
+            "workloads": [], "engine": {}, "capacity": {}}))
+        run_id = seed_bench(db, {"mc.fast": 100.0})
+        with RunStore(db) as store:
+            store.add_artifact(run_id, str(stale))
+        code, out, err = run_cli(
+            capsys, "bench", "--scale", "tiny", "--repeats", "1",
+            "--compare", "auto", "--runs-db", db)
+        assert code == 2
+        assert "baseline is run" not in out
+        assert "no successful bench run" in err
+
     def test_auto_with_empty_db_is_a_clear_error(self, capsys,
                                                  tmp_path):
         code, _, err = run_cli(

@@ -112,7 +112,56 @@ def _record_one(path: str, index: int) -> None:
         store.finish_run(run_id, "ok", summary={"writer": index})
 
 
+def _first_opens_in_lockstep(root: str, index: int, rounds: int,
+                             interval: float, ready, go) -> None:
+    """Record one row per round into a fresh ``round-<r>.db``; every
+    writer is released onto round ``r`` at the same shared instant."""
+    ready.put(index)
+    start = go.get(timeout=60)
+    for round_index in range(rounds):
+        release = start + round_index * interval
+        pause = release - time.time() - 0.005
+        if pause > 0:
+            time.sleep(pause)
+        while time.time() < release:  # spin the last few ms: tight release
+            pass
+        path = os.path.join(root, f"round-{round_index}.db")
+        with RunStore(path) as store:
+            run_id = store.begin_run("bench", {"writer": index},
+                                     seed=index, provenance={})
+            store.finish_run(run_id, "ok")
+
+
 class TestConcurrency:
+    def test_simultaneous_first_opens_lose_no_rows(self, tmp_path):
+        """Writers released together onto a database that does not exist
+        yet all record: the WAL switch of one waits out the others'
+        first open instead of failing with "database is locked"."""
+        writers, rounds, interval = 4, 8, 0.25
+        context = multiprocessing.get_context("spawn")
+        ready, go = context.Queue(), context.Queue()
+        procs = [context.Process(target=_first_opens_in_lockstep,
+                                 args=(str(tmp_path), index, rounds,
+                                       interval, ready, go),
+                                 daemon=True)
+                 for index in range(writers)]
+        for proc in procs:
+            proc.start()
+        for _ in procs:
+            ready.get(timeout=60)
+        start = time.time() + 0.05
+        for _ in procs:
+            go.put(start)
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0] * writers
+        for round_index in range(rounds):
+            with RunStore(str(tmp_path / f"round-{round_index}.db")) \
+                    as store:
+                rows = store.list_runs(subcommand="bench", limit=100)
+            assert sorted(row["params"]["writer"] for row in rows) \
+                == list(range(writers)), f"round {round_index} lost rows"
+
     def test_simultaneous_writers_lose_no_rows(self, tmp_path):
         """Two (and more) simultaneous invocations each get their own
         row with a distinct id - the WAL + busy-timeout contract."""

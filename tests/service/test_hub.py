@@ -6,9 +6,14 @@ import pytest
 from repro.connection.architecture import LimitedUseConnection
 from repro.core.degradation import PAPER_CRITERIA, DesignPoint
 from repro.core.weibull import WeibullDistribution
-from repro.errors import ConfigurationError, DeviceWornOutError
+from repro.errors import (
+    ConfigurationError,
+    DeviceWornOutError,
+    LedgerCorruptionError,
+)
 from repro.service.hub import WearHub, _Pool, _RowDispatchHook
 from repro.service.ledger import WearLedger
+from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.rng import make_rng
 
 ALPHA, BETA, N, K, COPIES, SEED = 9.0, 6.0, 6, 2, 3, 42
@@ -311,7 +316,6 @@ class TestSelfContainedSnapshot:
         hub.provision(_provision_request())
         hub.serve_round(["t0"])
         hub.write_snapshot()
-        from repro.sim.checkpoint import load_checkpoint
         payload = load_checkpoint(hub.ledger.snapshot_path)
         assert payload["meta"]["format"] == 2
         assert payload["results"][0]["params"]["n"] == N
@@ -394,4 +398,41 @@ class TestSelfContainedSnapshot:
         recovered.ledger.open_for_append()
         assert recovered.serve_round([("t0", "rid-keep")])["t0"] == original
         assert recovered.idempotent_replays == 1
+        recovered.ledger.close()
+
+    def _snapshotted_ledger(self, tmp_path, rewrite):
+        """A fault tenant's ledger whose snapshot ``rewrite`` edited."""
+        hub = WearHub(WearLedger(str(tmp_path)))
+        hub.ledger.open_for_append()
+        hub.provision(_provision_request(faults=self.FAULTS))
+        self._drive(hub, 3, "pre")
+        hub.write_snapshot()
+        hub.ledger.close()
+        payload = load_checkpoint(hub.ledger.snapshot_path)
+        rewrite(payload)
+        save_checkpoint(hub.ledger.snapshot_path, meta=payload["meta"],
+                        results=payload["results"])
+        return str(tmp_path)
+
+    def test_format_1_snapshot_is_refused(self, tmp_path):
+        def downgrade(payload):
+            payload["meta"]["format"] = 1
+
+        recovered = WearHub(WearLedger(
+            self._snapshotted_ledger(tmp_path, downgrade)))
+        with pytest.raises(LedgerCorruptionError,
+                           match="snapshot format 1, not 2"):
+            recovered.recover()
+        assert recovered.tenants == {}
+        recovered.ledger.close()
+
+    def test_fault_entry_without_stream_states_is_refused(self, tmp_path):
+        def strip(payload):
+            del payload["results"][0]["fault"]["stream_states"]
+
+        recovered = WearHub(WearLedger(
+            self._snapshotted_ledger(tmp_path, strip)))
+        with pytest.raises(LedgerCorruptionError,
+                           match="'t0' does not restore: 'stream_states'"):
+            recovered.recover()
         recovered.ledger.close()

@@ -182,6 +182,28 @@ class TestSnapshots:
         with pytest.raises(LedgerCorruptionError):
             ledger.replay()
 
+    def test_snapshot_of_another_format_is_refused_untouched(self,
+                                                           tmp_path):
+        # A snapshot without ``format`` (as written before snapshots were
+        # self-contained) is refused before the WAL is read, so not even
+        # its torn tail is truncated.
+        from repro.sim.checkpoint import save_checkpoint
+
+        ledger = WearLedger(str(tmp_path))
+        ledger.append_batch([{"op": "access", "tenant": "a"}] * 2)
+        ledger.close()
+        save_checkpoint(ledger.snapshot_path,
+                        meta={"kind": "svc-snapshot", "last_seq": 1},
+                        results=[])
+        with open(ledger.wal_path, "ab") as handle:
+            handle.write(b'{"op":"access","seq":2,"ten')
+        before = _wal_bytes(ledger)
+        with pytest.raises(LedgerCorruptionError, match="format None") \
+                as excinfo:
+            WearLedger(str(tmp_path)).replay()
+        assert excinfo.value.path == ledger.snapshot_path
+        assert _wal_bytes(ledger) == before
+
     def test_corruption_error_carries_context(self, tmp_path):
         ledger = WearLedger(str(tmp_path))
         with open(ledger.wal_path, "w") as handle:
@@ -202,7 +224,7 @@ class TestSegmentRotation:
 
     def test_rotation_seals_the_wal_and_replay_resumes(self, tmp_path):
         ledger = self._seed(tmp_path)
-        ledger.write_snapshot(3, [{"tenant": "a"}], format=2)
+        ledger.write_snapshot(3, [{"tenant": "a"}])
         segment = ledger.rotate_segment()
         assert segment is not None
         assert os.path.basename(segment) == "segment-00000000-00000003.jsonl"
@@ -220,38 +242,31 @@ class TestSegmentRotation:
 
     def test_empty_active_segment_is_a_noop(self, tmp_path):
         ledger = self._seed(tmp_path)
-        ledger.write_snapshot(3, [], format=2)
+        ledger.write_snapshot(3, [])
         assert ledger.rotate_segment() is not None
         assert ledger.rotate_segment() is None
         ledger.close()
 
     def test_rotation_requires_a_covering_snapshot(self, tmp_path):
         ledger = self._seed(tmp_path)
-        ledger.write_snapshot(2, [], format=2)  # one record short
-        with pytest.raises(ConfigurationError):
-            ledger.rotate_segment()
-        ledger.close()
-
-    def test_rotation_refuses_format_1_snapshots(self, tmp_path):
-        ledger = self._seed(tmp_path)
-        ledger.write_snapshot(3, [])  # format 1: not self-contained
+        ledger.write_snapshot(2, [])  # one record short
         with pytest.raises(ConfigurationError):
             ledger.rotate_segment()
         ledger.close()
 
     def test_rotation_requires_an_open_wal(self, tmp_path):
         ledger = self._seed(tmp_path)
-        ledger.write_snapshot(3, [], format=2)
+        ledger.write_snapshot(3, [])
         ledger.close()
         with pytest.raises(ConfigurationError):
             ledger.rotate_segment()
 
     def test_repeated_rotations_chain_contiguously(self, tmp_path):
         ledger = self._seed(tmp_path, records=2)
-        ledger.write_snapshot(1, [], format=2)
+        ledger.write_snapshot(1, [])
         first = ledger.rotate_segment()
         ledger.append_batch([{"op": "access", "tenant": "a"}] * 3)
-        ledger.write_snapshot(4, [], format=2)
+        ledger.write_snapshot(4, [])
         second = ledger.rotate_segment()
         ledger.close()
         assert os.path.basename(first) == "segment-00000000-00000001.jsonl"
@@ -265,10 +280,10 @@ class TestSegmentRotation:
 
     def test_archive_gap_is_corruption(self, tmp_path):
         ledger = self._seed(tmp_path, records=2)
-        ledger.write_snapshot(1, [], format=2)
+        ledger.write_snapshot(1, [])
         first = ledger.rotate_segment()
         ledger.append_batch([{"op": "access", "tenant": "a"}] * 2)
-        ledger.write_snapshot(3, [], format=2)
+        ledger.write_snapshot(3, [])
         ledger.rotate_segment()
         ledger.close()
         os.unlink(first)
@@ -277,7 +292,7 @@ class TestSegmentRotation:
 
     def test_torn_active_tail_after_rotation_is_truncated(self, tmp_path):
         ledger = self._seed(tmp_path, records=2)
-        ledger.write_snapshot(1, [], format=2)
+        ledger.write_snapshot(1, [])
         ledger.rotate_segment()
         ledger.append({"op": "access", "tenant": "a"})
         ledger.close()
@@ -293,7 +308,7 @@ class TestSegmentRotation:
         # Crash window: rotation renamed the WAL away but the fresh one
         # was never created.  Legal iff the snapshot covers the archive.
         ledger = self._seed(tmp_path, records=2)
-        ledger.write_snapshot(1, [], format=2)
+        ledger.write_snapshot(1, [])
         ledger.rotate_segment()
         ledger.close()
         os.unlink(ledger.wal_path)
@@ -305,14 +320,14 @@ class TestSegmentRotation:
     def test_missing_active_wal_past_the_boundary_is_corruption(
             self, tmp_path):
         ledger = self._seed(tmp_path, records=2)
-        ledger.write_snapshot(1, [], format=2)
+        ledger.write_snapshot(1, [])
         ledger.rotate_segment()
         ledger.append({"op": "access", "tenant": "a"})
         # A later snapshot covers seq 2, which lives only in the active
         # WAL; losing that WAL is then a detectable gap (unlike the
         # rotation crash window, where the archive ends exactly at the
         # snapshot boundary).
-        ledger.write_snapshot(2, [], format=2)
+        ledger.write_snapshot(2, [])
         ledger.close()
         os.unlink(ledger.wal_path)
         with pytest.raises(LedgerCorruptionError):
@@ -320,7 +335,7 @@ class TestSegmentRotation:
 
     def test_archive_without_snapshot_is_corruption(self, tmp_path):
         ledger = self._seed(tmp_path, records=2)
-        ledger.write_snapshot(1, [], format=2)
+        ledger.write_snapshot(1, [])
         ledger.rotate_segment()
         ledger.close()
         os.unlink(ledger.snapshot_path)
