@@ -29,9 +29,11 @@ Durability: every state-changing operation is appended (and fsynced) to
 the :class:`~repro.service.ledger.WearLedger` *before* the engine
 executes it, and :meth:`WearHub.recover` rebuilds the exact state from
 the latest self-contained snapshot plus the records after it -
-closed-form fast-forward for hook-free tenants (the engine's
-touched-state resume), stepped replay through the restored fault RNG
-for fault tenants.
+closed-form fast-forward for unkeyed records of hook-free tenants (the
+engine's touched-state resume), and stepped replay for the rest, in
+kernel rounds of distinct tenants that are exact by the same two facts.
+Recovery therefore costs one ``step_access`` call per pool per replayed
+round, not one per record.
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ class WearHub:
 
     # ------------------------------------------------------------------
     # Provisioning
-    def provision(self, request: dict, *, log: bool = True) -> dict:
+    def provision(self, request: dict) -> dict:
         """Provision one tenant; returns the protocol response."""
         name = request.get("tenant")
         if not isinstance(name, str) or not name:
@@ -238,10 +240,9 @@ class WearHub:
             params = _validate_params(request)
         except ConfigurationError as exc:
             return denied("bad-request", str(exc))
-        if log:
-            record = {"op": "provision", "tenant": name}
-            record.update(params)
-            self.ledger.append(record)
+        record = {"op": "provision", "tenant": name}
+        record.update(params)
+        self.ledger.append(record)
         tenant = self._build_tenant(name, params)
         if OBS.enabled:
             OBS.metrics.inc("svc.provisions")
@@ -381,12 +382,19 @@ class WearHub:
                           tenants=[t.name for t in live],
                           traces=sorted(traces[t.name] for t in live
                                         if t.name in traces))
-            self._execute_round(live, responses)
+            kernel_s = self._execute_round(live, responses)
             for tenant in live:
                 rid = rids.get(tenant.name)
                 if rid is not None:
                     self._record_response(tenant.name, rid,
                                           responses[tenant.name])
+            if OBS.enabled:
+                OBS.metrics.observe("svc.kernel_s", kernel_s)
+                wear = [tenant.pool.n for tenant in live
+                        if responses[tenant.name]["status"] == "ok"]
+                if wear:
+                    OBS.metrics.inc("svc.accesses_served", len(wear))
+                    OBS.metrics.inc("svc.wear_consumed", sum(wear))
         self.rounds += 1
         if OBS.enabled:
             OBS.metrics.inc("svc.rounds")
@@ -395,13 +403,17 @@ class WearHub:
         return responses
 
     def _execute_round(self, live: list[TenantRecord],
-                       responses: dict[str, dict]) -> None:
-        """Run one kernel call per pool and build per-tenant responses."""
+                       responses: dict[str, dict]) -> float:
+        """Run one kernel call per pool and build per-tenant responses.
+
+        ``live`` names each tenant at most once.  Returns the kernel
+        seconds, which only :meth:`serve_round` reports.
+        """
         by_pool: dict[_Pool, list[TenantRecord]] = {}
         for tenant in live:
             by_pool.setdefault(tenant.pool, []).append(tenant)
         results: dict[str, tuple[bool, int, np.ndarray]] = {}
-        kernel_started = time.perf_counter() if OBS.enabled else 0.0
+        kernel_started = time.perf_counter()
         for pool, tenants in by_pool.items():
             rows = np.array([tenant.row for tenant in tenants],
                             dtype=np.int64)
@@ -409,9 +421,7 @@ class WearHub:
             for j, tenant in enumerate(tenants):
                 results[tenant.name] = (bool(success[j]),
                                         int(served_copy[j]), observed[j])
-        if OBS.enabled:
-            OBS.metrics.observe("svc.kernel_s",
-                                time.perf_counter() - kernel_started)
+        kernel_s = time.perf_counter() - kernel_started
         for tenant in live:
             served, copy, observed = results[tenant.name]
             tenant.attempts += 1
@@ -428,12 +438,10 @@ class WearHub:
                     served=tenant.served)
                 continue
             tenant.served += 1
-            if OBS.enabled:
-                OBS.metrics.inc("svc.accesses_served")
-                OBS.metrics.inc("svc.wear_consumed", tenant.pool.n)
             responses[tenant.name] = ok(
                 tenant=tenant.name, secret=secret.hex(), copy=copy,
                 attempts=tenant.attempts, served=tenant.served)
+        return kernel_s
 
     @staticmethod
     def _exhausted_response(tenant: TenantRecord) -> dict:
@@ -663,27 +671,47 @@ class WearHub:
         The snapshot, when there is one, reconstructs every tenant as of
         its ``last_seq`` - parameters refabricate the hardware, arrays,
         lifetimes and fault state restore on top - and only the records
-        *after* it replay (hook-free tenants through the closed form,
-        fault tenants stepped through their restored fault RNG).
-        Records the snapshot covers are skipped, which is what makes
-        sealed-away segments safe.  Without a snapshot every record
-        replays onto an empty hub.
+        *after* it replay.  Records the snapshot covers are skipped,
+        which is what makes sealed-away segments safe.  Without a
+        snapshot every record replays onto an empty hub.
+
+        Unkeyed access records of hook-free tenants coalesce into one
+        closed-form fast-forward per tenant.  The rest replay stepped,
+        regenerating each keyed record's response, in kernel rounds: a
+        maximal run of stepped records naming distinct tenants, closed
+        when a record names a tenant already in it.  A round is exact
+        for the reason a live round is (module docstring), and each
+        tenant's own records still apply in WAL order.
         """
         snapshot, records = self.ledger.replay()
         last_seq = -1
         if snapshot is not None:
             last_seq = int(snapshot["meta"]["last_seq"])
             self._restore_from_snapshot(snapshot, last_seq)
+        group: dict[str, tuple[TenantRecord, str | None]] = {}
         pending: dict[str, int] = {}
+        rounds = 0
         for record in records:
-            if record["seq"] > last_seq:
-                self._replay_record(record, pending)
+            if record["seq"] <= last_seq:
+                continue
+            tenant = self._replay_record(record, pending)
+            if tenant is None:
+                continue
+            if tenant.name in group:
+                rounds += self._replay_group(group)
+            if pending.get(tenant.name):
+                # Coalesced attempts precede this record: apply them
+                # before the tenant's step, which has not run yet.
+                self._fast_forward(tenant, pending.pop(tenant.name))
+            group[tenant.name] = (tenant, record.get("rid"))
+        rounds += self._replay_group(group)
         for name, attempts in pending.items():
             self._fast_forward(self.tenants[name], attempts)
         self.ledger.open_for_append()
         if OBS.enabled:
             OBS.event("svc.recovered", records=len(records),
-                      tenants=len(self.tenants), snapshot_seq=last_seq)
+                      tenants=len(self.tenants), snapshot_seq=last_seq,
+                      replay_rounds=rounds)
         return len(records)
 
     def _restore_from_snapshot(self, snapshot: dict, last_seq: int) -> None:
@@ -703,42 +731,61 @@ class WearHub:
         for name, rid, response in snapshot["meta"].get("responses", []):
             self._responses[(name, rid)] = response
 
-    def _replay_record(self, record: dict, pending: dict[str, int]) -> None:
+    def _replay_record(self, record: dict,
+                       pending: dict[str, int]) -> TenantRecord | None:
+        """Apply one WAL record; returns the tenant it must step, if any.
+
+        Provisions rebuild their tenant and unkeyed accesses of hook-free
+        tenants are counted into ``pending``; the caller steps the rest.
+        """
         op = record.get("op")
         if op == "provision":
-            response = self.provision(record, log=False)
-            if response["status"] != "ok":
+            name = record.get("tenant")
+            try:
+                if not isinstance(name, str) or not name \
+                        or name in self.tenants:
+                    raise ConfigurationError(f"tenant {name!r} is not new")
+                self._build_tenant(name, _validate_params(record))
+            except ConfigurationError as exc:
                 raise LedgerCorruptionError(
                     f"provision record {record['seq']} does not replay: "
-                    f"{response}", path=self.ledger.wal_path,
-                    seq=record["seq"])
-        elif op == "access":
-            name = record.get("tenant")
-            tenant = self.tenants.get(name)
-            if tenant is None:
-                raise LedgerCorruptionError(
-                    f"access record {record['seq']} names unknown tenant "
-                    f"{name!r}", path=self.ledger.wal_path,
-                    seq=record["seq"])
-            rid = record.get("rid")
-            if tenant.fault_model is None and rid is None:
-                # Coalesce: hook-free replay consumes no RNG, so the
-                # closed form applied once per tenant is exact.
-                pending[name] = pending.get(name, 0) + 1
-            else:
-                # A keyed record must regenerate its original response
-                # (deterministic re-execution), so it replays stepped -
-                # flushing any coalesced attempts first to keep order.
-                if tenant.fault_model is None and pending.get(name):
-                    self._fast_forward(tenant, pending.pop(name))
-                responses: dict[str, dict] = {}
-                self._execute_round([tenant], responses)
-                if rid is not None:
-                    self._record_response(name, rid, responses[name])
-        else:
+                    f"{exc}", path=self.ledger.wal_path,
+                    seq=record["seq"]) from exc
+            return None
+        if op != "access":
             raise LedgerCorruptionError(
                 f"WAL record {record['seq']} has unknown op {op!r}",
                 path=self.ledger.wal_path, seq=record.get("seq"))
+        name = record.get("tenant")
+        tenant = self.tenants.get(name)
+        if tenant is None:
+            raise LedgerCorruptionError(
+                f"access record {record['seq']} names unknown tenant "
+                f"{name!r}", path=self.ledger.wal_path, seq=record["seq"])
+        if tenant.fault_model is None and record.get("rid") is None:
+            # Hook-free replay consumes no RNG and regenerates no
+            # response, so the closed form applied once is exact.
+            pending[name] = pending.get(name, 0) + 1
+            return None
+        return tenant
+
+    def _replay_group(self, group: dict) -> int:
+        """Step a group of distinct tenants as one round, then empty it.
+
+        Retained responses are recorded in the group's (record) order,
+        so the idempotency FIFO keeps WAL order.  Returns the number of
+        kernel rounds issued: 0 for an empty group.
+        """
+        if not group:
+            return 0
+        responses: dict[str, dict] = {}
+        self._execute_round([tenant for tenant, _ in group.values()],
+                            responses)
+        for name, (_, rid) in group.items():
+            if rid is not None:
+                self._record_response(name, rid, responses[name])
+        group.clear()
+        return 1
 
     def _fast_forward(self, tenant: TenantRecord, attempts: int) -> None:
         """Apply ``attempts`` accesses to a hook-free tenant, closed form.

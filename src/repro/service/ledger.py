@@ -190,6 +190,10 @@ class WearLedger:
         segments = self._archived_segments()
         archived_end = segments[-1][1] if segments else -1
         base = records[0].get("seq") if records else None
+        if records and type(base) is not int:
+            raise LedgerCorruptionError(
+                f"first WAL record of {self.wal_path} has no integer seq: "
+                f"{records[0]!r}", path=self.wal_path)
         expected = base
         for record in records:
             if record.get("seq") != expected or "op" not in record:

@@ -19,5 +19,8 @@ Each module pins one family of guarantees:
 - ``test_fault_vector_identity``, ``test_replay_identity`` and
   ``test_hub_readout`` - the batched fault, replay, drain and hub
   readout paths are bit-identical to the scalar reference arms in
-  ``_reference``, which exist only here.
+  ``_reference``, which exist only here;
+- ``test_grouped_replay`` - recovery's grouped WAL replay is
+  bit-identical to the one-record-per-call reference in ``_reference``
+  and to the hub that never crashed.
 """

@@ -18,7 +18,9 @@ readout - with no switch in production code:
   switch's own actuation, and per-share keystores;
   :func:`reference_fault_trial` is ``run_fault_trial`` on it;
 - :func:`replay_events`, :func:`reference_replay_trace` and
-  :func:`reference_drain_attack` replay login by login.
+  :func:`reference_drain_attack` replay login by login;
+- :func:`reference_recover` is ``WearHub.recover`` replaying one WAL
+  record per kernel call.
 """
 
 from unittest import mock
@@ -33,6 +35,7 @@ from repro.core.device import NEMSSwitch
 from repro.core.hardware import SimulatedBank
 from repro.errors import DeviceWornOutError
 from repro.faults import campaign
+from repro.service.hub import _validate_params
 from repro.sim.traces import EventKind, ReplayReport, _migrate
 
 
@@ -203,3 +206,42 @@ def reference_drain_attack(design, passcode, rng, owner_per_cycle=1,
         owner_accesses_served=float(owner_served),
         attacker_accesses_wasted=float(attacker_wasted),
     )
+
+
+def reference_recover(hub) -> int:
+    """``WearHub.recover`` replaying one record per kernel call.
+
+    Restores the snapshot like production, then walks the records after
+    it: a provision rebuilds its tenant, an unkeyed access of a hook-free
+    tenant is counted for one closed-form fast-forward, and every other
+    access is its own one-tenant round, after that tenant's counted
+    attempts are fast-forwarded.  Returns the number of records seen.
+    """
+    snapshot, records = hub.ledger.replay()
+    last_seq = -1
+    if snapshot is not None:
+        last_seq = int(snapshot["meta"]["last_seq"])
+        hub._restore_from_snapshot(snapshot, last_seq)
+    pending: dict[str, int] = {}
+    for record in records:
+        if record["seq"] <= last_seq:
+            continue
+        name = record["tenant"]
+        if record["op"] == "provision":
+            hub._build_tenant(name, _validate_params(record))
+            continue
+        tenant = hub.tenants[name]
+        rid = record.get("rid")
+        if tenant.fault_model is None and rid is None:
+            pending[name] = pending.get(name, 0) + 1
+            continue
+        if pending.get(name):
+            hub._fast_forward(tenant, pending.pop(name))
+        responses: dict[str, dict] = {}
+        hub._execute_round([tenant], responses)
+        if rid is not None:
+            hub._record_response(name, rid, responses[name])
+    for name, attempts in pending.items():
+        hub._fast_forward(hub.tenants[name], attempts)
+    hub.ledger.open_for_append()
+    return len(records)

@@ -69,13 +69,15 @@ def _provision_requests(faulty: bool, tenants: int = 4) -> list[dict]:
 
 
 def _assert_pool_matches_one_step_build(hub: WearHub, requests: list[dict],
-                                        tmp_path) -> None:
+                                        solo_dir) -> None:
     """The grown pool equals a ``WearState`` built in one step from the
-    lifetimes each tenant gets when it is provisioned alone."""
+    lifetimes each tenant gets when it is provisioned alone (each on a
+    throwaway ledger under ``solo_dir``)."""
     lifetimes = []
     for request in requests:
-        solo = WearHub(WearLedger(str(tmp_path / "solo")))
-        solo.provision(request, log=False)
+        solo = WearHub(WearLedger(str(solo_dir / request["tenant"])))
+        solo.provision(request)
+        solo.ledger.close()
         lifetimes.append(solo.tenants[request["tenant"]].pool.state.lifetime)
     (pool,) = hub.pools.values()
     built = WearState(np.concatenate(lifetimes), pool.k)
@@ -93,7 +95,8 @@ def _drive(tmp_path, label: str, faulty: bool, batched: bool,
     requests = _provision_requests(faulty, tenants)
     for request in requests:
         assert hub.provision(request)["status"] == "ok"
-    _assert_pool_matches_one_step_build(hub, requests, tmp_path)
+    _assert_pool_matches_one_step_build(hub, requests,
+                                        tmp_path / f"{label}-solo")
     frames: list[bytes] = []
     for round_names in _schedule(tenants):
         if batched:

@@ -6,11 +6,14 @@ import pytest
 from repro.connection.architecture import LimitedUseConnection
 from repro.core.degradation import PAPER_CRITERIA, DesignPoint
 from repro.core.weibull import WeibullDistribution
+from repro.engine.state import WearState
 from repro.errors import (
     ConfigurationError,
     DeviceWornOutError,
     LedgerCorruptionError,
 )
+from repro.obs.recorder import OBS
+from repro.obs.sinks import InMemorySink
 from repro.service.hub import WearHub, _Pool, _RowDispatchHook
 from repro.service.ledger import WearLedger
 from repro.sim.checkpoint import load_checkpoint, save_checkpoint
@@ -436,3 +439,108 @@ class TestSelfContainedSnapshot:
                            match="'t0' does not restore: 'stream_states'"):
             recovered.recover()
         recovered.ledger.close()
+
+
+class TestGroupedReplay:
+    """Recovery steps replayed records in rounds, not one per record.
+
+    ``tests/differential/test_grouped_replay.py`` pins the identity with
+    per-record replay; these pin the cost and what replay reports.
+    """
+
+    def _ledger(self, path, tenants, rounds, per_round, keyed=True):
+        """A hook-free population served seeded rounds of distinct
+        tenants, closed without a snapshot; returns the live hub."""
+        hub = WearHub(WearLedger(str(path)))
+        hub.ledger.open_for_append()
+        names = [f"t{i}" for i in range(tenants)]
+        for i, name in enumerate(names):
+            hub.provision(_provision_request(name, seed=i))
+        order = np.random.default_rng(7)
+        for index in range(rounds):
+            picked = [names[i] for i in order.permutation(tenants)[
+                :per_round]]
+            hub.serve_round([(name, f"r{index}") if keyed else name
+                             for name in picked])
+        hub.ledger.close()
+        return hub
+
+    def _count_steps(self, path, monkeypatch):
+        calls = []
+        step_access = WearState.step_access
+
+        def counting(state, rows):
+            calls.append(len(rows))
+            return step_access(state, rows)
+
+        monkeypatch.setattr(WearState, "step_access", counting)
+        recovered = WearHub(WearLedger(str(path)))
+        recovered.recover()
+        recovered.ledger.close()
+        monkeypatch.undo()
+        return recovered, calls
+
+    def test_keyed_records_replay_in_at_most_one_step_per_round(
+            self, tmp_path, monkeypatch):
+        live = self._ledger(tmp_path, tenants=40, rounds=12, per_round=16)
+        recovered, calls = self._count_steps(tmp_path, monkeypatch)
+        # One call per record would be 12 x 16 = 192.
+        assert len(calls) <= 12
+        assert sum(calls) == 12 * 16
+        assert recovered.status()["tenants"] == live.status()["tenants"]
+        assert list(recovered._responses.items()) \
+            == list(live._responses.items())
+
+    def test_unkeyed_hook_free_records_take_the_closed_form(
+            self, tmp_path, monkeypatch):
+        live = self._ledger(tmp_path, tenants=40, rounds=12, per_round=16,
+                            keyed=False)
+        recovered, calls = self._count_steps(tmp_path, monkeypatch)
+        assert calls == []
+        assert recovered.status()["tenants"] == live.status()["tenants"]
+
+    @pytest.mark.parametrize("record", [
+        _provision_request("t0", k=0),
+        _provision_request(""),
+        _provision_request("t0", seed=9),
+    ], ids=["invalid", "unnamed", "duplicate"])
+    def test_provision_record_that_does_not_build_is_corruption(
+            self, tmp_path, record):
+        ledger = WearLedger(str(tmp_path))
+        ledger.append(_provision_request("t0"))
+        ledger.append(record)
+        ledger.close()
+        recovered = WearHub(WearLedger(str(tmp_path)))
+        with pytest.raises(LedgerCorruptionError,
+                           match="provision record 1 does not replay"):
+            recovered.recover()
+        recovered.ledger.close()
+
+    def test_replay_does_not_feed_the_serving_metrics(self, tmp_path):
+        # Every round names all 20 tenants, so each is one replay round.
+        self._ledger(tmp_path, tenants=20, rounds=10, per_round=20)
+        sink = InMemorySink()
+        OBS.reset()
+        OBS.configure(sinks=[sink], enabled=True)
+        try:
+            recovered = WearHub(WearLedger(str(tmp_path)))
+            recovered.recover()
+            metrics = OBS.metrics
+            assert metrics.histogram("svc.kernel_s") is None
+            for name in ("svc.accesses_served", "svc.wear_consumed",
+                         "svc.provisions", "svc.rounds"):
+                assert metrics.counter(name) == 0, name
+            (event,) = [e for e in sink.events
+                        if e.get("name") == "svc.recovered"]
+            assert event["attrs"]["replay_rounds"] == 10
+            assert event["attrs"]["records"] == 20 + 10 * 20
+
+            responses = recovered.serve_round(["t0", "t1"])
+            served = sum(r["status"] == "ok" for r in responses.values())
+            assert served
+            assert metrics.histogram("svc.kernel_s").count == 1
+            assert metrics.counter("svc.accesses_served") == served
+            assert metrics.counter("svc.wear_consumed") == served * N
+            recovered.ledger.close()
+        finally:
+            OBS.reset()

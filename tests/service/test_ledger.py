@@ -102,6 +102,21 @@ class TestReplay:
         with pytest.raises(LedgerCorruptionError):
             ledger.replay()
 
+    @pytest.mark.parametrize("first", [
+        b'{"op":"access","tenant":"a"}',
+        b'{"op":"access","seq":"0","tenant":"a"}',
+    ], ids=["missing", "string"])
+    def test_first_seq_that_is_not_an_int_is_corruption(self, tmp_path,
+                                                        first):
+        ledger = WearLedger(str(tmp_path))
+        wal = first + b'\n{"op":"access","seq":1,"tenant":"a"}\n'
+        with open(ledger.wal_path, "wb") as handle:
+            handle.write(wal)
+        with pytest.raises(LedgerCorruptionError, match="no integer seq"):
+            ledger.replay()
+        ledger.close()
+        assert _wal_bytes(ledger) == wal
+
 
 class TestTornTail:
     def _seed_wal(self, tmp_path) -> WearLedger:
