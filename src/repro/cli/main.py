@@ -98,10 +98,14 @@ from repro.viz.ascii import line_chart
 __all__ = ["main", "build_parser"]
 
 
-def _add_record_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_runs_db_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runs-db", metavar="FILE", default=None,
                         help="run-registry database (default: "
                              "$REPRO_RUNS_DB, else ./runs.db)")
+
+
+def _add_record_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_runs_db_argument(parser)
     parser.add_argument("--no-record", action="store_true",
                         help="do not record this invocation in the "
                              "run registry")
@@ -202,8 +206,7 @@ def _add_device_arguments(parser: argparse.ArgumentParser) -> None:
                         help="device shape parameter (consistency)")
 
 
-def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_device_arguments(parser)
+def _add_criteria_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bound", type=int, default=91_250,
                         help="legitimate access bound (default: 91,250)")
     parser.add_argument("--k-fraction", type=float, default=None,
@@ -214,6 +217,11 @@ def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
                         help="use the 98%%/2.2%% calibrated criteria")
     parser.add_argument("--r-min", type=float, default=None)
     parser.add_argument("--p-fail", type=float, default=None)
+
+
+def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_device_arguments(parser)
+    _add_criteria_arguments(parser)
 
 
 def _design_point(args):
@@ -1290,13 +1298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--alpha-max", type=float, default=20.0)
     p_sweep.add_argument("--step", type=float, default=1.0)
     p_sweep.add_argument("--beta", type=float, required=True)
-    p_sweep.add_argument("--bound", type=int, default=91_250)
-    p_sweep.add_argument("--k-fraction", type=float, default=None)
-    p_sweep.add_argument("--window", choices=("integer", "fractional"),
-                         default="fractional")
-    p_sweep.add_argument("--paper-criteria", action="store_true")
-    p_sweep.add_argument("--r-min", type=float, default=None)
-    p_sweep.add_argument("--p-fail", type=float, default=None)
+    _add_criteria_arguments(p_sweep)
     p_sweep.add_argument("--log-y", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -1586,9 +1588,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "settings file's workdir)")
     p_pipe.add_argument("--json-out", metavar="FILE", default=None,
                         help="write the pipeline report to FILE")
-    p_pipe.add_argument("--runs-db", metavar="FILE", default=None,
-                        help="run-registry database (default: "
-                             "$REPRO_RUNS_DB, else ./runs.db)")
+    _add_runs_db_argument(p_pipe)
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_report = sub.add_parser(
@@ -1601,9 +1601,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "bench runs; pipeline: one pipeline and "
                                "its steps; campaigns: fault/chaos "
                                "outcomes")
-    p_report.add_argument("--runs-db", metavar="FILE", default=None,
-                          help="run-registry database (default: "
-                               "$REPRO_RUNS_DB, else ./runs.db)")
+    _add_runs_db_argument(p_report)
     p_report.add_argument("--json", action="store_true",
                           help="emit the payload as JSON instead of "
                                "ascii tables")
@@ -1651,9 +1649,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="actually delete (default: report only)")
     p_runs.add_argument("--json", action="store_true",
                         help="emit the gc report as JSON")
-    p_runs.add_argument("--runs-db", metavar="FILE", default=None,
-                        help="run-registry database (default: "
-                             "$REPRO_RUNS_DB, else ./runs.db)")
+    _add_runs_db_argument(p_runs)
     p_runs.set_defaults(func=cmd_runs)
 
     p_cap = sub.add_parser(

@@ -19,13 +19,11 @@ run interleaved and the overhead is reported from the per-arm minima
 benchmark timings).  CI fails the build when B exceeds A by more than
 3%, pinning the "zero cost when disabled" claim.
 
-Beyond the timed workload rows, a report carries sections that record
-what a throughput number cannot: ``scaling`` (wall clock of the sharded
-campaign engine against worker count), ``service`` and ``fleet`` (an
-in-process :class:`~repro.service.server.WearService` and a supervised
-multi-shard fleet driven end to end, with their outcome mix, batch
-shape and per-shard split) and ``memory`` (each representative
-workload's peak RSS, measured in a fresh subprocess).
+Besides its metadata, a report carries exactly what a gate reads: the
+``workloads`` rows (``--compare`` and ``--require-throughput``), the
+``overhead`` section (``--check-overhead``) and the ``memory`` section
+(each representative workload's peak RSS, measured in a fresh
+subprocess, which ``--compare`` gates as its ``mem.*`` rows).
 
 Two reports of the same scale are diffed by
 :func:`compare_bench_reports`, which flags any workload whose throughput
@@ -62,13 +60,9 @@ from repro.sim.rng import make_rng, substream
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "SCALES",
-    "SCALING_WORKERS",
     "compare_bench_reports",
     "measure_disabled_overhead",
-    "measure_fleet_load",
     "measure_memory_ceilings",
-    "measure_parallel_scaling",
-    "measure_service_load",
     "render_bench_comparison",
     "render_bench_report",
     "run_bench_suite",
@@ -76,7 +70,7 @@ __all__ = [
     "write_bench_report",
 ]
 
-BENCH_SCHEMA_VERSION = 6
+BENCH_SCHEMA_VERSION = 7
 
 #: Workload sizes per scale.  "smoke" finishes in a few seconds (CI);
 #: "full" gives tighter percentiles for committed milestone reports;
@@ -93,7 +87,6 @@ SCALES: dict[str, dict] = {
         "checkpoint_results": 50,
         "overhead_repeats": 2,
         "overhead_trials": 20,
-        "scaling_trials": 16,
         "svc_tenants": 2,
         "svc_requests": 12,
         "svc_concurrency": 4,
@@ -114,7 +107,6 @@ SCALES: dict[str, dict] = {
         "checkpoint_results": 1000,
         "overhead_repeats": 7,
         "overhead_trials": 400,
-        "scaling_trials": 600,
         "svc_tenants": 4,
         "svc_requests": 120,
         "svc_concurrency": 8,
@@ -135,7 +127,6 @@ SCALES: dict[str, dict] = {
         "checkpoint_results": 5000,
         "overhead_repeats": 15,
         "overhead_trials": 2000,
-        "scaling_trials": 3000,
         "svc_tenants": 8,
         "svc_requests": 600,
         "svc_concurrency": 16,
@@ -146,9 +137,6 @@ SCALES: dict[str, dict] = {
         "capacity_instances": 48,
     },
 }
-
-#: Worker counts measured by the parallel-scaling report.
-SCALING_WORKERS = (1, 2, 4)
 
 
 # ----------------------------------------------------------------------
@@ -245,41 +233,39 @@ def _workload_checkpoint_roundtrip(params: dict, seed: int) -> tuple[int, str]:
     return len(results), "results"
 
 
-def _run_service_load(params: dict, seed: int) -> dict:
-    """One in-process service campaign; returns the loadgen statistics."""
+def _workload_svc_loadgen(params: dict, seed: int) -> tuple[int, str]:
+    """One loopback :class:`~repro.service.server.WearService` campaign."""
     import asyncio
 
     from repro.service.client import run_loadgen
     from repro.service.server import ServiceConfig, WearService
 
-    async def drive() -> dict:
+    async def drive() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             config = ServiceConfig(ledger_dir=os.path.join(tmp, "ledger"),
                                    window_s=0.0005)
             service = WearService(config)
             host, port = await service.start()
             try:
-                return await run_loadgen(
+                await run_loadgen(
                     host, port, tenants=params["svc_tenants"],
                     requests=params["svc_requests"],
                     concurrency=params["svc_concurrency"], seed=seed)
             finally:
                 await service.shutdown()
 
-    return asyncio.run(drive())
-
-
-def _workload_svc_loadgen(params: dict, seed: int) -> tuple[int, str]:
-    _run_service_load(params, seed)
+    asyncio.run(drive())
     return params["svc_requests"], "requests"
 
 
-def _run_fleet_load(params: dict, seed: int) -> dict:
-    """One multi-shard fleet campaign; returns the fleet statistics.
+def _workload_svc_fleet(params: dict, seed: int) -> tuple:
+    """One supervised multi-shard fleet campaign.
 
-    Real subprocess shards under a supervisor - the measured number
-    includes process spawn, ledger recovery and tenant-hash routing,
-    exactly what a deployment pays.
+    Real subprocess shards under a supervisor, so the campaign includes
+    ledger recovery and tenant-hash routing, exactly what a deployment
+    pays.  The wall time is self-reported: the ~seconds of shard process
+    spawn and ready-file handshake would otherwise dominate (and jitter)
+    the measurement; the gated number is steady-state routed throughput.
     """
     import asyncio
 
@@ -291,17 +277,10 @@ def _run_fleet_load(params: dict, seed: int) -> dict:
             os.path.join(tmp, "fleet"), params["fleet_shards"],
             window_s=0.0005, snapshot_every=16)
         with supervisor:
-            return asyncio.run(run_fleet_loadgen(
+            stats = asyncio.run(run_fleet_loadgen(
                 supervisor.map_path, tenants=params["fleet_tenants"],
                 requests=params["fleet_requests"],
                 concurrency=params["fleet_concurrency"], seed=seed))
-
-
-def _workload_svc_fleet(params: dict, seed: int) -> tuple:
-    # Self-reported wall: the ~seconds of shard process spawn and
-    # ready-file handshake would otherwise dominate (and jitter) the
-    # measurement; the gated number is steady-state routed throughput.
-    stats = _run_fleet_load(params, seed)
     return params["fleet_requests"], "requests", stats["elapsed_s"]
 
 
@@ -410,103 +389,6 @@ def measure_disabled_overhead(repeats: int = 7, trials: int = 400,
         "instrumented_disabled_min_s": best_b,
         "instrumented_disabled_median_s": sorted(b_times)[len(b_times) // 2],
         "overhead_pct": (best_b - best_a) / best_a * 100.0,
-    }
-
-
-def measure_parallel_scaling(trials: int, seed: int = 0,
-                             worker_counts: tuple[int, ...] = SCALING_WORKERS,
-                             ) -> dict:
-    """Wall-clock scaling of the sharded campaign engine vs worker count.
-
-    Runs the pinned hardware-mode access-bound campaign (the dominant
-    per-trial-cost workload, embarrassingly parallel by construction)
-    through :func:`repro.sim.parallel.run_parallel_trials` at each
-    worker count - including 1, so the baseline carries the same pool
-    overhead and the reported speedup isolates actual scaling.  Results
-    are bit-identical across counts (the differential suite asserts it);
-    this function reports only the timing side: wall seconds,
-    throughput, and speedup relative to the 1-worker run.
-    """
-    from repro.sim.montecarlo import simulate_access_bounds_checkpointed
-
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
-    design = _bench_design(200)
-    # One warm-up pass so fork/pool start-up costs are paid before timing.
-    simulate_access_bounds_checkpointed(design, 2, seed, hardware=True,
-                                        workers=1)
-    configs = []
-    baseline_s: float | None = None
-    for workers in worker_counts:
-        started = time.perf_counter()
-        simulate_access_bounds_checkpointed(design, trials, seed,
-                                            hardware=True, workers=workers)
-        wall_s = time.perf_counter() - started
-        if baseline_s is None:
-            baseline_s = wall_s
-        configs.append({
-            "workers": workers,
-            "wall_s": wall_s,
-            "throughput_per_s": trials / wall_s if wall_s > 0 else None,
-            "speedup_vs_1": baseline_s / wall_s if wall_s > 0 else None,
-        })
-    return {
-        "workload": "mc.hardware.sharded",
-        "trials": trials,
-        "host_cpus": os.cpu_count(),
-        "configs": configs,
-    }
-
-
-def measure_service_load(params: dict, seed: int = 0) -> dict:
-    """End-to-end service throughput plus the achieved batch shape.
-
-    One loopback :class:`~repro.service.server.WearService` campaign at
-    the scale's pinned population; the section records what the compare
-    gate's ``svc.loadgen`` row cannot - the outcome mix and how well the
-    batching window actually coalesced concurrent requests.
-    """
-    stats = _run_service_load(params, seed)
-    service = stats.get("service", {})
-    return {
-        "workload": "svc.loadgen",
-        "tenants": params["svc_tenants"],
-        "requests": params["svc_requests"],
-        "concurrency": params["svc_concurrency"],
-        "requests_per_s": stats["requests_per_s"],
-        "served": stats["served"],
-        "outcomes": stats["outcomes"],
-        "latency_mean_s": stats["latency_mean_s"],
-        "rounds": service.get("rounds", 0),
-        "batch_size_mean": service.get("batch_size_mean", 0.0),
-        "batch_size_max": service.get("batch_size_max", 0),
-        "batch_sizes": service.get("batch_sizes", {}),
-    }
-
-
-def measure_fleet_load(params: dict, seed: int = 0) -> dict:
-    """Multi-shard fleet throughput plus the per-shard request split.
-
-    The multi-shard twin of :func:`measure_service_load`: one supervised
-    fleet campaign at the scale's pinned population (always >= 2
-    shards), recording what the compare gate's ``svc.fleet`` row cannot
-    - the outcome mix, the tenant-hash request split across shards, and
-    the retry/reconnect counts the routed client absorbed.
-    """
-    stats = _run_fleet_load(params, seed)
-    return {
-        "workload": "svc.fleet",
-        "shards": stats["shards"],
-        "tenants": params["fleet_tenants"],
-        "requests": params["fleet_requests"],
-        "concurrency": params["fleet_concurrency"],
-        "requests_per_s": stats["requests_per_s"],
-        "served": stats["served"],
-        "outcomes": stats["outcomes"],
-        "latency_mean_s": stats["latency_mean_s"],
-        "per_shard_requests": stats["per_shard_requests"],
-        "busy_retries": stats["busy_retries"],
-        "reconnects": stats["reconnects"],
     }
 
 
@@ -620,9 +502,6 @@ def run_bench_suite(scale: str = "smoke", seed: int = 0,
     overhead = measure_disabled_overhead(
         repeats=params["overhead_repeats"],
         trials=params["overhead_trials"], seed=seed)
-    scaling = measure_parallel_scaling(params["scaling_trials"], seed=seed)
-    service = measure_service_load(params, seed=seed)
-    fleet = measure_fleet_load(params, seed=seed)
     memory = measure_memory_ceilings(scale, seed=seed)
     from repro.runs.provenance import collect_provenance
 
@@ -642,9 +521,6 @@ def run_bench_suite(scale: str = "smoke", seed: int = 0,
         "provenance": collect_provenance(),
         "workloads": workloads,
         "overhead": overhead,
-        "scaling": scaling,
-        "service": service,
-        "fleet": fleet,
         "memory": memory,
     }
 
@@ -653,13 +529,6 @@ def run_bench_suite(scale: str = "smoke", seed: int = 0,
 _SECTION_KEYS = {
     "overhead": ("hot_path", "repeats", "trials", "baseline_min_s",
                  "instrumented_disabled_min_s", "overhead_pct"),
-    "scaling": ("workload", "trials", "host_cpus", "configs"),
-    "service": ("workload", "tenants", "requests", "concurrency",
-                "requests_per_s", "served", "outcomes", "rounds",
-                "batch_size_mean", "batch_size_max", "batch_sizes"),
-    "fleet": ("workload", "shards", "tenants", "requests", "concurrency",
-              "requests_per_s", "served", "outcomes", "per_shard_requests",
-              "busy_retries", "reconnects"),
     "memory": ("platform", "workloads"),
 }
 #: Required keys of every row of a report's lists of rows, by
@@ -667,8 +536,6 @@ _SECTION_KEYS = {
 _ROW_KEYS = {
     (None, "workloads"): ("name", "repeats", "units", "unit", "wall_s",
                           "throughput_per_s"),
-    ("scaling", "configs"): ("workers", "wall_s", "throughput_per_s",
-                             "speedup_vs_1"),
     ("memory", "workloads"): ("name", "peak_rss_bytes", "peak_rss_mib"),
 }
 _TOP_KEYS = ("schema_version", "kind", "date", "scale", "seed",
@@ -703,16 +570,13 @@ def validate_bench_report(payload: dict) -> None:
             bad = [key for key in required if key not in row]
             if bad:
                 raise ConfigurationError(
-                    f"{label} row {row.get('name', row.get('workers'))!r} "
+                    f"{label} row {row.get('name')!r} "
                     f"is missing {bad}")
     for workload in payload["workloads"]:
         for stat in ("min", "median", "mean", "max"):
             if stat not in workload["wall_s"]:
                 raise ConfigurationError(
                     f"workload {workload['name']!r} wall_s lacks {stat!r}")
-    if payload["fleet"]["shards"] < 2:
-        raise ConfigurationError(
-            "bench fleet section must span at least 2 shards")
 
 
 def compare_bench_reports(baseline: dict, candidate: dict,
@@ -855,7 +719,7 @@ def write_bench_report(payload: dict, path: str) -> None:
 
 
 def render_bench_report(payload: dict) -> str:
-    """The report's workload table and overhead line as text."""
+    """The report's workload table, overhead line and RSS ceilings."""
     from repro.viz.ascii import table
 
     rows = []
@@ -873,47 +737,12 @@ def render_bench_report(payload: dict) -> str:
                  rows, title=f"bench {payload['date']} "
                              f"(scale={payload['scale']})")
     overhead = payload["overhead"]
-    scaling = payload["scaling"]
-    scaling_rows = [(
-        f"{config['workers']}",
-        f"{config['wall_s'] * 1e3:,.1f}",
-        f"{config['throughput_per_s']:,.0f} trials/s"
-        if config["throughput_per_s"] else "-",
-        f"{config['speedup_vs_1']:.2f}x"
-        if config["speedup_vs_1"] else "-",
-    ) for config in scaling["configs"]]
-    scaling_text = table(
-        ("workers", "wall ms", "throughput", "speedup"), scaling_rows,
-        title=f"parallel scaling: {scaling['workload']} "
-              f"({scaling['trials']} trials, "
-              f"{scaling['host_cpus']} host CPUs)")
-    lines = [f"{text}\n\n{scaling_text}\n\n"
-             f"observability-disabled overhead on "
-             f"{overhead['hot_path']}: {overhead['overhead_pct']:+.2f}% "
-             f"(A={overhead['baseline_min_s'] * 1e3:.1f} ms, "
-             f"B={overhead['instrumented_disabled_min_s'] * 1e3:.1f} ms)"]
-    service = payload["service"]
-    outcomes = ", ".join(f"{status}={count}" for status, count
-                         in sorted(service["outcomes"].items()))
-    lines.append(
-        f"service load: {service['requests']} requests / "
-        f"{service['tenants']} tenants at "
-        f"{service['requests_per_s']:,.0f} req/s, "
-        f"{service['rounds']} rounds "
-        f"(mean batch {service['batch_size_mean']:.2f}, "
-        f"max {service['batch_size_max']}); outcomes: {outcomes}")
-    fleet = payload["fleet"]
-    outcomes = ", ".join(f"{status}={count}" for status, count
-                         in sorted(fleet["outcomes"].items()))
-    lines.append(
-        f"fleet load: {fleet['requests']} requests / "
-        f"{fleet['tenants']} tenants across {fleet['shards']} "
-        f"shards at {fleet['requests_per_s']:,.0f} req/s "
-        f"(per-shard split {fleet['per_shard_requests']}, "
-        f"{fleet['busy_retries']} busy retries, "
-        f"{fleet['reconnects']} reconnects); outcomes: {outcomes}")
     ceilings = ", ".join(
         f"{row['name']}={row['peak_rss_mib']:,.0f} MiB"
         for row in payload["memory"]["workloads"])
-    lines.append(f"peak RSS ceilings: {ceilings}")
-    return "\n".join(lines)
+    return (f"{text}\n\n"
+            f"observability-disabled overhead on "
+            f"{overhead['hot_path']}: {overhead['overhead_pct']:+.2f}% "
+            f"(A={overhead['baseline_min_s'] * 1e3:.1f} ms, "
+            f"B={overhead['instrumented_disabled_min_s'] * 1e3:.1f} ms)\n"
+            f"peak RSS ceilings: {ceilings}")

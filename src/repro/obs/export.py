@@ -3,10 +3,9 @@
 This module is the *format* half of the fleet telemetry plane (the
 *collection* half is :mod:`repro.obs.aggregate`):
 
-- :func:`peak_rss_bytes` - the process's lifetime peak RSS, normalized
-  to bytes across platforms (``ru_maxrss`` is bytes on macOS, KiB
-  elsewhere).  Shared by the bench memory probes and the service
-  ``metrics`` op.
+- :func:`peak_rss_bytes` - the process's lifetime peak RSS in bytes
+  (``VmHWM`` on Linux, ``ru_maxrss`` elsewhere).  Shared by the bench
+  memory probes and the service ``metrics`` op.
 - :func:`render_prometheus` - a fleet snapshot (see
   :func:`repro.obs.aggregate.build_fleet_snapshot`) as a
   Prometheus-style text exposition: per-shard liveness/RSS/restart
@@ -48,7 +47,18 @@ __all__ = [
 
 
 def peak_rss_bytes() -> int:
-    """Lifetime peak resident-set size of this process, in bytes."""
+    """Lifetime peak resident-set size of this process, in bytes.
+
+    On Linux a spawned child's ``ru_maxrss`` starts at its parent's
+    peak, so a shard or memory probe started from a large process would
+    report that process's size; ``VmHWM`` in ``/proc/self/status`` is
+    the high-water mark of this process's own memory.
+    """
+    if sys.platform.startswith("linux"):
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is bytes on macOS, kilobytes everywhere else.
     return int(rss if sys.platform == "darwin" else rss * 1024)

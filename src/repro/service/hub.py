@@ -212,6 +212,9 @@ class WearHub:
     #: Most-recent ``(tenant, request_id) -> response`` entries retained
     #: for idempotent retry replay.  Bounded FIFO: a retry arriving
     #: after this many *newer* keyed requests is treated as new traffic.
+    #: Only responses to logged accesses are retained, so a recovered
+    #: hub retains exactly what the live one did; a keyed request to an
+    #: already-exhausted tenant is neither logged nor retained.
     RESPONSE_RETENTION = 4096
 
     def __init__(self, ledger: WearLedger,
@@ -309,12 +312,17 @@ class WearHub:
         a ``(tenant, request_id, trace_id)`` triple.  A request whose
         ``request_id`` already has a retained response is answered from
         the response table - no WAL record, no wear (the retry arrived
-        after its original attempt committed).  Otherwise the round's
-        access records (idempotency key and trace id included) are
-        appended to the WAL in one durable write *before* the engine
-        runs, then one ``step_access`` kernel call per pool and each
-        tenant's keystore recovery finish the responses.  Returns
-        ``{tenant: response}``.
+        after its original attempt committed).  A request to an
+        already-exhausted tenant is denied with no WAL record and is not
+        retained: its ``attempts`` and ``served`` no longer change, so a
+        retry is answered with an equal response, recomputed.  At the
+        server such a retry therefore meets the draining, busy,
+        rate-limit and capacity gates like new traffic, as it does at a
+        recovered shard.  Otherwise the round's access records
+        (idempotency key and trace id included) are appended to the WAL
+        in one durable write *before* the engine runs, then one
+        ``step_access`` kernel call per pool and each tenant's keystore
+        recovery finish the responses.  Returns ``{tenant: response}``.
 
         Trace ids are client-supplied correlation tokens: persisting
         them in the WAL is what lets one merged timeline follow a
@@ -356,8 +364,6 @@ class WearHub:
                 rids[name] = rid
             if tenant.exhausted:
                 responses[name] = self._exhausted_response(tenant)
-                if rid is not None:
-                    self._record_response(name, rid, responses[name])
             else:
                 live.append(tenant)
         if live:

@@ -14,18 +14,14 @@ ledger are recovered by both arms, and every pool array, counter,
 exported fault state and retained response (in FIFO order) must match,
 as must the responses of the rounds served after recovery.
 
-The recovered hub must also equal the hub that never crashed, except
-in its retained-response table: a keyed request that reaches an
-already-exhausted tenant is answered and retained live but never logged
-(it charged no wear), so no recovery can retain it.  The driver keeps
-the table the durable history implies instead - the live table at each
-snapshot, then every logged keyed response, evicted at the same bound -
-and the recovered table must equal that one.
+The recovered hub must also equal the hub that never crashed, its
+retained-response table included: the hub retains only responses to
+logged accesses, so everything the live hub retains a recovery can
+rebuild.
 """
 
 import shutil
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 from unittest import mock
 
@@ -85,12 +81,10 @@ def _provision(hub, index, spec):
     assert response["status"] == "ok", response
 
 
-def _drive_history(hub, specs, ops) -> OrderedDict:
-    """Run ``ops`` on ``hub``; returns the retained responses a recovery
-    of its ledger must hold."""
+def _drive_history(hub, specs, ops) -> None:
+    """Run ``ops`` on ``hub``."""
     _provision(hub, 0, specs[0])
     provisioned = 1
-    durable: OrderedDict = OrderedDict()
     for kind, round_, rotate in ops:
         if kind == "provision":
             if provisioned < len(specs):
@@ -98,7 +92,6 @@ def _drive_history(hub, specs, ops) -> OrderedDict:
                 provisioned += 1
         elif kind == "snapshot":
             hub.write_snapshot()
-            durable = OrderedDict(hub._responses)
             if rotate:
                 hub.ledger.rotate_segment()
         else:
@@ -106,18 +99,8 @@ def _drive_history(hub, specs, ops) -> OrderedDict:
             for index, rid in round_:
                 name = f"t{index % provisioned}"
                 items.setdefault(name, None if rid is None else f"r{rid}")
-            logged = [(name, rid) for name, rid in items.items()
-                      if rid is not None
-                      and hub.recorded_response(name, rid) is None
-                      and not hub.tenants[name].exhausted]
-            responses = hub.serve_round(
-                [name if rid is None else (name, rid)
-                 for name, rid in items.items()])
-            for name, rid in logged:
-                durable[(name, rid)] = responses[name]
-                while len(durable) > hub.response_retention:
-                    durable.popitem(last=False)
-    return durable
+            hub.serve_round([name if rid is None else (name, rid)
+                             for name, rid in items.items()])
 
 
 def _serve_next(hub) -> list[dict]:
@@ -174,7 +157,7 @@ def test_grouped_replay_matches_per_record_replay_and_the_live_hub(
         live = WearHub(WearLedger(str(root / "live")),
                        response_retention=retention)
         live.ledger.open_for_append()
-        durable = _drive_history(live, specs, ops)
+        _drive_history(live, specs, ops)
         live.ledger.close()
         for arm in ("grouped", "reference"):
             shutil.copytree(root / "live", root / arm)
@@ -186,7 +169,7 @@ def test_grouped_replay_matches_per_record_replay_and_the_live_hub(
         _assert_same_state(reference, grouped)
         assert _retained(grouped) == _retained(reference)
         _assert_same_state(live, grouped)
-        assert _retained(grouped) == list(durable.items())
+        assert _retained(grouped) == _retained(live)
 
         live.ledger.open_for_append()
         hubs = (live, grouped, reference)
@@ -198,3 +181,4 @@ def test_grouped_replay_matches_per_record_replay_and_the_live_hub(
         _assert_same_state(reference, grouped)
         assert _retained(grouped) == _retained(reference)
         _assert_same_state(live, grouped)
+        assert _retained(grouped) == _retained(live)

@@ -9,11 +9,9 @@ from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
     MEMORY_WORKLOADS,
     SCALES,
-    SCALING_WORKERS,
     compare_bench_reports,
     measure_disabled_overhead,
     measure_memory_ceilings,
-    measure_parallel_scaling,
     render_bench_comparison,
     render_bench_report,
     run_bench_suite,
@@ -33,6 +31,10 @@ def tiny_report():
 class TestBenchSuite:
     def test_report_is_schema_valid(self, tiny_report):
         validate_bench_report(tiny_report)
+        # Metadata plus exactly the sections a gate reads.
+        assert list(tiny_report) == [
+            "schema_version", "kind", "date", "created", "scale", "seed",
+            "environment", "provenance", "workloads", "overhead", "memory"]
         assert tiny_report["schema_version"] == BENCH_SCHEMA_VERSION
         assert tiny_report["kind"] == "bench-report"
         assert tiny_report["scale"] == "tiny"
@@ -68,42 +70,6 @@ class TestBenchSuite:
     def test_scales_share_parameter_keys(self):
         keys = {frozenset(params) for params in SCALES.values()}
         assert len(keys) == 1
-
-
-class TestScalingReport:
-    def test_report_has_a_config_per_worker_count(self, tiny_report):
-        scaling = tiny_report["scaling"]
-        assert scaling["workload"] == "mc.hardware.sharded"
-        assert scaling["trials"] == SCALES["tiny"]["scaling_trials"]
-        assert scaling["host_cpus"] >= 1
-        assert [c["workers"] for c in scaling["configs"]] \
-            == list(SCALING_WORKERS)
-        for config in scaling["configs"]:
-            assert config["wall_s"] > 0
-            assert config["throughput_per_s"] > 0
-            assert config["speedup_vs_1"] > 0
-        # Speedup is normalized to the 1-worker config of the same run.
-        baseline = scaling["configs"][0]
-        assert baseline["speedup_vs_1"] == pytest.approx(1.0)
-
-    def test_render_includes_scaling_table(self, tiny_report):
-        text = render_bench_report(tiny_report)
-        assert "parallel scaling" in text
-        assert "speedup" in text
-
-    def test_standalone_measurement_validates_trials(self):
-        with pytest.raises(ConfigurationError):
-            measure_parallel_scaling(0)
-
-    def test_validator_rejects_missing_scaling_keys(self, tiny_report):
-        broken = json.loads(json.dumps(tiny_report))
-        del broken["scaling"]["configs"][0]["speedup_vs_1"]
-        with pytest.raises(ConfigurationError):
-            validate_bench_report(broken)
-        broken = json.loads(json.dumps(tiny_report))
-        del broken["scaling"]
-        with pytest.raises(ConfigurationError):
-            validate_bench_report(broken)
 
 
 class TestOverheadMeasurement:
@@ -150,72 +116,28 @@ class TestValidator:
             validate_bench_report(broken)
 
     def test_refuses_other_schema_versions(self, tiny_report):
-        # A schema-5 report carries the since-deleted engine and
-        # capacity sections; only the schema this module writes is read.
+        # Schema 5 carried the since-deleted engine and capacity
+        # sections, schema 6 the scaling, service and fleet ones; only
+        # the schema this module writes is read.
         v5 = json.loads(json.dumps(tiny_report))
         v5["schema_version"] = 5
         v5["engine"] = {"workload": "mc.hardware", "speedup": 1.0}
         v5["capacity"] = {"gate_ok": True}
-        with pytest.raises(ConfigurationError,
-                           match=f"schema 5 is not {BENCH_SCHEMA_VERSION}"):
-            validate_bench_report(v5)
-        with pytest.raises(ConfigurationError, match="schema 5"):
-            compare_bench_reports(v5, tiny_report)
-
-
-class TestServiceSection:
-    def test_report_carries_the_service_load(self, tiny_report):
-        service = tiny_report["service"]
-        assert service["workload"] == "svc.loadgen"
-        assert service["tenants"] == SCALES["tiny"]["svc_tenants"]
-        assert service["requests"] == SCALES["tiny"]["svc_requests"]
-        assert service["served"] > 0
-        assert service["requests_per_s"] > 0
-        assert service["rounds"] > 0
-        assert service["batch_size_mean"] > 0
-        assert sum(service["outcomes"].values()) == service["requests"]
-
-    def test_render_includes_the_service_line(self, tiny_report):
-        text = render_bench_report(tiny_report)
-        assert "service load" in text
-        assert "req/s" in text
-
-
-class TestFleetSection:
-    def test_report_carries_the_fleet_load(self, tiny_report):
-        fleet = tiny_report["fleet"]
-        assert fleet["workload"] == "svc.fleet"
-        assert fleet["shards"] == SCALES["tiny"]["fleet_shards"]
-        assert fleet["shards"] >= 2
-        assert fleet["tenants"] == SCALES["tiny"]["fleet_tenants"]
-        assert fleet["requests"] == SCALES["tiny"]["fleet_requests"]
-        assert fleet["served"] > 0
-        assert fleet["requests_per_s"] > 0
-        assert sum(fleet["outcomes"].values()) == fleet["requests"]
-        assert len(fleet["per_shard_requests"]) == fleet["shards"]
-        assert sum(fleet["per_shard_requests"]) == fleet["requests"]
-
-    def test_render_includes_the_fleet_line(self, tiny_report):
-        text = render_bench_report(tiny_report)
-        assert "fleet load" in text
-        assert "shards" in text
-
-    def test_schema_4_requires_the_fleet_section(self, tiny_report):
-        broken = json.loads(json.dumps(tiny_report))
-        del broken["fleet"]
-        with pytest.raises(ConfigurationError):
-            validate_bench_report(broken)
-        broken = json.loads(json.dumps(tiny_report))
-        del broken["fleet"]["per_shard_requests"]
-        with pytest.raises(ConfigurationError):
-            validate_bench_report(broken)
-
-    def test_single_shard_fleet_rejected(self, tiny_report):
-        broken = json.loads(json.dumps(tiny_report))
-        broken["fleet"]["shards"] = 1
-        with pytest.raises(ConfigurationError,
-                           match="at least 2 shards"):
-            validate_bench_report(broken)
+        v6 = json.loads(json.dumps(tiny_report))
+        v6["schema_version"] = 6
+        v6["scaling"] = {"workload": "mc.hardware.sharded", "trials": 16,
+                         "host_cpus": 2, "configs": []}
+        v6["service"] = {"workload": "svc.loadgen", "served": 12}
+        v6["fleet"] = {"workload": "svc.fleet", "shards": 2}
+        for old in (v5, v6):
+            version = old["schema_version"]
+            with pytest.raises(
+                    ConfigurationError,
+                    match=f"schema {version} is not {BENCH_SCHEMA_VERSION}"):
+                validate_bench_report(old)
+            with pytest.raises(ConfigurationError,
+                               match=f"schema {version}"):
+                compare_bench_reports(old, tiny_report)
 
 
 class TestMemorySection:
@@ -239,11 +161,10 @@ class TestMemorySection:
             measure_memory_ceilings("galactic")
 
     def test_schema_3_requires_both_sections(self, tiny_report):
-        for section in ("service", "memory"):
-            broken = json.loads(json.dumps(tiny_report))
-            del broken[section]
-            with pytest.raises(ConfigurationError):
-                validate_bench_report(broken)
+        broken = json.loads(json.dumps(tiny_report))
+        del broken["memory"]
+        with pytest.raises(ConfigurationError):
+            validate_bench_report(broken)
         broken = json.loads(json.dumps(tiny_report))
         del broken["memory"]["workloads"][0]["peak_rss_bytes"]
         with pytest.raises(ConfigurationError):

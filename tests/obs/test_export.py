@@ -1,6 +1,9 @@
 """Export formats: Prometheus exposition, timeline assembly, RSS probe."""
 
 import json
+import os
+import subprocess
+import sys
 
 from repro.obs.export import (
     _metric_name,
@@ -15,11 +18,33 @@ from repro.obs.export import (
 from repro.obs.recorder import MetricsRegistry
 
 
+_RSS_CHILD = """\
+from repro.obs.export import peak_rss_bytes
+print(peak_rss_bytes())
+"""
+
+
 class TestPeakRss:
     def test_positive_and_plausible(self):
         rss = peak_rss_bytes()
         # A running CPython interpreter occupies at least a few MiB.
         assert rss > 4 * 2**20
+
+    def test_spawned_child_reports_its_own_peak(self):
+        # A child's ru_maxrss starts at its parent's peak on Linux; the
+        # probe must report the child's memory, not this ballast.
+        ballast = bytearray(b"\x01") * (400 * 2**20)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(os.path.dirname(__file__),
+                                       "..", "..", "src"),
+                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _RSS_CHILD],
+                              capture_output=True, text=True, env=env,
+                              check=True, timeout=60)
+        del ballast
+        child_rss = int(proc.stdout.strip())
+        assert 4 * 2**20 < child_rss < 200 * 2**20
 
 
 class TestMetricNames:

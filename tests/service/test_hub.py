@@ -284,6 +284,24 @@ class TestIdempotency:
         assert again == response
         assert hub.idempotent_replays == 1
 
+    def test_keyed_request_to_an_exhausted_tenant_is_not_retained(
+            self, hub):
+        hub.provision(_provision_request(n=1, k=1, copies=1, alpha=0.5,
+                                         beta=6.0))
+        while not hub.tenants["t0"].exhausted:
+            hub.serve_round(["t0"])
+        before = hub.ledger.next_seq
+        first = hub.serve_round([("t0", "late")])["t0"]
+        assert first["status"] == "exhausted"
+        # Nothing logged, so nothing retained: a recovered hub could not
+        # retain it either.
+        assert hub.ledger.next_seq == before
+        assert hub.recorded_response("t0", "late") is None
+        again = hub.serve_round([("t0", "late")])["t0"]
+        assert again == first
+        assert hub.ledger.next_seq == before
+        assert hub.idempotent_replays == 0
+
     def test_plain_string_rounds_still_work(self, hub):
         hub.provision(_provision_request())
         response = hub.serve_round(["t0"])["t0"]

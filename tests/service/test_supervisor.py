@@ -51,6 +51,10 @@ class TestFailover:
                 sup.map_path, tenants=4, requests=24, concurrency=4,
                 seed=5, retry=retry))
             assert stats["served"] > 0
+            assert sum(stats["outcomes"].values()) == 24
+            # Tenant-hash routing accounts for every request, per shard.
+            assert len(stats["per_shard_requests"]) == 2
+            assert sum(stats["per_shard_requests"]) == 24
 
             sup.kill_shard(0)
             assert sup.alive() == [False, True]
