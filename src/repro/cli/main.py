@@ -36,10 +36,13 @@ Subcommands mirror the workflows a user of the paper's system needs:
   replays the pinned ground-truth coverage sweep (``--gate`` exits 5
   on failure)
 
-Every artifact-producing subcommand records itself in the SQLite run
-registry (``--runs-db`` / ``$REPRO_RUNS_DB`` / ``./runs.db``): resolved
-params, seed, git provenance, outcome, and the artifacts it wrote.
-``--no-record`` opts out; see ``docs/runs.md``.
+Every subcommand that takes ``--no-record`` records itself in the
+SQLite run registry (``--runs-db`` / ``$REPRO_RUNS_DB`` /
+``./runs.db``): resolved params, seed, git provenance, outcome, and the
+artifacts it wrote.  ``--no-record`` opts out; see ``docs/runs.md``.
+Each handler is ``cmd_<subcommand>(args, run) -> int``; ``main`` and
+pipeline steps each open the run row and run the handler through
+:func:`run_command`, which owns the observability session.
 
 Commands that do real work accept the observability flags
 ``--metrics-out`` (JSON metrics snapshot), ``--trace-out`` (JSONL span
@@ -95,7 +98,7 @@ from repro.sim.montecarlo import simulate_access_bounds, summarize_bounds
 from repro.sim.rng import make_rng, set_default_seed
 from repro.viz.ascii import line_chart
 
-__all__ = ["main", "build_parser"]
+__all__ = ["build_parser", "main", "run_command"]
 
 
 def _add_runs_db_argument(parser: argparse.ArgumentParser) -> None:
@@ -114,19 +117,19 @@ def _add_record_arguments(parser: argparse.ArgumentParser) -> None:
 _RECORD_EXCLUDE = frozenset({"command", "func", "no_record", "runs_db"})
 
 
-def _record_params(args) -> dict:
-    """The fully resolved invocation parameters, for the run row."""
-    return {key: value for key, value in sorted(vars(args).items())
-            if key not in _RECORD_EXCLUDE}
+def _recorder(args):
+    """The run row of one invocation; inert unless it takes --no-record.
 
-
-def _recorder(args, subcommand: str, *, seed: int | None = None,
-              enabled: bool = True):
+    The row's params are the fully resolved invocation parameters.
+    """
     from repro.runs.recorder import RunRecorder
 
-    return RunRecorder(subcommand, _record_params(args),
-                       db_path=args.runs_db, seed=seed,
-                       enabled=enabled and not args.no_record)
+    params = {key: value for key, value in sorted(vars(args).items())
+              if key not in _RECORD_EXCLUDE}
+    return RunRecorder(args.command, params,
+                       db_path=getattr(args, "runs_db", None),
+                       seed=getattr(args, "seed", None),
+                       enabled=not getattr(args, "no_record", True))
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -153,8 +156,9 @@ def _obs_session(args):
     can never leak state into the next command (tests drive ``main``
     repeatedly in-process).
     """
-    wants = (args.metrics_out is not None or args.trace_out is not None
-             or args.obs_summary is not None
+    wants = (getattr(args, "metrics_out", None) is not None
+             or getattr(args, "trace_out", None) is not None
+             or getattr(args, "obs_summary", None) is not None
              or getattr(args, "obs_metrics", False))
     if not wants:
         yield False
@@ -231,18 +235,17 @@ def _design_point(args):
                              window=args.window)
 
 
-def cmd_design(args) -> int:
+def cmd_design(args, run) -> int:
     point = _design_point(args)
+    run.set_summary({"kind": "design",
+                     "total_devices": point.total_devices,
+                     "guaranteed": point.guaranteed_accesses})
     if args.save:
         from repro.core.serialize import dumps_design
 
-        with _recorder(args, "design") as run:
-            with open(args.save, "w", encoding="utf-8") as handle:
-                handle.write(dumps_design(point) + "\n")
-            run.add_artifact(args.save)
-            run.set_summary({"kind": "design",
-                             "total_devices": point.total_devices,
-                             "guaranteed": point.guaranteed_accesses})
+        with open(args.save, "w", encoding="utf-8") as handle:
+            handle.write(dumps_design(point) + "\n")
+        run.add_artifact(args.save)
         print(f"design saved to {args.save}")
     print(f"device:      Weibull(alpha={args.alpha}, beta={args.beta})")
     print(f"bank:        {point.k}-of-{point.n} switches")
@@ -260,7 +263,7 @@ def cmd_design(args) -> int:
     return 0
 
 
-def cmd_advise(args) -> int:
+def cmd_advise(args, run) -> int:
     from repro.core.advisor import AdvisorConstraints, advise
 
     constraints = AdvisorConstraints(
@@ -284,7 +287,12 @@ def cmd_advise(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, run) -> int:
+    if not args.step > 0 or args.alpha_max < args.alpha_min:
+        raise ConfigurationError(
+            f"sweep needs --step > 0 and --alpha-min <= --alpha-max "
+            f"(got --step {args.step:g} over alpha {args.alpha_min:g} "
+            f"to {args.alpha_max:g})")
     alphas = np.arange(args.alpha_min, args.alpha_max + 1e-9, args.step)
     results = sweep_alpha(alphas, args.beta, args.bound,
                           k_fraction=args.k_fraction,
@@ -303,7 +311,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args, run) -> int:
     point = _design_point(args)
     model = PasswordModel()
     budget = point.guaranteed_accesses - args.legitimate_uses
@@ -319,7 +327,7 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def cmd_pads(args) -> int:
+def cmd_pads(args, run) -> int:
     device = WeibullDistribution(alpha=args.alpha, beta=args.beta)
     if args.design:
         from repro.pads.design import design_pad
@@ -369,48 +377,43 @@ def _resolve_workers(args) -> int | None:
     return workers if workers > 1 else None
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, run) -> int:
     point = _design_point(args)
-    rng = make_rng(args.seed)
     checkpointed = args.checkpoint is not None or args.workers is not None \
         or args.hardware
-    with _recorder(args, "simulate", seed=args.seed) as run, \
-            _obs_session(args):
-        started = time.perf_counter()
-        with OBS.span("cli.simulate", trials=args.trials, seed=args.seed):
-            if checkpointed:
-                from repro.sim.montecarlo import (
-                    simulate_access_bounds_checkpointed,
-                )
+    started = time.perf_counter()
+    if checkpointed:
+        from repro.sim.montecarlo import simulate_access_bounds_checkpointed
 
-                bounds = simulate_access_bounds_checkpointed(
-                    point, args.trials, args.seed,
-                    checkpoint_path=args.checkpoint,
-                    checkpoint_every=args.checkpoint_every,
-                    hardware=args.hardware,
-                    workers=_resolve_workers(args))
-            else:
-                bounds = simulate_access_bounds(point, args.trials, rng)
-        elapsed = time.perf_counter() - started
-        summary = summarize_bounds(bounds)
-        print(f"simulated {summary.trials} fabricated instances:")
-        print(f"  mean bound: {summary.mean:,.1f} (std {summary.std:.1f})")
-        print(f"  min/p01/p50/p99/max: {summary.minimum:,} / "
-              f"{summary.p01:,.0f} / {summary.p50:,.0f} / "
-              f"{summary.p99:,.0f} / {summary.maximum:,}")
-        meets = float((bounds >= point.access_bound).mean())
-        print(f"  P[meets legitimate bound {point.access_bound:,}]: "
-              f"{meets:.3f}")
-        _print_wall_clock("trials", args.trials, elapsed)
-        run.set_summary({"kind": "simulate", "trials": summary.trials,
-                         "mean": summary.mean, "p50": summary.p50,
-                         "meets_bound": meets})
-        if args.checkpoint and os.path.exists(args.checkpoint):
-            run.add_artifact(args.checkpoint)
+        bounds = simulate_access_bounds_checkpointed(
+            point, args.trials, args.seed,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            hardware=args.hardware,
+            workers=_resolve_workers(args))
+    else:
+        bounds = simulate_access_bounds(point, args.trials,
+                                        make_rng(args.seed))
+    elapsed = time.perf_counter() - started
+    summary = summarize_bounds(bounds)
+    print(f"simulated {summary.trials} fabricated instances:")
+    print(f"  mean bound: {summary.mean:,.1f} (std {summary.std:.1f})")
+    print(f"  min/p01/p50/p99/max: {summary.minimum:,} / "
+          f"{summary.p01:,.0f} / {summary.p50:,.0f} / "
+          f"{summary.p99:,.0f} / {summary.maximum:,}")
+    meets = float((bounds >= point.access_bound).mean())
+    print(f"  P[meets legitimate bound {point.access_bound:,}]: "
+          f"{meets:.3f}")
+    _print_wall_clock("trials", args.trials, elapsed)
+    run.set_summary({"kind": "simulate", "trials": summary.trials,
+                     "mean": summary.mean, "p50": summary.p50,
+                     "meets_bound": meets})
+    if args.checkpoint and os.path.exists(args.checkpoint):
+        run.add_artifact(args.checkpoint)
     return 0
 
 
-def cmd_faults(args) -> int:
+def cmd_faults(args, run) -> int:
     from repro.faults.campaign import FaultCampaignConfig, run_fault_campaign
 
     point = _design_point(args)
@@ -434,54 +437,50 @@ def cmd_faults(args) -> int:
         if resumed is not None:
             print(f"resuming from {args.checkpoint} "
                   f"({resumed['completed']}/{args.trials} trials done)")
-    with _recorder(args, "faults", seed=args.seed) as run, \
-            _obs_session(args):
-        started = time.perf_counter()
-        with OBS.span("cli.faults", trials=args.trials, seed=args.seed):
-            report = run_fault_campaign(point, config, trials=args.trials,
-                                        seed=args.seed,
-                                        checkpoint_path=args.checkpoint,
-                                        checkpoint_every=
-                                        args.checkpoint_every,
-                                        workers=_resolve_workers(args))
-        elapsed = time.perf_counter() - started
-        print(f"design: {point.k}-of-{point.n} x {point.copies} copies, "
-              f"device Weibull({args.alpha}, {args.beta})")
-        print(report.render())
-        _print_wall_clock("trials", args.trials, elapsed)
-        run.set_summary({"kind": "fault-campaign",
-                         "trials": report.trials,
-                         "ceiling": report.ceiling,
-                         "violation_rate": report.violation_rate,
-                         "availability": report.availability,
-                         "mean_served": report.mean_served})
-        if args.checkpoint and os.path.exists(args.checkpoint):
-            run.add_artifact(args.checkpoint)
-        if report.violation_rate > 0:
-            run.record_failure(
-                f"{report.violation_rate:.2%} of instances violated "
-                f"the security ceiling")
-    return 1 if report.violation_rate > 0 else 0
+    started = time.perf_counter()
+    report = run_fault_campaign(point, config, trials=args.trials,
+                                seed=args.seed,
+                                checkpoint_path=args.checkpoint,
+                                checkpoint_every=args.checkpoint_every,
+                                workers=_resolve_workers(args))
+    elapsed = time.perf_counter() - started
+    print(f"design: {point.k}-of-{point.n} x {point.copies} copies, "
+          f"device Weibull({args.alpha}, {args.beta})")
+    print(report.render())
+    _print_wall_clock("trials", args.trials, elapsed)
+    run.set_summary({"kind": "fault-campaign",
+                     "trials": report.trials,
+                     "ceiling": report.ceiling,
+                     "violation_rate": report.violation_rate,
+                     "availability": report.availability,
+                     "mean_served": report.mean_served})
+    if args.checkpoint and os.path.exists(args.checkpoint):
+        run.add_artifact(args.checkpoint)
+    if report.violation_rate > 0:
+        run.record_failure(
+            f"{report.violation_rate:.2%} of instances violated "
+            f"the security ceiling")
+        return 1
+    return 0
 
 
-def cmd_experiments(args) -> int:
+def cmd_experiments(args, run) -> int:
     from repro.experiments.registry import EXPERIMENTS
 
     ids = args.ids or list(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment ids: {unknown}", file=sys.stderr)
+        run.record_failure(f"unknown experiment ids: {unknown}")
         return 2
-    with _recorder(args, "experiments") as run, _obs_session(args):
-        for experiment_id in ids:
-            with run.child("experiment", {"id": experiment_id}) as figure:
-                with OBS.span(f"experiment.{experiment_id}"):
-                    rendered = EXPERIMENTS[experiment_id]().render()
-                figure.set_summary({"kind": "experiment",
-                                    "id": experiment_id})
-            print(rendered)
-            print()
-        run.set_summary({"kind": "experiments", "ids": list(ids)})
+    for experiment_id in ids:
+        with run.child("experiment", {"id": experiment_id}) as figure:
+            with OBS.span(f"experiment.{experiment_id}"):
+                rendered = EXPERIMENTS[experiment_id]().render()
+            figure.set_summary({"kind": "experiment", "id": experiment_id})
+        print(rendered)
+        print()
+    run.set_summary({"kind": "experiments", "ids": list(ids)})
     return 0
 
 
@@ -537,15 +536,7 @@ def _auto_bench_baseline(args, current_run_id: str | None) -> dict | None:
         store.close()
 
 
-def cmd_bench(args) -> int:
-    with _recorder(args, "bench", seed=args.seed) as run:
-        code = _bench_body(args, run)
-        if code != 0:
-            run.record_failure(f"bench exited {code}")
-    return code
-
-
-def _bench_body(args, run) -> int:
+def cmd_bench(args, run) -> int:
     from repro.obs.bench import (
         compare_bench_reports,
         measure_disabled_overhead,
@@ -556,9 +547,8 @@ def _bench_body(args, run) -> int:
     )
     from repro.runs.report import bench_run_summary
 
-    with _obs_session(args):
-        report = run_bench_suite(args.scale, seed=args.seed,
-                                 repeats=args.repeats)
+    report = run_bench_suite(args.scale, seed=args.seed,
+                             repeats=args.repeats)
     run.set_summary(bench_run_summary(report))
     print(render_bench_report(report))
     if args.out:
@@ -636,7 +626,7 @@ def _bench_body(args, run) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args, run) -> int:
     import asyncio
 
     from repro.service.server import ServiceConfig, run_service
@@ -659,15 +649,13 @@ def cmd_serve(args) -> int:
         capacity_refresh=args.capacity_refresh,
         capacity_seed=args.capacity_seed,
     )
-    with _recorder(args, "serve") as run, _obs_session(args):
-        with OBS.span("cli.serve", ledger=args.ledger):
-            asyncio.run(run_service(config))
-        run.add_artifact(args.ledger, digest=False)
+    asyncio.run(run_service(config))
+    run.add_artifact(args.ledger, digest=False)
     print("service drained cleanly")
     return 0
 
 
-def cmd_loadgen(args) -> int:
+def cmd_loadgen(args, run) -> int:
     import asyncio
 
     from repro.service.client import read_ready_file, run_loadgen
@@ -687,43 +675,40 @@ def cmd_loadgen(args) -> int:
     population_kwargs = {"n": args.n, "k": args.k, "copies": args.copies,
                          "alpha": args.alpha, "beta": args.beta,
                          "scheme": args.scheme}
-    retry = _retry_policy(args)
-    with _recorder(args, "loadgen", seed=args.seed) as run, \
-            _obs_session(args):
-        started = time.perf_counter()
-        with OBS.span("cli.loadgen", requests=args.requests):
-            stats = asyncio.run(run_loadgen(
-                host, port, tenants=args.tenants, requests=args.requests,
-                concurrency=args.concurrency, seed=args.seed,
-                faults=faults, drain=args.drain, retry=retry,
-                population_kwargs=population_kwargs))
-        elapsed = time.perf_counter() - started
-        print(f"loadgen: {stats['requests']} requests over "
-              f"{stats['tenants']} tenants "
-              f"({stats['requests_per_s']:,.1f} req/s)")
-        for status, count in stats["outcomes"].items():
-            print(f"  {status:<14} {count}")
-        service = stats.get("service") or {}
-        if service:
-            print(f"  batched into {service.get('rounds', 0)} rounds "
-                  f"(mean size {service.get('batch_size_mean', 0):.2f}, "
-                  f"max {service.get('batch_size_max', 0)})")
-        _print_latency_split(stats.get("latency_split"))
-        _print_wall_clock("requests", args.requests, elapsed)
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                json.dump(stats, handle, indent=2)
-                handle.write("\n")
-            run.add_artifact(args.json_out)
-            print(f"loadgen stats written to {args.json_out}")
-        run.set_summary({"kind": "loadgen",
-                         "requests": stats["requests"],
-                         "served": stats["served"],
-                         "requests_per_s": stats["requests_per_s"],
-                         "outcomes": stats["outcomes"]})
-        if stats["served"] == 0:
-            run.record_failure("no request was served")
-    return 0 if stats["served"] > 0 else 1
+    started = time.perf_counter()
+    stats = asyncio.run(run_loadgen(
+        host, port, tenants=args.tenants, requests=args.requests,
+        concurrency=args.concurrency, seed=args.seed,
+        faults=faults, drain=args.drain, retry=_retry_policy(args),
+        population_kwargs=population_kwargs))
+    elapsed = time.perf_counter() - started
+    print(f"loadgen: {stats['requests']} requests over "
+          f"{stats['tenants']} tenants "
+          f"({stats['requests_per_s']:,.1f} req/s)")
+    for status, count in stats["outcomes"].items():
+        print(f"  {status:<14} {count}")
+    service = stats.get("service") or {}
+    if service:
+        print(f"  batched into {service.get('rounds', 0)} rounds "
+              f"(mean size {service.get('batch_size_mean', 0):.2f}, "
+              f"max {service.get('batch_size_max', 0)})")
+    _print_latency_split(stats.get("latency_split"))
+    _print_wall_clock("requests", args.requests, elapsed)
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as handle:
+            json.dump(stats, handle, indent=2)
+            handle.write("\n")
+        run.add_artifact(args.json_out)
+        print(f"loadgen stats written to {args.json_out}")
+    run.set_summary({"kind": "loadgen",
+                     "requests": stats["requests"],
+                     "served": stats["served"],
+                     "requests_per_s": stats["requests_per_s"],
+                     "outcomes": stats["outcomes"]})
+    if stats["served"] == 0:
+        run.record_failure("no request was served")
+        return 1
+    return 0
 
 
 def _format_ms(seconds) -> str:
@@ -786,19 +771,6 @@ def _fleet_map_path(args) -> str:
     return os.path.join(args.root, FLEET_MAP_NAME)
 
 
-def _print_fleet_stats(stats: dict, requests: int,
-                       elapsed: float) -> None:
-    print(f"fleet: {stats['requests']} requests over "
-          f"{stats['tenants']} tenants across {stats['shards']} "
-          f"shards ({stats['requests_per_s']:,.1f} req/s)")
-    for status, count in stats["outcomes"].items():
-        print(f"  {status:<14} {count}")
-    print(f"  per-shard requests {stats['per_shard_requests']} | "
-          f"busy retries {stats['busy_retries']} | "
-          f"reconnects {stats['reconnects']}")
-    _print_wall_clock("requests", requests, elapsed)
-
-
 def _write_fleet_json(path: str | None, payload: dict,
                       label: str) -> None:
     if not path:
@@ -819,56 +791,56 @@ def _write_prom(path: str, snapshot: dict) -> None:
     os.replace(tmp, path)
 
 
-def _fleet_run(args) -> int:
-    """Spawn a fleet, drive it, tear it down - the one-shot smoke path."""
+def _fleet_load(args, run) -> int:
+    """Drive a fleet: ``run`` spawns and stops its own (the one-shot
+    smoke path), ``drive`` loads one already running (``fleet serve``).
+
+    One linked ``fleet-shard`` child row per shard records its share of
+    the traffic (and, when this call supervised, its restarts).
+    """
     import asyncio
 
-    from repro.service.fleet import run_fleet_loadgen
+    from repro.service.fleet import run_fleet_loadgen, shard_summaries
 
-    supervisor = _fleet_supervisor(args)
-    with _recorder(args, "fleet", seed=args.seed) as run, \
-            _obs_session(args):
-        started = time.perf_counter()
-        with OBS.span("cli.fleet", shards=args.shards,
-                      requests=args.requests):
-            with supervisor:
-                stats = asyncio.run(run_fleet_loadgen(
-                    supervisor.map_path, tenants=args.tenants,
-                    requests=args.requests,
-                    concurrency=args.concurrency, seed=args.seed,
-                    retry=_retry_policy(args)))
-        elapsed = time.perf_counter() - started
-        _print_fleet_stats(stats, args.requests, elapsed)
-        _write_fleet_json(args.json_out, stats, "fleet stats")
-        if args.json_out:
-            run.add_artifact(args.json_out)
+    supervisor = _fleet_supervisor(args) if args.action == "run" else None
+    started = time.perf_counter()
+    with supervisor or contextlib.nullcontext():
+        stats = asyncio.run(run_fleet_loadgen(
+            _fleet_map_path(args), tenants=args.tenants,
+            requests=args.requests, concurrency=args.concurrency,
+            seed=args.seed, retry=_retry_policy(args)))
+    elapsed = time.perf_counter() - started
+    print(f"fleet: {stats['requests']} requests over "
+          f"{stats['tenants']} tenants across {stats['shards']} "
+          f"shards ({stats['requests_per_s']:,.1f} req/s)")
+    for status, count in stats["outcomes"].items():
+        print(f"  {status:<14} {count}")
+    print(f"  per-shard requests {stats['per_shard_requests']} | "
+          f"busy retries {stats['busy_retries']} | "
+          f"reconnects {stats['reconnects']}")
+    _print_wall_clock("requests", args.requests, elapsed)
+    _write_fleet_json(args.json_out, stats, "fleet stats")
+    if args.json_out:
+        run.add_artifact(args.json_out)
+    restarts = None
+    if supervisor is not None:
         run.add_artifact(args.root, digest=False)
-        run.set_summary(_fleet_summary(stats))
-        _record_shard_children(run, stats, list(supervisor.restarts))
-        if stats["served"] == 0:
-            run.record_failure("fleet served no request")
-    return 0 if stats["served"] > 0 else 1
-
-
-def _fleet_summary(stats: dict) -> dict:
-    return {"kind": "fleet", "shards": stats["shards"],
-            "requests": stats["requests"], "served": stats["served"],
-            "requests_per_s": stats["requests_per_s"],
-            "outcomes": stats["outcomes"]}
-
-
-def _record_shard_children(run, stats: dict,
-                           restarts: list[int] | None = None) -> None:
-    """Record one linked child row per shard under the fleet run."""
-    from repro.service.fleet import shard_summaries
-
+        restarts = list(supervisor.restarts)
+    run.set_summary({"kind": "fleet", "shards": stats["shards"],
+                     "requests": stats["requests"],
+                     "served": stats["served"],
+                     "requests_per_s": stats["requests_per_s"],
+                     "outcomes": stats["outcomes"]})
     for summary in shard_summaries(stats, restarts):
-        with run.child("fleet-shard",
-                       {"shard": summary["shard"]}) as child:
+        with run.child("fleet-shard", {"shard": summary["shard"]}) as child:
             child.set_summary(summary)
+    if stats["served"] == 0:
+        run.record_failure("fleet served no request")
+        return 1
+    return 0
 
 
-def _fleet_serve(args) -> int:
+def _fleet_serve(args, run) -> int:
     """Supervise a fleet until SIGTERM/SIGINT; optional exposition file."""
     import signal
 
@@ -881,24 +853,19 @@ def _fleet_serve(args) -> int:
     previous = {signum: signal.signal(signum, _request_stop)
                 for signum in (signal.SIGTERM, signal.SIGINT)}
     try:
-        with _recorder(args, "fleet") as run, _obs_session(args):
-            with supervisor:
-                print(f"fleet: {args.shards} shard(s) serving under "
-                      f"{args.root} (map {supervisor.map_path})",
-                      flush=True)
-                run.add_artifact(args.root, digest=False)
-                last_export = 0.0
-                while not stop:
-                    for index in supervisor.poll():
-                        print(f"fleet: restarted shard {index}",
-                              flush=True)
-                    now = time.monotonic()
-                    if (args.prom_out
-                            and now - last_export >= args.interval):
-                        _write_prom(args.prom_out,
-                                    supervisor.fleet_snapshot())
-                        last_export = now
-                    time.sleep(0.1)
+        with supervisor:
+            print(f"fleet: {args.shards} shard(s) serving under "
+                  f"{args.root} (map {supervisor.map_path})", flush=True)
+            run.add_artifact(args.root, digest=False)
+            last_export = 0.0
+            while not stop:
+                for index in supervisor.poll():
+                    print(f"fleet: restarted shard {index}", flush=True)
+                now = time.monotonic()
+                if args.prom_out and now - last_export >= args.interval:
+                    _write_prom(args.prom_out, supervisor.fleet_snapshot())
+                    last_export = now
+                time.sleep(0.1)
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
@@ -906,33 +873,7 @@ def _fleet_serve(args) -> int:
     return 0
 
 
-def _fleet_drive(args) -> int:
-    """Load an already-running fleet (one started by ``fleet serve``)."""
-    import asyncio
-
-    from repro.service.fleet import run_fleet_loadgen
-
-    with _recorder(args, "fleet", seed=args.seed) as run, \
-            _obs_session(args):
-        started = time.perf_counter()
-        with OBS.span("cli.fleet_drive", requests=args.requests):
-            stats = asyncio.run(run_fleet_loadgen(
-                _fleet_map_path(args), tenants=args.tenants,
-                requests=args.requests, concurrency=args.concurrency,
-                seed=args.seed, retry=_retry_policy(args)))
-        elapsed = time.perf_counter() - started
-        _print_fleet_stats(stats, args.requests, elapsed)
-        _write_fleet_json(args.json_out, stats, "fleet stats")
-        if args.json_out:
-            run.add_artifact(args.json_out)
-        run.set_summary(_fleet_summary(stats))
-        _record_shard_children(run, stats)
-        if stats["served"] == 0:
-            run.record_failure("fleet served no request")
-    return 0 if stats["served"] > 0 else 1
-
-
-def _fleet_top(args) -> int:
+def _fleet_top(args, run) -> int:
     """Live fleet telemetry dashboard (``--once`` for CI assertions)."""
     from repro.obs.aggregate import collect_fleet_metrics, render_fleet_top
 
@@ -956,48 +897,44 @@ def _fleet_top(args) -> int:
         return 0
 
 
-def cmd_fleet(args) -> int:
-    actions = {"run": _fleet_run, "serve": _fleet_serve,
-               "drive": _fleet_drive, "top": _fleet_top}
-    return actions[args.action](args)
+def cmd_fleet(args, run) -> int:
+    actions = {"run": _fleet_load, "serve": _fleet_serve,
+               "drive": _fleet_load, "top": _fleet_top}
+    return actions[args.action](args, run)
 
 
-def cmd_chaos(args) -> int:
+def cmd_chaos(args, run) -> int:
     from repro.service.chaos import SCENARIOS, run_chaos, write_chaos_report
 
     names = args.scenario or sorted(SCENARIOS)
-    with _recorder(args, "chaos", seed=args.seed) as run, \
-            _obs_session(args):
-        with OBS.span("cli.chaos", scenarios=",".join(names)):
-            report = run_chaos(names, args.root, shards=args.shards,
-                               tenants=args.tenants,
-                               requests=args.requests, seed=args.seed)
-        for scenario in report["scenarios"]:
-            print(f"chaos {scenario['scenario']:<16} passed "
-                  f"({scenario['elapsed_s']:.2f}s)")
-        for violation in report["violations"]:
-            print(f"chaos {violation['scenario']:<16} FAILED: "
-                  f"{violation['violation']}", file=sys.stderr)
-        if args.json_out:
-            write_chaos_report(report, args.json_out)
-            run.add_artifact(args.json_out)
-            print(f"chaos report written to {args.json_out}")
-        run.set_summary({
-            "kind": "chaos",
-            "scenarios": [s["scenario"] for s in report["scenarios"]],
-            "passed": report["passed"],
-            "violations": len(report["violations"])})
-        if not report["passed"]:
-            run.record_failure(f"{len(report['violations'])} chaos "
-                               f"invariant violation(s)")
-    if report["passed"]:
-        print(f"chaos suite passed: {len(report['scenarios'])} "
-              f"scenario(s), wear-exactness invariants held")
-        return 0
-    return 5
+    report = run_chaos(names, args.root, shards=args.shards,
+                       tenants=args.tenants, requests=args.requests,
+                       seed=args.seed)
+    for scenario in report["scenarios"]:
+        print(f"chaos {scenario['scenario']:<16} passed "
+              f"({scenario['elapsed_s']:.2f}s)")
+    for violation in report["violations"]:
+        print(f"chaos {violation['scenario']:<16} FAILED: "
+              f"{violation['violation']}", file=sys.stderr)
+    if args.json_out:
+        write_chaos_report(report, args.json_out)
+        run.add_artifact(args.json_out)
+        print(f"chaos report written to {args.json_out}")
+    run.set_summary({
+        "kind": "chaos",
+        "scenarios": [s["scenario"] for s in report["scenarios"]],
+        "passed": report["passed"],
+        "violations": len(report["violations"])})
+    if not report["passed"]:
+        run.record_failure(f"{len(report['violations'])} chaos "
+                           f"invariant violation(s)")
+        return 5
+    print(f"chaos suite passed: {len(report['scenarios'])} "
+          f"scenario(s), wear-exactness invariants held")
+    return 0
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args, run) -> int:
     from repro.runs.pipeline import plan_pipeline, run_pipeline
     from repro.runs.settings import load_settings
 
@@ -1029,7 +966,7 @@ def cmd_pipeline(args) -> int:
     return 0 if report["outcome"] == "ok" else 1
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, run) -> int:
     from repro.runs import report as runs_report
     from repro.runs.store import RunStore
 
@@ -1047,6 +984,10 @@ def cmd_report(args) -> int:
             payload = runs_report.compare_bench_runs(
                 store, baseline=args.baseline, candidate=args.candidate)
             text = runs_report.render_bench_delta(payload)
+            run.set_summary({"kind": "report",
+                             "baseline": payload["baseline"]["id"],
+                             "candidate": payload["candidate"]["id"],
+                             "rows": len(payload["rows"])})
         elif args.what == "pipeline":
             payload = runs_report.pipeline_payload(store, args.run)
             text = runs_report.render_pipeline(payload)
@@ -1136,101 +1077,89 @@ def _render_capacity_fit(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _capacity_fit(args) -> int:
+def _capacity_fit(args, run) -> int:
     from repro.capacity import (
         estimate_endurance,
         forecast_tenants,
         pooled_observations,
     )
-    from repro.sim.rng import make_rng
 
-    with _recorder(args, "capacity", seed=args.seed) as run, \
-            _obs_session(args):
-        started = time.perf_counter()
-        with OBS.span("cli.capacity_fit"):
-            observations = _capacity_observations(args)
-            values, events = pooled_observations(observations)
-            rng = make_rng(args.seed)
-            estimate = estimate_endurance(values, events,
-                                          resamples=args.resamples,
-                                          confidence=args.confidence,
-                                          rng=rng)
-            forecasts = forecast_tenants(observations, estimate,
-                                         draws=args.draws,
-                                         confidence=args.confidence,
-                                         horizon=args.horizon, rng=rng)
-        payload = {
-            "source": args.root or list(args.ledger),
-            "horizon": args.horizon,
-            "estimate": estimate.to_payload(),
-            "forecasts": {name: forecast.to_payload()
-                          for name, forecast in forecasts.items()},
-            "wall_s": time.perf_counter() - started,
-        }
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(_render_capacity_fit(payload))
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            run.add_artifact(args.json_out)
-            if not args.json:
-                print(f"capacity fit written to {args.json_out}")
-        run.set_summary({
-            "kind": "capacity-fit",
-            "alpha": estimate.alpha,
-            "beta": estimate.beta,
-            "observations": estimate.observations,
-            "failures": estimate.failures,
-            "tenants": len(forecasts)})
+    started = time.perf_counter()
+    observations = _capacity_observations(args)
+    values, events = pooled_observations(observations)
+    rng = make_rng(args.seed)
+    estimate = estimate_endurance(values, events, resamples=args.resamples,
+                                  confidence=args.confidence, rng=rng)
+    forecasts = forecast_tenants(observations, estimate, draws=args.draws,
+                                 confidence=args.confidence,
+                                 horizon=args.horizon, rng=rng)
+    payload = {
+        "source": args.root or list(args.ledger),
+        "horizon": args.horizon,
+        "estimate": estimate.to_payload(),
+        "forecasts": {name: forecast.to_payload()
+                      for name, forecast in forecasts.items()},
+        "wall_s": time.perf_counter() - started,
+    }
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(_render_capacity_fit(payload))
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        run.add_artifact(args.json_out)
+        if not args.json:
+            print(f"capacity fit written to {args.json_out}")
+    run.set_summary({
+        "kind": "capacity-fit",
+        "alpha": estimate.alpha,
+        "beta": estimate.beta,
+        "observations": estimate.observations,
+        "failures": estimate.failures,
+        "tenants": len(forecasts)})
     return 0
 
 
-def _capacity_calibrate(args) -> int:
+def _capacity_calibrate(args, run) -> int:
     from repro.capacity import calibration_sweep, check_calibration
 
-    with _recorder(args, "capacity", seed=args.seed) as run, \
-            _obs_session(args):
-        with OBS.span("cli.capacity_calibrate"):
-            payload = calibration_sweep(seed=args.seed)
-        problems = check_calibration(payload)
-        payload["problems"] = problems
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            errors = " -> ".join(
-                f"{err:.4f}" for _, err in
-                sorted(payload["median_rel_err_by_length"].items(),
-                       key=lambda item: int(item[0])))
-            lo, hi = payload["coverage_bounds"]
-            print(f"capacity calibration: coverage "
-                  f"{payload['coverage']:.3f} (bounds [{lo}, {hi}]), "
-                  f"median rel err by trace length {errors}, "
-                  f"{payload['fits']} fits in {payload['wall_s']:.2f}s")
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            run.add_artifact(args.json_out)
-        run.set_summary({
-            "kind": "capacity-calibrate",
-            "coverage": payload["coverage"],
-            "gate_ok": payload["gate_ok"],
-            "fits": payload["fits"]})
-        if problems:
-            for problem in problems:
-                print(f"calibration: {problem}", file=sys.stderr)
-            run.record_failure(f"{len(problems)} calibration problem(s)")
-        elif not args.json:
-            print("calibration gate: PASS")
-    if problems and args.gate:
-        return 5
-    return 0
+    payload = calibration_sweep(seed=args.seed)
+    problems = check_calibration(payload)
+    payload["problems"] = problems
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        errors = " -> ".join(
+            f"{err:.4f}" for _, err in
+            sorted(payload["median_rel_err_by_length"].items(),
+                   key=lambda item: int(item[0])))
+        lo, hi = payload["coverage_bounds"]
+        print(f"capacity calibration: coverage "
+              f"{payload['coverage']:.3f} (bounds [{lo}, {hi}]), "
+              f"median rel err by trace length {errors}, "
+              f"{payload['fits']} fits in {payload['wall_s']:.2f}s")
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        run.add_artifact(args.json_out)
+    run.set_summary({
+        "kind": "capacity-calibrate",
+        "coverage": payload["coverage"],
+        "gate_ok": payload["gate_ok"],
+        "fits": payload["fits"]})
+    if problems:
+        for problem in problems:
+            print(f"calibration: {problem}", file=sys.stderr)
+        run.record_failure(f"{len(problems)} calibration problem(s)")
+    elif not args.json:
+        print("calibration gate: PASS")
+    return 5 if problems and args.gate else 0
 
 
-def cmd_runs(args) -> int:
+def cmd_runs(args, run) -> int:
     from repro.runs.store import RunStore
 
     with RunStore(args.runs_db) as store:
@@ -1256,18 +1185,19 @@ def cmd_runs(args) -> int:
     return 0
 
 
-def cmd_capacity(args) -> int:
-    if args.seed is None:
+def cmd_capacity(args, run) -> int:
+    actions = {"fit": _capacity_fit, "calibrate": _capacity_calibrate}
+    return actions[args.action](args, run)
+
+
+def _default_capacity_seed(args) -> None:
+    """Resolve ``capacity --seed`` before its run row records it."""
+    if args.command == "capacity" and args.seed is None:
         # The calibrate gate only holds at its pinned sweep seed; fit
         # has no such pin and defaults like every other subcommand.
-        if args.action == "calibrate":
-            from repro.capacity.calibrate import DEFAULT_SEED
+        from repro.capacity.calibrate import DEFAULT_SEED
 
-            args.seed = DEFAULT_SEED
-        else:
-            args.seed = 0
-    actions = {"fit": _capacity_fit, "calibrate": _capacity_calibrate}
-    return actions[args.action](args)
+        args.seed = DEFAULT_SEED if args.action == "calibrate" else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1693,12 +1623,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_command(args, run) -> int:
+    """Run one parsed command line under *run*, an open run recorder.
+
+    The one path for ``main`` and for pipeline steps, which each open
+    the row: the handler runs inside the observability session and a
+    ``cli.<subcommand>`` span, and a nonzero exit marks the run row
+    failed unless the handler already recorded why.
+    """
+    with _obs_session(args), OBS.span(f"cli.{args.command}"):
+        code = args.func(args, run)
+        if code and run.failure is None:
+            run.record_failure(f"{args.command} exited {code}")
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _default_capacity_seed(args)
     try:
-        return args.func(args)
+        with _recorder(args) as run:
+            return run_command(args, run)
     except CheckpointMismatchError as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
         return 2

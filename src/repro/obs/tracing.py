@@ -6,8 +6,9 @@ stack, matching the single-threaded simulations), and every finished
 span is emitted to the recorder's sinks as one JSON object::
 
     {"v": 1, "kind": "span", "name": "cli.simulate", "span_id": 1,
-     "parent_id": null, "wall_time": 1754..., "duration_s": 0.182,
-     "attrs": {"trials": 200}}
+     "parent_id": null, "wall_time": 1754..., "duration_s": 0.182}
+
+plus an ``"attrs"`` object when the span was given attributes.
 
 While observability is disabled, :meth:`repro.obs.recorder.Observability.span`
 returns the shared :data:`NULL_SPAN`, so call sites never branch.

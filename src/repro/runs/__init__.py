@@ -1,9 +1,9 @@
 """Run registry, declarative pipelines, and cross-run reporting.
 
-Every artifact-producing ``repro`` invocation records itself in a
-SQLite registry (``runs.db``, WAL mode, safe under concurrent
-writers): run id, parent pipeline, resolved params, seed, git
-provenance, host, timestamps, outcome, and the artifacts it wrote
+Every invocation of a ``repro`` subcommand that takes ``--no-record``
+records itself in a SQLite registry (``runs.db``, WAL mode, safe under
+concurrent writers): run id, parent pipeline, resolved params, seed,
+git provenance, host, timestamps, outcome, and the artifacts it wrote
 (with SHA-256 digests).  On top of the registry sit:
 
 - :mod:`repro.runs.provenance` - git rev/dirty flag, host, toolchain
@@ -12,7 +12,8 @@ provenance, host, timestamps, outcome, and the artifacts it wrote
   and the context manager that records one invocation
 - :mod:`repro.runs.settings` / :mod:`repro.runs.pipeline` - the
   declarative multi-step campaign runner (``repro pipeline run``),
-  with resume that skips recorded-ok steps
+  whose steps are ``repro`` command lines run by the CLI's own
+  handlers, with resume that skips recorded-ok steps
 - :mod:`repro.runs.report` - cross-run comparisons rendered from the
   database alone (``repro report``)
 """

@@ -2,12 +2,24 @@
 
 ``repro pipeline run settings.toml`` loads a
 :class:`~repro.runs.settings.PipelineSettings`, records one ``pipeline``
-run row, then executes the step DAG in topological order.  Every step
-records its own run row (subcommand = its kind, ``parent_id`` = the
-pipeline row) with fully resolved parameters, registers the artifacts
-it wrote under ``workdir``, and stores a compact machine summary - so
-``repro report`` can render campaign outcomes and bench comparisons
-from the database alone.
+run row, then executes the step DAG in topological order.  A step is
+the ``repro <kind>`` command line its keys name (see
+:mod:`repro.runs.settings`): it is parsed by the CLI's own parser and
+run by the CLI's own handler through :func:`repro.cli.main.run_command`,
+so a step does exactly what the same command does at a shell.  The
+pipeline fills in only what a step leaves unset: ``--seed`` (the
+pipeline seed), ``--runs-db`` (the pipeline's registry) and output
+paths under the workdir (``bench --out <step>.json``, ``faults
+--checkpoint <step>.ckpt``, and ``--root <step>`` plus ``--json-out
+<step>.json`` for ``chaos`` and ``fleet``).  Every step is checked
+before anything runs, so a key its subcommand lacks fails the pipeline
+up front instead of being ignored or failing mid-run.
+
+Each step records its own run row (subcommand = its kind, ``parent_id``
+= the pipeline row) with the step's resolved parameters and the
+summary, artifacts and child rows its handler records.  Its stdout is
+tee'd to ``<workdir>/<step>.<run id[:12]>.txt`` and registered as an
+artifact of the step whether the step succeeds or fails.
 
 Resume: a pipeline's identity is the SHA-256 digest of its settings
 text.  ``--resume`` finds the most recent pipeline row with the same
@@ -23,8 +35,10 @@ unrecorded so resume re-plans them.
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
+import shlex
+import sys
 import time
 
 from repro.errors import ConfigurationError
@@ -38,257 +52,99 @@ from repro.runs.store import RunStore, params_digest
 
 __all__ = ["run_pipeline", "plan_pipeline"]
 
+#: Step keys passed as the subcommand's positionals, not as flags.
+_POSITIONALS = ("action", "what", "ids")
 
-# ----------------------------------------------------------------------
-# Step executors.  Each runs one step's work inside its RunRecorder,
-# registers artifacts, and returns a compact JSON-safe summary.
-def _artifact_path(workdir: str, step: PipelineStep, suffix: str) -> str:
-    os.makedirs(workdir, exist_ok=True)
-    return os.path.join(workdir, f"{step.name}{suffix}")
-
-
-def _campaign_design(params: dict):
-    from repro.core.degradation import (
-        DEFAULT_CRITERIA,
-        DegradationCriteria,
-    )
-    from repro.core.sizing import size_architecture
-
-    criteria = DEFAULT_CRITERIA
-    if "r_min" in params or "p_fail" in params:
-        criteria = DegradationCriteria(
-            r_min=params.get("r_min", 0.99),
-            p_fail=params.get("p_fail", 0.01))
-    return size_architecture(
-        params.get("alpha", 9.0), params.get("beta", 6.0),
-        params.get("bound", 200), k_fraction=params.get("k_fraction"),
-        criteria=criteria, window=params.get("window", "fractional"))
-
-
-def _exec_bench(step: PipelineStep, seed: int, workdir: str,
-                recorder: RunRecorder, store: RunStore) -> dict:
-    from repro.obs.bench import run_bench_suite, write_bench_report
-    from repro.runs.report import bench_run_summary
-
-    params = step.params
-    report = run_bench_suite(params.get("scale", "tiny"), seed=seed,
-                             repeats=params.get("repeats"))
-    out = params.get("out") or _artifact_path(workdir, step, ".json")
-    write_bench_report(report, out)
-    recorder.add_artifact(out)
-    summary = bench_run_summary(report)
-    recorder.set_summary(summary)
-    return summary
-
-
-def _exec_faults(step: PipelineStep, seed: int, workdir: str,
-                 recorder: RunRecorder, store: RunStore) -> dict:
-    from repro.faults.campaign import (
-        FaultCampaignConfig,
-        run_fault_campaign,
-    )
-
-    params = step.params
-    design = _campaign_design(params)
-    config_keys = ("misfire_rate", "premature_stuck_open_rate",
-                   "stuck_closed_probability", "corruption_rate",
-                   "timeout_rate", "temperature_c", "rs_fallback",
-                   "max_attempts", "quarantine_after", "max_accesses")
-    config = FaultCampaignConfig(**{key: params[key]
-                                    for key in config_keys
-                                    if key in params})
-    checkpoint = _artifact_path(workdir, step, ".ckpt")
-    report = run_fault_campaign(
-        design, config, trials=params.get("trials", 2), seed=seed,
-        checkpoint_path=checkpoint,
-        checkpoint_every=params.get("checkpoint_every", 10))
-    summary = {
-        "kind": "fault-campaign",
-        "trials": report.trials,
-        "ceiling": report.ceiling,
-        "violation_rate": report.violation_rate,
-        "availability": report.availability,
-        "mean_served": report.mean_served,
-        "degraded_recoveries": report.degraded_recoveries,
-        "injections": report.injections,
-    }
-    out = _artifact_path(workdir, step, ".json")
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    recorder.add_artifact(out)
-    if os.path.exists(checkpoint):
-        recorder.add_artifact(checkpoint)
-    recorder.set_summary(summary)
-    if report.violation_rate > 0:
-        recorder.record_failure(
-            f"{report.violation_rate:.2%} of instances violated the "
-            f"security ceiling")
-    return summary
-
-
-def _exec_chaos(step: PipelineStep, seed: int, workdir: str,
-                recorder: RunRecorder, store: RunStore) -> dict:
-    from repro.service.chaos import SCENARIOS, run_chaos, write_chaos_report
-
-    params = step.params
-    names = params.get("scenarios") or sorted(SCENARIOS)
-    root = os.path.join(workdir, step.name)
-    report = run_chaos(names, root,
-                       shards=params.get("shards", 2),
-                       tenants=params.get("tenants", 4),
-                       requests=params.get("requests", 24),
-                       seed=seed)
-    out = _artifact_path(workdir, step, ".json")
-    write_chaos_report(report, out)
-    recorder.add_artifact(out)
-    for scenario in report["scenarios"]:
-        timeline = scenario.get("timeline")
-        if timeline and os.path.exists(timeline["path"]):
-            recorder.add_artifact(timeline["path"])
-    summary = {
-        "kind": "chaos",
-        "scenarios": [s["scenario"] for s in report["scenarios"]],
-        "passed": report["passed"],
-        "violations": len(report["violations"]),
-    }
-    recorder.set_summary(summary)
-    if not report["passed"]:
-        recorder.record_failure(
-            f"{len(report['violations'])} chaos invariant violation(s)")
-    return summary
-
-
-def _exec_experiments(step: PipelineStep, seed: int, workdir: str,
-                      recorder: RunRecorder, store: RunStore) -> dict:
-    from repro.experiments.registry import EXPERIMENTS
-
-    params = step.params
-    ids = params.get("ids") or list(EXPERIMENTS)
-    unknown = [i for i in ids if i not in EXPERIMENTS]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown experiment ids in step {step.name!r}: {unknown}")
-    out = _artifact_path(workdir, step, ".txt")
-    titles = {}
-    with open(out, "w", encoding="utf-8") as handle:
-        for experiment_id in ids:
-            result = EXPERIMENTS[experiment_id]()
-            titles[experiment_id] = result.title
-            handle.write(result.render() + "\n\n")
-    recorder.add_artifact(out)
-    summary = {"kind": "experiments", "ids": list(ids),
-               "titles": titles}
-    recorder.set_summary(summary)
-    return summary
-
-
-def _exec_fleet(step: PipelineStep, seed: int, workdir: str,
-                recorder: RunRecorder, store: RunStore) -> dict:
-    import asyncio
-
-    from repro.service.fleet import run_fleet_loadgen, shard_summaries
-    from repro.service.supervisor import FleetSupervisor
-
-    params = step.params
-    root = os.path.join(workdir, step.name)
-    supervisor = FleetSupervisor(
-        root, params.get("shards", 2), window_s=0.001,
-        snapshot_every=params.get("snapshot_every", 16))
-    with supervisor:
-        stats = asyncio.run(run_fleet_loadgen(
-            supervisor.map_path, tenants=params.get("tenants", 4),
-            requests=params.get("requests", 32),
-            concurrency=params.get("concurrency", 4), seed=seed))
-    out = _artifact_path(workdir, step, ".json")
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(stats, handle, indent=2, default=str)
-        handle.write("\n")
-    recorder.add_artifact(out)
-    summary = {
-        "kind": "fleet",
-        "shards": stats["shards"],
-        "requests": stats["requests"],
-        "served": stats["served"],
-        "requests_per_s": stats["requests_per_s"],
-        "outcomes": stats["outcomes"],
-    }
-    recorder.set_summary(summary)
-    # Per-shard breakdown rows linked under this step, so the pipeline
-    # report can expand a fleet step without opening its artifact.
-    for shard in shard_summaries(stats, list(supervisor.restarts)):
-        with recorder.child("fleet-shard",
-                            {"shard": shard["shard"]}) as child:
-            child.set_summary(shard)
-    if stats["served"] == 0:
-        recorder.record_failure("fleet served no request")
-    return summary
-
-
-def _exec_report(step: PipelineStep, seed: int, workdir: str,
-                 recorder: RunRecorder, store: RunStore) -> dict:
-    from repro.runs.report import compare_bench_runs, render_bench_delta
-
-    params = step.params
-    comparison = compare_bench_runs(
-        store, baseline=params.get("baseline"),
-        candidate=params.get("candidate"))
-    text = render_bench_delta(comparison)
-    out = _artifact_path(workdir, step, ".txt")
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    recorder.add_artifact(out)
-    json_out = _artifact_path(workdir, step, ".json")
-    with open(json_out, "w", encoding="utf-8") as handle:
-        json.dump(comparison, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    recorder.add_artifact(json_out)
-    summary = {"kind": "report",
-               "baseline": comparison["baseline"]["id"],
-               "candidate": comparison["candidate"]["id"],
-               "rows": len(comparison["rows"])}
-    recorder.set_summary(summary)
-    print(text)
-    return summary
-
-
-_EXECUTORS = {
-    "bench": _exec_bench,
-    "faults": _exec_faults,
-    "chaos": _exec_chaos,
-    "experiments": _exec_experiments,
-    "fleet": _exec_fleet,
-    "report": _exec_report,
+#: Output flags pointed into the workdir unless a step sets them, as
+#: flag key -> suffix after the step name.
+_OUTPUTS = {
+    "bench": {"out": ".json"},
+    "faults": {"checkpoint": ".ckpt"},
+    "chaos": {"root": "", "json_out": ".json"},
+    "fleet": {"root": "", "json_out": ".json"},
 }
 
 
-# ----------------------------------------------------------------------
-def _resolved_step_params(settings: PipelineSettings,
-                          step: PipelineStep) -> tuple[dict, int]:
-    seed = step.params.get("seed", settings.seed)
-    resolved = {"step": step.name, "kind": step.kind,
-                "pipeline": settings.name, "seed": seed,
-                **{key: value for key, value in step.params.items()
-                   if key != "seed"}}
-    return resolved, seed
+def _step_argv(step: PipelineStep, workdir: str) -> list[str]:
+    """The ``repro`` command line a step names, outputs filled in."""
+    keys = {key: os.path.join(workdir, step.name + suffix)
+            for key, suffix in _OUTPUTS.get(step.kind, {}).items()}
+    keys.update((key, value) for key, value in step.params.items()
+                if key != "seed")
+    argv = [step.kind]
+    for key in _POSITIONALS:
+        value = keys.pop(key, [])
+        argv += map(str, value if isinstance(value, list) else [value])
+    for key, value in keys.items():
+        flag = "--" + key.replace("_", "-")
+        for item in value if isinstance(value, list) else [value]:
+            if item is True:
+                argv.append(flag)
+            elif item is not False:
+                argv += [flag, str(item)]
+    return argv
 
 
-def plan_pipeline(settings: PipelineSettings) -> list[dict]:
-    """The execution plan as rows (step, kind, after, seed)."""
-    rows = []
+def _parse_steps(settings: PipelineSettings, workdir: str) -> list:
+    """``(step, args)`` in execution order; a bad step raises by name.
+
+    argparse never sees a ``false`` key and accepts an abbreviated
+    flag, so each key must also be a dest (a ``false`` one a switch).
+    """
+    from repro.cli.main import build_parser
+
+    parser = build_parser()
+    parsed = []
     for step in settings.ordered_steps():
-        _, seed = _resolved_step_params(settings, step)
-        rows.append({"step": step.name, "kind": step.kind,
-                     "after": list(step.after), "seed": seed})
-    return rows
+        argv = _step_argv(step, workdir)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            raise ConfigurationError(
+                f"step {step.name!r} is not a valid command line: "
+                f"repro {shlex.join(argv)}") from None
+        for key, value in step.params.items():
+            if key != "seed" and (not hasattr(args, key) or (
+                    value is False
+                    and not isinstance(getattr(args, key), bool))):
+                raise ConfigurationError(
+                    f"step {step.name!r}: repro {step.kind} has no "
+                    f"{'switch' if value is False else 'flag'} {key!r}")
+        if getattr(args, "no_record", False):
+            raise ConfigurationError(
+                f"step {step.name!r}: a pipeline step is always "
+                f"recorded, so it takes no no_record")
+        parsed.append((step, args))
+    return parsed
 
 
-def _find_resumable(store: RunStore,
-                    settings: PipelineSettings) -> dict | None:
-    """Most recent pipeline run with the same settings digest."""
-    return store.latest_run(
-        "pipeline", outcome=None,
-        params_subset={"settings_digest": settings.digest})
+class _Tee:
+    """A stdout stand-in that writes to several text streams at once."""
+
+    def __init__(self, *streams) -> None:
+        self._streams = streams
+
+    def write(self, text: str) -> int:
+        for stream in self._streams:
+            stream.write(text)
+        return len(text)
+
+    def flush(self) -> None:
+        for stream in self._streams:
+            stream.flush()
+
+
+# ----------------------------------------------------------------------
+def plan_pipeline(settings: PipelineSettings) -> list[dict]:
+    """The execution plan as rows (step, kind, after, seed).
+
+    Parses every step's command line, so an invalid step raises
+    :class:`ConfigurationError` here, as it would before a run.
+    """
+    return [{"step": step.name, "kind": step.kind,
+             "after": list(step.after),
+             "seed": step.params.get("seed", settings.seed)}
+            for step, _ in _parse_steps(settings, settings.workdir)]
 
 
 def run_pipeline(settings_path: str, *, db_path: str | None = None,
@@ -301,8 +157,12 @@ def run_pipeline(settings_path: str, *, db_path: str | None = None,
     outcome.  Raises nothing for a step failure - the failure lives in
     the report (and the database); configuration errors still raise.
     """
+    from repro.cli.main import run_command
+
     settings = load_settings(settings_path)
     effective_workdir = workdir or settings.workdir
+    commands = _parse_steps(settings, effective_workdir)
+    os.makedirs(effective_workdir, exist_ok=True)
     with RunStore(db_path) as store:
         store.resolve_interrupted()
         pipeline_params = {
@@ -314,7 +174,10 @@ def run_pipeline(settings_path: str, *, db_path: str | None = None,
         prior_ok: dict[str, dict] = {}
         pipeline_id = None
         if resume:
-            previous = _find_resumable(store, settings)
+            # The most recent pipeline run with the same settings digest.
+            previous = store.latest_run(
+                "pipeline", outcome=None,
+                params_subset={"settings_digest": settings.digest})
             if previous is not None:
                 pipeline_id = previous["id"]
                 store.reopen_run(pipeline_id)
@@ -328,10 +191,12 @@ def run_pipeline(settings_path: str, *, db_path: str | None = None,
         started = time.time()
         steps_report: list[dict] = []
         failure: str | None = None
-        for step in settings.ordered_steps():
-            resolved, seed = _resolved_step_params(settings, step)
-            digest = params_digest(resolved)
-            recorded = prior_ok.get(digest)
+        for step, args in commands:
+            resolved = {"step": step.name, "kind": step.kind,
+                        "pipeline": settings.name, "seed": settings.seed,
+                        **step.params}
+            seed = resolved["seed"]
+            recorded = prior_ok.get(params_digest(resolved))
             if recorded is not None:
                 steps_report.append({
                     "step": step.name, "kind": step.kind,
@@ -342,13 +207,29 @@ def run_pipeline(settings_path: str, *, db_path: str | None = None,
                 continue
             print(f"pipeline step {step.name!r}: running "
                   f"({step.kind}, seed {seed})")
+            if hasattr(args, "seed"):
+                args.seed = seed
+            if args.runs_db is None:
+                args.runs_db = store.path
             recorder = RunRecorder(step.kind, resolved, seed=seed,
                                    parent_id=pipeline_id,
                                    db_path=store.path)
+            row = {"step": step.name, "kind": step.kind, "action": "ok"}
             try:
                 with recorder:
-                    summary = _EXECUTORS[step.kind](
-                        step, seed, effective_workdir, recorder, store)
+                    # One log per attempt: a re-run never overwrites a
+                    # log an earlier row registered.
+                    name = step.name if recorder.run_id is None else \
+                        f"{step.name}.{recorder.run_id[:12]}"
+                    log_path = os.path.join(effective_workdir,
+                                            name + ".txt")
+                    try:
+                        with open(log_path, "w", encoding="utf-8") as log, \
+                                contextlib.redirect_stdout(
+                                    _Tee(sys.stdout, log)):
+                            code = run_command(args, recorder)
+                    finally:
+                        recorder.add_artifact(log_path)
             except (KeyboardInterrupt, SystemExit) as exc:
                 # The step row is already finalized ``interrupted`` by
                 # its recorder; mirror that on the pipeline row before
@@ -359,25 +240,20 @@ def run_pipeline(settings_path: str, *, db_path: str | None = None,
                           f"{exc!r}")
                 raise
             except Exception as exc:  # noqa: BLE001 - recorded, reported
-                failure = f"step {step.name!r} failed: {exc}"
-                steps_report.append({
-                    "step": step.name, "kind": step.kind,
-                    "action": "failed", "run_id": recorder.run_id,
-                    "error": str(exc)})
+                row.update(action="failed", run_id=recorder.run_id,
+                           error=str(exc))
+            else:
+                # A completed step can still declare its result a
+                # failure (ceiling violations, chaos invariant breaks,
+                # a nonzero exit).
+                row.update(run_id=recorder.run_id, summary=recorder.summary)
+                if code or recorder.failure is not None:
+                    row.update(action="failed", error=recorder.failure
+                               or f"{step.kind} exited {code}")
+            steps_report.append(row)
+            if row["action"] == "failed":
+                failure = f"step {step.name!r} failed: {row['error']}"
                 break
-            if recorder.failure is not None:
-                # The step completed but declared its result a failure
-                # (ceiling violations, chaos invariant breaks, ...).
-                failure = (f"step {step.name!r} failed: "
-                           f"{recorder.failure}")
-                steps_report.append({
-                    "step": step.name, "kind": step.kind,
-                    "action": "failed", "run_id": recorder.run_id,
-                    "summary": summary, "error": recorder.failure})
-                break
-            steps_report.append({
-                "step": step.name, "kind": step.kind, "action": "ok",
-                "run_id": recorder.run_id, "summary": summary})
         outcome = "failed" if failure else "ok"
         report = {
             "pipeline": settings.name,

@@ -105,6 +105,11 @@ class RunRecorder:
         """The declared failure, when :meth:`record_failure` was called."""
         return self._failure
 
+    @property
+    def summary(self) -> dict | None:
+        """The summary attached by :meth:`set_summary`, if any."""
+        return self._summary
+
     def child(self, subcommand: str, params: dict, *,
               seed: int | None = None) -> "RunRecorder":
         """A recorder for one sub-unit of this run.

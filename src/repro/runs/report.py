@@ -383,13 +383,18 @@ def render_pipeline(payload: dict) -> str:
             _short(step["id"]),
         ))
         for child in step.get("children", []):
-            summary = child.get("summary") or {}
-            label = (f"shard {summary['shard']}"
-                     if summary.get("shard") is not None
-                     else child["subcommand"])
+            # A fleet step's children are its shards; an experiments
+            # step's are its figures.
+            params = child["params"]
+            if child["subcommand"] == "fleet-shard":
+                label = f"shard {params['shard']}"
+                detail = _shard_detail(child)
+            else:
+                label = params.get("id", child["subcommand"])
+                detail = child["subcommand"]
             body.append((
                 f"  - {label}",
-                _shard_detail(child),
+                detail,
                 child["outcome"],
                 _when(child["started_at"]),
                 _duration(child),

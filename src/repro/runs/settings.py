@@ -17,9 +17,16 @@ Format::
     trials = 2
     alpha = 9.0
     beta = 6.0
+    k_fraction = 0.1          # --k-fraction 0.1
+    paper_criteria = true     # a bare --paper-criteria switch
 
-Any key other than ``kind``/``after`` is passed to the step executor as
-a parameter.  Parsing uses :mod:`tomllib`.
+A step is the ``repro <kind>`` command line its keys name: every key
+other than ``kind``, ``after`` and ``seed`` is a flag of that
+subcommand (a list repeats the flag), except ``action``, ``what`` and
+``ids``, which are its positionals.  ``seed`` (an integer) overrides the
+pipeline seed for the step.  :mod:`repro.runs.pipeline` builds and
+checks the command lines; this module parses the file with
+:mod:`tomllib` and validates the DAG.
 """
 
 from __future__ import annotations
@@ -84,6 +91,10 @@ class PipelineSettings:
 
 
 # ----------------------------------------------------------------------
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_settings(text: str) -> PipelineSettings:
     """Parse and validate pipeline settings from TOML text."""
     try:
@@ -96,7 +107,7 @@ def parse_settings(text: str) -> PipelineSettings:
             "pipeline settings need a [pipeline] table with a name")
     name = str(pipeline["name"])
     seed = pipeline.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise ConfigurationError("pipeline seed must be an integer")
     workdir = str(pipeline.get("workdir") or f"{name}-out")
     steps_table = payload.get("steps")
@@ -121,6 +132,9 @@ def parse_settings(text: str) -> PipelineSettings:
             raise ConfigurationError(
                 f"step {step_name!r}: after must be a list of step "
                 f"names")
+        if not _is_int(spec.get("seed", 0)):
+            raise ConfigurationError(
+                f"step {step_name!r}: seed must be an integer")
         params = {key: value for key, value in spec.items()
                   if key not in ("kind", "after")}
         steps.append(PipelineStep(name=str(step_name), kind=kind,

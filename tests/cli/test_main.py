@@ -74,6 +74,18 @@ class TestSweep:
         assert code == 0
         assert "(log y)" in out
 
+    @pytest.mark.parametrize("walk", [
+        ("--step", "0"),
+        ("--step", "-1"),
+        ("--alpha-min", "20", "--alpha-max", "10"),
+    ])
+    def test_sweep_rejects_a_range_it_cannot_walk(self, capsys, walk):
+        code, out, err = run_cli(capsys, "sweep", "--beta", "8",
+                                 "--bound", "1000", *walk)
+        assert code == 1
+        assert "error: sweep needs --step > 0" in err
+        assert out == ""
+
 
 class TestAttack:
     def test_attack_probabilities(self, capsys):

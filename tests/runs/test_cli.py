@@ -81,6 +81,34 @@ class TestRecordingDefaults:
         assert code == 0
         assert not db.exists()
 
+    def test_design_records_without_save(self, capsys, tmp_path):
+        db = tmp_path / "reg.db"
+        design = ("design", "--alpha", "10", "--beta", "8", "--bound",
+                  "200", "--k-fraction", "0.1", "--paper-criteria")
+        code, _, _ = run_cli(capsys, *design, "--runs-db", str(db))
+        assert code == 0
+        with RunStore(str(db)) as store:
+            (row,) = store.list_runs(subcommand="design")
+            assert row["outcome"] == "ok"
+            assert row["summary"]["kind"] == "design"
+            assert store.artifacts(row["id"]) == []
+        unrecorded = tmp_path / "unrecorded.db"
+        code, _, _ = run_cli(capsys, *design, "--runs-db", str(unrecorded),
+                             "--no-record")
+        assert code == 0
+        assert not unrecorded.exists()
+
+    def test_unknown_experiment_leaves_failed_row(self, capsys, tmp_path):
+        db = tmp_path / "reg.db"
+        code, _, err = run_cli(capsys, "experiments", "nope",
+                               "--runs-db", str(db))
+        assert code == 2
+        assert "unknown experiment ids" in err
+        with RunStore(str(db)) as store:
+            (row,) = store.list_runs(subcommand="experiments")
+        assert row["outcome"] == "failed"
+        assert "nope" in row["error"]
+
     def test_faults_campaign_records_summary(self, capsys, tmp_path):
         db = tmp_path / "reg.db"
         code, _, _ = run_cli(
@@ -233,6 +261,7 @@ kind = "experiments"
 ids = ["fig1"]
 [steps.delta]
 kind = "report"
+what = "bench"
 after = ["figs"]
 """)
         code, out, _ = run_cli(capsys, "pipeline", "plan",
@@ -261,6 +290,7 @@ after = ["figs"]
 name = "doomed"
 [steps.delta]
 kind = "report"
+what = "bench"
 """)
         code, _, err = run_cli(
             capsys, "pipeline", "run", str(settings),
@@ -422,6 +452,7 @@ class TestCapacityCLI:
             assert row["outcome"] == "ok"
             assert row["summary"]["kind"] == "capacity-fit"
             assert row["summary"]["tenants"] == len(tenants)
+            assert row["seed"] == 0  # the default, resolved before recording
 
     def test_fit_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "capacity", "fit", "--no-record")
@@ -435,11 +466,14 @@ class TestCapacityCLI:
 
     def test_calibrate_gate_passes_at_pinned_defaults(self, capsys,
                                                       tmp_path):
+        from repro.capacity.calibrate import DEFAULT_SEED
+
         db = str(tmp_path / "runs.db")
         code, out, _ = run_cli(capsys, "capacity", "calibrate",
                                "--gate", "--runs-db", db)
         assert code == 0
         assert "calibration gate: PASS" in out
         with RunStore(db) as store:
-            assert store.latest_run(
-                subcommand="capacity")["outcome"] == "ok"
+            row = store.latest_run(subcommand="capacity")
+        assert row["outcome"] == "ok"
+        assert row["seed"] == DEFAULT_SEED == 2017

@@ -5,9 +5,11 @@ import time
 
 import pytest
 
-from repro.runs.pipeline import plan_pipeline, run_pipeline
+from repro.cli.main import main
+from repro.runs.pipeline import _step_argv, plan_pipeline, run_pipeline
+from repro.runs.report import pipeline_payload, render_pipeline
 from repro.runs.settings import parse_settings
-from repro.runs.store import RunStore
+from repro.runs.store import RunStore, sha256_file
 
 MINI = """\
 [pipeline]
@@ -20,6 +22,7 @@ ids = ["fig1", "fig10"]
 
 [steps.delta]
 kind = "report"
+what = "bench"
 after = ["figs"]
 """
 
@@ -59,6 +62,77 @@ class TestPlan:
         ]
 
 
+class TestStepCommandLines:
+    def test_keys_become_flags_switches_and_positionals(self):
+        step = parse_settings("""\
+[pipeline]
+name = "p"
+[steps.campaign]
+kind = "faults"
+seed = 4
+k_fraction = 0.1
+paper_criteria = true
+no_rs_fallback = false
+[steps.load]
+kind = "fleet"
+action = "drive"
+root = "live"
+[steps.figs]
+kind = "experiments"
+ids = ["fig1", "fig10"]
+""").steps
+        assert _step_argv(step[0], "out") == [
+            "faults", "--checkpoint", os.path.join("out", "campaign.ckpt"),
+            "--k-fraction", "0.1", "--paper-criteria"]
+        assert _step_argv(step[1], "out") == [
+            "fleet", "drive", "--root", "live",
+            "--json-out", os.path.join("out", "load.json")]
+        assert _step_argv(step[2], "out") == ["experiments", "fig1",
+                                              "fig10"]
+
+    @pytest.mark.parametrize("key, message", [
+        ("trails = 2", "unrecognized arguments: --trails 2"),
+        # argparse never sees a false key: the old executor's name, a
+        # typo, and a false on a flag that takes a value.
+        ("rs_fallback = false", "has no switch 'rs_fallback'"),
+        ("trails = false", "has no switch 'trails'"),
+        ("workers = false", "has no switch 'workers'"),
+        # argparse would take --trial as an abbreviation of --trials.
+        ("trial = 2", "has no flag 'trial'"),
+        ("no_record = true", "always recorded"),
+    ], ids=["typo", "old-name", "false-typo", "not-a-switch",
+            "abbreviated", "no-record"])
+    def test_bad_step_is_refused_before_anything_runs(self, key, message,
+                                                      capsys, tmp_path):
+        settings = tmp_path / "bad.toml"
+        settings.write_text(f"""\
+[pipeline]
+name = "bad"
+
+[steps.figs]
+kind = "experiments"
+ids = ["fig1"]
+
+[steps.campaign]
+kind = "faults"
+after = ["figs"]
+alpha = 10.0
+beta = 8.0
+no_rs_fallback = false
+{key}
+""")
+        assert main(["pipeline", "plan", str(settings)]) == 1
+        err = capsys.readouterr().err
+        assert "error: step 'campaign'" in err and message in err
+        db = tmp_path / "reg.db"
+        workdir = tmp_path / "out"
+        assert main(["pipeline", "run", str(settings), "--runs-db",
+                     str(db), "--workdir", str(workdir)]) == 1
+        assert "error: step 'campaign'" in capsys.readouterr().err
+        assert not db.exists()  # not even the pipeline row
+        assert not workdir.exists()
+
+
 class TestRunAndResume:
     def test_failure_then_resume_skips_recorded_ok_steps(
             self, db_path, settings_path, tmp_path, capsys):
@@ -81,8 +155,12 @@ class TestRunAndResume:
             figs_run = next(c for c in children
                             if c["params"]["step"] == "figs")
             paths = [a["path"] for a in store.artifacts(figs_run["id"])]
-            assert paths and paths[0].endswith("figs.txt")
+            assert paths and paths[0].endswith(
+                f"figs.{figs_run['id'][:12]}.txt")
             assert os.path.exists(paths[0])
+            failed_run = next(c for c in children
+                              if c["params"]["step"] == "delta")
+            [failed_log] = store.artifacts(failed_run["id"])
 
         # Make the report step satisfiable, then resume: the ok step is
         # skipped (not re-run, not double-recorded), the failed one
@@ -105,6 +183,13 @@ class TestRunAndResume:
         delta_runs = [c for c in children
                       if c["params"]["step"] == "delta"]
         assert {c["outcome"] for c in delta_runs} == {"failed", "ok"}
+        # The re-run wrote its own log: the failed attempt's is intact.
+        ok_run = next(c for c in delta_runs if c["outcome"] == "ok")
+        with RunStore(db_path) as store:
+            [ok_log] = store.artifacts(ok_run["id"])
+        assert ok_log["path"] != failed_log["path"]
+        assert "+50.0%" in open(ok_log["path"]).read()
+        assert sha256_file(failed_log["path"]) == failed_log["sha256"]
         out = capsys.readouterr().out
         assert "skipped (recorded ok" in out
         assert "+50.0%" in out  # the report step rendered the delta
@@ -138,13 +223,13 @@ class TestRunAndResume:
     def test_interrupt_finalizes_pipeline_row(self, db_path,
                                               settings_path, tmp_path,
                                               monkeypatch):
-        from repro.runs import pipeline as pipeline_module
+        import importlib
 
-        def interrupted(step, seed, workdir, recorder, store):
+        def interrupted(args, run):
             raise KeyboardInterrupt
 
-        monkeypatch.setitem(pipeline_module._EXECUTORS, "experiments",
-                            interrupted)
+        monkeypatch.setattr(importlib.import_module("repro.cli.main"),
+                            "cmd_experiments", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_pipeline(settings_path, db_path=db_path,
                          workdir=str(tmp_path / "out"))
@@ -180,6 +265,7 @@ concurrency = 4
 
 [steps.delta]
 kind = "report"
+what = "bench"
 after = ["fleet"]
 """)
         workdir = str(tmp_path / "out")
@@ -201,3 +287,80 @@ after = ["fleet"]
             fleet_summary = children[1]["summary"]
         assert fleet_summary["served"] > 0
         assert fleet_summary["shards"] == 2
+
+
+class TestStepsRunTheCLIHandlers:
+    def test_experiments_step_records_one_child_per_figure(self, db_path,
+                                                           settings_path,
+                                                           tmp_path):
+        run_pipeline(settings_path, db_path=db_path,
+                     workdir=str(tmp_path / "out"))
+        with RunStore(db_path) as store:
+            payload = pipeline_payload(store)
+        figs = payload["steps"][0]
+        assert [(c["subcommand"], c["params"]["id"], c["outcome"])
+                for c in figs["children"]] == \
+            [("experiment", "fig1", "ok"), ("experiment", "fig10", "ok")]
+        text = render_pipeline(payload)
+        assert "- fig1 " in text and "- fig10 " in text
+        assert "req" not in text  # shard detail is for fleet shards only
+
+    def test_every_step_registers_its_console_log(self, db_path,
+                                                  settings_path, tmp_path,
+                                                  capsys):
+        workdir = tmp_path / "out"
+        report = run_pipeline(settings_path, db_path=db_path,
+                              workdir=str(workdir))
+        assert [row["action"] for row in report["steps"]] == \
+            ["ok", "failed"]  # no bench runs for the report step yet
+        with RunStore(db_path) as store:
+            logs = {}
+            for child in store.children(report["pipeline_id"]):
+                step = child["params"]["step"]
+                logs[step] = workdir / f"{step}.{child['id'][:12]}.txt"
+                assert str(logs[step]) in [
+                    a["path"] for a in store.artifacts(child["id"])]
+        figs_log = logs["figs"].read_text()
+        assert "== fig1:" in figs_log and "== fig10:" in figs_log
+        assert figs_log in capsys.readouterr().out  # tee'd, not diverted
+
+    def test_faults_step_matches_the_cli_command(self, db_path, tmp_path):
+        settings = tmp_path / "campaign.toml"
+        settings.write_text("""\
+[pipeline]
+name = "same"
+seed = 3
+
+[steps.campaign]
+kind = "faults"
+alpha = 10.0
+beta = 8.0
+bound = 40
+k_fraction = 0.1
+paper_criteria = true
+trials = 4
+checkpoint_every = 2
+misfire_rate = 0.02
+workers = 1
+""")
+        workdir = tmp_path / "out"
+        report = run_pipeline(str(settings), db_path=db_path,
+                              workdir=str(workdir))
+        assert report["outcome"] == "ok"
+        checkpoint = tmp_path / "cli.ckpt"
+        assert main(["faults", "--alpha", "10.0", "--beta", "8.0",
+                     "--bound", "40", "--k-fraction", "0.1",
+                     "--paper-criteria", "--trials", "4",
+                     "--checkpoint-every", "2", "--misfire-rate", "0.02",
+                     "--workers", "1", "--seed", "3",
+                     "--checkpoint", str(checkpoint),
+                     "--runs-db", db_path]) == 0
+        assert (workdir / "campaign.ckpt").read_bytes() == \
+            checkpoint.read_bytes()
+        with RunStore(db_path) as store:
+            (step_row,) = store.children(report["pipeline_id"])
+            (cli_row,) = [row for row in store.list_runs(subcommand="faults")
+                          if row["parent_id"] is None]
+        assert step_row["seed"] == cli_row["seed"] == 3
+        assert step_row["summary"] == cli_row["summary"]
+        assert report["steps"][0]["summary"] == cli_row["summary"]

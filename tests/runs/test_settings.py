@@ -73,6 +73,10 @@ kind = "bench"
         ('[pipeline]\nname = "p"\n[steps.s]\nkind = "nope"\n',
          "unknown kind"),
         ('[pipeline]\nname = "p"\n[steps.s]\nkind = "bench"\n'
+         'seed = "7"\n', "step 's': seed"),
+        ('[pipeline]\nname = "p"\n[steps.s]\nkind = "bench"\n'
+         'seed = true\n', "step 's': seed"),
+        ('[pipeline]\nname = "p"\n[steps.s]\nkind = "bench"\n'
          'after = ["ghost"]\n', "unknown steps"),
         ('[pipeline]\nname = "p"\n[steps.s]\nkind = "bench"\n'
          'after = ["s"]\n', "itself"),
