@@ -691,7 +691,9 @@ def cmd_loadgen(args, run) -> int:
     if service:
         print(f"  batched into {service.get('rounds', 0)} rounds "
               f"(mean size {service.get('batch_size_mean', 0):.2f}, "
-              f"max {service.get('batch_size_max', 0)})")
+              f"max {service.get('batch_size_max', 0)}; "
+              f"{service.get('window_expired', 0)} waited the whole "
+              f"window)")
     _print_latency_split(stats.get("latency_split"))
     _print_wall_clock("requests", args.requests, elapsed)
     if args.json_out:
@@ -1361,7 +1363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=0,
                          help="listen port (0 picks a free one)")
     p_serve.add_argument("--window-ms", type=float, default=2.0,
-                         help="batching window in milliseconds "
+                         help="batching window in milliseconds, an upper "
+                              "limit; a round closes sooner once every "
+                              "open connection has a request queued "
                               "(default: 2)")
     p_serve.add_argument("--max-batch", type=int, default=64,
                          help="max access requests per engine round")
@@ -1453,7 +1457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--concurrency", type=int, default=8)
     p_fleet.add_argument("--seed", type=int, default=0)
     p_fleet.add_argument("--window-ms", type=float, default=2.0,
-                         help="per-shard batching window in milliseconds")
+                         help="per-shard batching window in milliseconds, "
+                              "an upper limit; a round closes sooner once "
+                              "every open connection has a request queued")
     p_fleet.add_argument("--max-batch", type=int, default=64)
     p_fleet.add_argument("--queue-cap", type=int, default=256)
     p_fleet.add_argument("--snapshot-every", type=int, default=16)

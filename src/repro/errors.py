@@ -170,3 +170,15 @@ class LedgerCorruptionError(ConfigurationError):
         super().__init__(message)
         self.path = path
         self.seq = seq
+
+
+class LedgerWriteError(ReproError):
+    """A write to the service wear ledger failed; it accepts no more.
+
+    Raised (chained to the ``OSError``) when the WAL write, flush or
+    fsync of a batch fails, and by every later append, snapshot or
+    rotation of that ledger.  Records after a lost one would leave a
+    sequence gap that recovery refuses, and a snapshot would claim the
+    lost records, so the ledger stops at the first failure and the
+    service restarts through recovery instead.
+    """

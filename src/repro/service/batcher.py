@@ -2,17 +2,34 @@
 
 Concurrent clients each want one secret read; the engine wants one
 ``step_access`` kernel call over many rows.  The batcher bridges them:
-requests arriving within ``window_s`` of the first queued one are
-drained into a single round (capped at ``max_batch``) and served
-through :meth:`repro.service.hub.WearHub.serve_round`.
+queued requests are drained into a single round (capped at
+``max_batch``) and served through
+:meth:`repro.service.hub.WearHub.serve_round`.
 
-Two invariants keep batching bit-identical to sequential handling:
+A round closes as soon as no further request can join it.  The server
+answers each connection's request before it reads that connection's
+next frame, so a connection has at most one request in flight: once
+the queue holds ``min(max_batch, open connections)`` requests, waiting
+longer only adds latency.  ``window_s`` is the upper limit on how long
+a round gathers.  An open connection with nothing queued (an idle
+admin client, say) could still send, so it keeps the window open; a
+connection that closes wakes the batcher, since one fewer request can
+now fill the round.  :meth:`RequestBatcher.stats` counts the rounds
+that waited the whole window in ``window_expired``.
+
+Two invariants keep batching bit-identical to sequential handling,
+however requests are grouped into rounds:
 
 - **one request per tenant per round** - a tenant appearing twice in
   the queue is served across consecutive rounds, preserving its
   per-access kernel/readout RNG interleaving;
 - **FIFO within a tenant** - the deferred duplicate keeps its queue
   position relative to later requests for the same tenant.
+
+A round that raises (a failed WAL write, above all) stops the batcher:
+the round's requests and every queued one are answered with the error,
+later submits are refused, and :attr:`RequestBatcher.failure` tells the
+server to stop.  Serving on would append records after a lost one.
 
 Backpressure is the caller's job: the server checks
 :attr:`RequestBatcher.depth` against its queue cap *before* submitting
@@ -23,8 +40,9 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections.abc import Iterable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.obs.recorder import OBS
 
 __all__ = ["RequestBatcher"]
@@ -47,9 +65,15 @@ class RequestBatcher:
         self._arrived: asyncio.Event = asyncio.Event()
         self._closed = False
         self._task: asyncio.Task | None = None
+        # Open client connections, counted by the server.  Zero means
+        # nobody counts them, and every round waits the whole window.
+        self.connections = 0
+        #: The error that stopped the batcher, once a round raised.
+        self.failure: ReproError | None = None
         # Batch-size distribution for status/bench reporting.
         self.rounds = 0
         self.requests = 0
+        self.window_expired = 0
         self.batch_sizes: dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -61,6 +85,15 @@ class RequestBatcher:
     def start(self) -> None:
         self._task = asyncio.get_running_loop().create_task(self._run())
 
+    def connection_opened(self) -> None:
+        """Count in a connection that may submit requests."""
+        self.connections += 1
+
+    def connection_closed(self) -> None:
+        """Count a connection out; the round it held open may close."""
+        self.connections -= 1
+        self._arrived.set()
+
     async def submit(self, tenant: str, rid: str | None = None,
                      trace: str | None = None) -> dict:
         """Queue one access request; resolves with its response.
@@ -70,6 +103,9 @@ class RequestBatcher:
         WAL record persists them.  The enqueue timestamp (recorded only
         while observability is on) feeds the ``svc.queue_wait_s``
         histogram - the queue-wait half of the loadgen latency split.
+        A failed round raises its error to each request it held and to
+        every request queued behind it; a stopped batcher refuses later
+        submits.
         """
         if self._closed:
             raise ConfigurationError("batcher is draining")
@@ -88,6 +124,46 @@ class RequestBatcher:
             self._task = None
 
     # ------------------------------------------------------------------
+    def _full(self) -> bool:
+        """Whether every request that could join the round is queued."""
+        target = min(self.max_batch, self.connections)
+        return 0 < target <= len(self._queue)
+
+    async def _gather(self) -> bool:
+        """Hold the round open until it is full, the window ends or a
+        drain starts; returns whether the window ended first."""
+        if self._full():
+            return False
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            self._arrived.set()
+
+        timer = asyncio.get_running_loop().call_later(self.window_s, expire)
+        try:
+            while not (expired or self._closed or self._full()):
+                self._arrived.clear()
+                await self._arrived.wait()
+        finally:
+            timer.cancel()
+        return expired
+
+    def _stop(self, exc: Exception, futures: Iterable[asyncio.Future]) -> None:
+        """Answer the failed round and every queued request with ``exc``."""
+        if not isinstance(exc, ReproError):
+            wrapped = ReproError(f"engine round failed: {exc!r}")
+            wrapped.__cause__ = exc
+            exc = wrapped
+        self.failure = exc
+        self._closed = True
+        pending = [*futures, *(entry[-1] for entry in self._queue)]
+        self._queue = []
+        for future in pending:
+            if not future.done():
+                future.set_exception(exc)
+
     async def _run(self) -> None:
         while True:
             if not self._queue:
@@ -97,7 +173,8 @@ class RequestBatcher:
                 await self._arrived.wait()
                 continue
             if self.window_s and not self._closed:
-                await asyncio.sleep(self.window_s)
+                if await self._gather():
+                    self.window_expired += 1
             round_items: list[tuple[str, str | None, str | None]] = []
             round_futures: dict[str, asyncio.Future] = {}
             round_waits: list[float] = []
@@ -118,11 +195,12 @@ class RequestBatcher:
                     OBS.metrics.observe("svc.queue_wait_s", wait)
             try:
                 responses = self.hub.serve_round(round_items)
-            except Exception as exc:  # pragma: no cover - defensive
-                for future in round_futures.values():
-                    if not future.done():
-                        future.set_exception(exc)
-                raise
+            except Exception as exc:
+                # After a failed WAL write the ledger refuses every
+                # write, and any other error may leave the round partly
+                # applied: only a restart through recovery can serve on.
+                self._stop(exc, round_futures.values())
+                return
             self.rounds += 1
             self.requests += len(round_items)
             size = len(round_items)
@@ -142,6 +220,7 @@ class RequestBatcher:
         return {
             "rounds": self.rounds,
             "requests": self.requests,
+            "window_expired": self.window_expired,
             "batch_size_max": sizes[-1] if sizes else 0,
             "batch_size_mean": (self.requests / self.rounds
                                 if self.rounds else 0.0),

@@ -207,6 +207,9 @@ async def run_loadgen(host: str, port: int, *, tenants: int = 4,
         elif response["status"] != "exists":
             raise ConfigurationError(
                 f"provision of {payload['tenant']!r} failed: {response}")
+    # An idle open connection holds every batching round open for the
+    # whole window; ``request`` reconnects for status, metrics and drain.
+    await admin.close()
     outcomes: dict[str, int] = {}
     latencies: list[float] = []
     busy_retries = 0

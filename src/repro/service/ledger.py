@@ -33,6 +33,12 @@ rotation** is sound: once a snapshot covers the active WAL,
 snapshot plus one active segment instead of the full history.  Only
 the snapshot format this module writes (``meta["format"] == 2``) is
 read back; any other is refused as corruption.
+
+A failed WAL write stops the ledger: the batch's records may or may not
+have reached the disk, so a later record could follow a gap recovery
+refuses, and a snapshot would claim records that were lost.  The first
+failure raises :class:`~repro.errors.LedgerWriteError`, and so does
+every later append, snapshot and rotation, without touching a file.
 """
 
 from __future__ import annotations
@@ -46,7 +52,11 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from repro.errors import ConfigurationError, LedgerCorruptionError
+from repro.errors import (
+    ConfigurationError,
+    LedgerCorruptionError,
+    LedgerWriteError,
+)
 from repro.obs.recorder import OBS
 from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 
@@ -82,6 +92,12 @@ class WearLedger:
         self._lock_handle = None
         self._next_seq = 0
         self._active_base = 0
+        self._failure: LedgerWriteError | None = None
+
+    @property
+    def failure(self) -> LedgerWriteError | None:
+        """The error of the WAL write that stopped the ledger, if any."""
+        return self._failure
 
     @property
     def next_seq(self) -> int:
@@ -136,7 +152,10 @@ class WearLedger:
         kill can tear at most the final line - the case recovery
         repairs.  Returns the assigned sequence numbers.  Callers must
         only execute the recorded operations *after* this returns.
+        A failed write, flush or fsync raises
+        :class:`~repro.errors.LedgerWriteError` and stops the ledger.
         """
+        self._check_writable()
         if self._handle is None:
             self.open_for_append()
         seqs = []
@@ -149,9 +168,12 @@ class WearLedger:
             lines.append(json.dumps(stamped, sort_keys=True,
                                     separators=(",", ":")))
         payload = ("\n".join(lines) + "\n").encode("utf-8")
-        self._handle.write(payload)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        try:
+            self._handle.write(payload)
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+        except OSError as exc:
+            raise self._stop(exc) from exc
         if OBS.enabled:
             OBS.metrics.inc("svc.ledger_records", len(records))
         return seqs
@@ -159,6 +181,26 @@ class WearLedger:
     def append(self, record: dict) -> int:
         """Durably append one record; returns its seq."""
         return self.append_batch([record])[0]
+
+    def _stop(self, exc: OSError) -> LedgerWriteError:
+        """Refuse every later write after ``exc``; returns the error."""
+        self._failure = LedgerWriteError(
+            f"WAL write to {self.wal_path} failed: {exc}; the ledger "
+            f"accepts no further writes")
+        handle, self._handle = self._handle, None
+        try:
+            # Whatever the buffer still holds may reach the disk here;
+            # recovery charges it, which is the safe direction.
+            handle.close()
+        except OSError:
+            pass
+        return self._failure
+
+    def _check_writable(self) -> None:
+        if self._failure is not None:
+            raise LedgerWriteError(
+                f"wear ledger {self.directory} stopped after a failed "
+                f"WAL write") from self._failure
 
     def close(self) -> None:
         if self._handle is not None:
@@ -366,6 +408,7 @@ class WearLedger:
         completely.  A no-op (returns ``None``) when the active segment
         is empty.
         """
+        self._check_writable()
         if self._handle is None:
             raise ConfigurationError(
                 "rotate_segment requires the WAL to be open for append")
@@ -410,6 +453,7 @@ class WearLedger:
         ``meta_extra`` lands in the checkpoint's ``meta`` - the hub uses
         it for the retained idempotency responses.
         """
+        self._check_writable()
         meta = {"kind": _SNAPSHOT_KIND, "last_seq": last_seq,
                 "format": _SNAPSHOT_FORMAT}
         meta.update(meta_extra)

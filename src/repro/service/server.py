@@ -12,7 +12,16 @@ predecessor's wear history is reconstructed exactly), starts serving,
 and optionally writes a ready file naming the bound port (the CI smoke
 leg binds port 0).  ``drain`` - the protocol op or SIGTERM/SIGINT -
 stops intake, flushes queued rounds, writes a final snapshot and exits
-cleanly.
+cleanly.  A failed WAL write stops the service the same way, except
+that every request it holds or receives is answered ``error``, no
+snapshot is written (it would claim the lost records) and
+:func:`run_service` raises, so ``repro serve`` exits nonzero and a
+supervisor restarts the shard through recovery.  Recovery charges any
+record that reached the disk unanswered: wear on disk never falls
+below the wear the service acknowledged.
+
+The handler counts each connection in and out of the batcher, which
+closes a round once every open connection has a request queued.
 
 Rate-limit denials are deliberately *not* WAL-logged: they consume no
 wear and depend on wall-clock timing, which replay cannot reproduce.
@@ -142,6 +151,7 @@ class WearService:
         self._buckets: dict[str, _TokenBucket] = {}
         self._server: asyncio.AbstractServer | None = None
         self._done: asyncio.Event | None = None
+        self._stopping: asyncio.Task | None = None
         self._draining = False
         self._last_snapshot_round = 0
         self._started_monotonic = time.monotonic()
@@ -170,15 +180,31 @@ class WearService:
     async def wait_closed(self) -> None:
         await self._done.wait()
 
+    @property
+    def failure(self) -> ReproError | None:
+        """The failed WAL write (or round) that stops the service."""
+        return self.ledger.failure or self.batcher.failure
+
+    def stop(self) -> None:
+        """Start :meth:`shutdown` in its own task (idempotent)."""
+        if self._stopping is None:
+            self._stopping = asyncio.get_running_loop().create_task(
+                self.shutdown())
+
     async def shutdown(self) -> None:
-        """Graceful drain: flush rounds, snapshot, release everything."""
+        """Graceful drain: flush rounds, snapshot, release everything.
+
+        After a failure no snapshot is written: it would cover records
+        the WAL lost.
+        """
         if self._draining:
             return
         self._draining = True
         if self._server is not None:
             self._server.close()
         await self.batcher.drain()
-        self.hub.write_snapshot()
+        if self.failure is None:
+            self.hub.write_snapshot()
         self.ledger.close()
         if self._server is not None:
             await self._server.wait_closed()
@@ -189,6 +215,7 @@ class WearService:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        self.batcher.connection_opened()
         try:
             while True:
                 try:
@@ -204,11 +231,12 @@ class WearService:
                 if drain_after:
                     # Shut down from a fresh task: shutdown waits for
                     # open connections, which includes this handler.
-                    asyncio.get_running_loop().create_task(self.shutdown())
+                    self.stop()
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self.batcher.connection_closed()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -219,6 +247,8 @@ class WearService:
         op = request.get("op")
         if OBS.enabled:
             OBS.metrics.inc("svc.requests")
+        if self.failure is not None:
+            return self._failed(self.failure), False
         started = time.perf_counter()
         try:
             if op == "provision":
@@ -239,8 +269,16 @@ class WearService:
                 return self._drain_response(), True
             return denied("bad-request", f"unknown op {op!r}"), False
         except ReproError as exc:
+            if self.failure is not None:
+                return self._failed(exc), False
             return denied("error", str(exc),
                           error=type(exc).__name__), False
+
+    def _failed(self, exc: ReproError) -> dict:
+        """Answer ``error`` and stop: the ledger takes no more writes."""
+        self.stop()
+        return denied("error", f"service stopping: {exc}",
+                      error=type(exc).__name__)
 
     async def _access(self, request: dict) -> dict:
         tenant = request.get("tenant")
@@ -380,18 +418,18 @@ class WearService:
 
 
 async def run_service(config: ServiceConfig) -> None:
-    """Run a service until drained (op or SIGTERM/SIGINT)."""
+    """Run a service until drained (op or SIGTERM/SIGINT).
+
+    Raises the failure that stopped it, if one did.
+    """
     service = WearService(config)
     await service.start()
     loop = asyncio.get_running_loop()
 
-    def _signal_drain() -> None:
-        loop.create_task(service.shutdown())
-
     installed = []
     for signum in (signal.SIGTERM, signal.SIGINT):
         try:
-            loop.add_signal_handler(signum, _signal_drain)
+            loop.add_signal_handler(signum, service.stop)
             installed.append(signum)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass
@@ -400,3 +438,5 @@ async def run_service(config: ServiceConfig) -> None:
     finally:
         for signum in installed:
             loop.remove_signal_handler(signum)
+    if service.failure is not None:
+        raise service.failure

@@ -1,11 +1,16 @@
 """Tests for the durable wear ledger (WAL + snapshots)."""
 
+import errno
 import json
 import os
 
 import pytest
 
-from repro.errors import ConfigurationError, LedgerCorruptionError
+from repro.errors import (
+    ConfigurationError,
+    LedgerCorruptionError,
+    LedgerWriteError,
+)
 from repro.service.ledger import WearLedger
 
 
@@ -38,6 +43,34 @@ class TestAppend:
         with pytest.raises(ConfigurationError):
             ledger.replay()
         ledger.close()
+
+
+class TestWriteFailure:
+    def test_failed_write_stops_the_ledger(self, tmp_path, failing_wal):
+        ledger = WearLedger(str(tmp_path))
+        ledger.append({"op": "provision", "tenant": "a"})
+        ledger.write_snapshot(0, [])
+        wal = _wal_bytes(ledger)
+        snapshot = (tmp_path / "snapshot.json").read_bytes()
+        failing_wal[0].armed = True
+        with pytest.raises(LedgerWriteError) as failed:
+            ledger.append({"op": "access", "tenant": "a"})
+        assert failed.value.__cause__.errno == errno.ENOSPC
+        assert ledger.failure is failed.value
+        # Every later write is refused before it touches a file.
+        for write in (lambda: ledger.append({"op": "access", "tenant": "a"}),
+                      lambda: ledger.write_snapshot(1, []),
+                      ledger.rotate_segment):
+            with pytest.raises(LedgerWriteError):
+                write()
+        ledger.close()
+        assert _wal_bytes(ledger) == wal
+        assert (tmp_path / "snapshot.json").read_bytes() == snapshot
+        assert not (tmp_path / "archive").exists()
+        fresh = WearLedger(str(tmp_path))
+        _, records = fresh.replay()
+        assert [record["seq"] for record in records] == [0]
+        fresh.close()
 
 
 class TestSingleWriter:
