@@ -656,9 +656,7 @@ def cmd_serve(args, run) -> int:
 
 
 def cmd_loadgen(args, run) -> int:
-    import asyncio
-
-    from repro.service.client import read_ready_file, run_loadgen
+    from repro.service.client import read_ready_file
 
     if args.ready_file:
         host, port = read_ready_file(args.ready_file)
@@ -675,42 +673,71 @@ def cmd_loadgen(args, run) -> int:
     population_kwargs = {"n": args.n, "k": args.k, "copies": args.copies,
                          "alpha": args.alpha, "beta": args.beta,
                          "scheme": args.scheme}
+    return _drive_shards(args, run, [{"host": host, "port": port}],
+                         faults=faults, drain=args.drain,
+                         population_kwargs=population_kwargs)
+
+
+def _drive_shards(args, run, shards, supervisor=None, **options) -> int:
+    """The body of ``loadgen`` and ``fleet run|drive``: one ``run_loadgen``.
+
+    A ``fleet`` run records one linked ``fleet-shard`` child row per
+    shard with its share of the traffic (and, when this call
+    supervised, its restarts).
+    """
+    import asyncio
+
+    from repro.service.client import run_loadgen
+    from repro.service.fleet import shard_summaries
+
     started = time.perf_counter()
-    stats = asyncio.run(run_loadgen(
-        host, port, tenants=args.tenants, requests=args.requests,
-        concurrency=args.concurrency, seed=args.seed,
-        faults=faults, drain=args.drain, retry=_retry_policy(args),
-        population_kwargs=population_kwargs))
+    with supervisor or contextlib.nullcontext():
+        stats = asyncio.run(run_loadgen(
+            shards, tenants=args.tenants, requests=args.requests,
+            concurrency=args.concurrency, seed=args.seed,
+            retry=_retry_policy(args), **options))
     elapsed = time.perf_counter() - started
-    print(f"loadgen: {stats['requests']} requests over "
-          f"{stats['tenants']} tenants "
-          f"({stats['requests_per_s']:,.1f} req/s)")
-    for status, count in stats["outcomes"].items():
-        print(f"  {status:<14} {count}")
-    service = stats.get("service") or {}
-    if service:
-        print(f"  batched into {service.get('rounds', 0)} rounds "
-              f"(mean size {service.get('batch_size_mean', 0):.2f}, "
-              f"max {service.get('batch_size_max', 0)}; "
-              f"{service.get('window_expired', 0)} waited the whole "
-              f"window)")
-    _print_latency_split(stats.get("latency_split"))
+    _print_load_stats(args.command, stats)
     _print_wall_clock("requests", args.requests, elapsed)
+    _write_json(args.json_out, stats, f"{args.command} stats")
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(stats, handle, indent=2)
-            handle.write("\n")
         run.add_artifact(args.json_out)
-        print(f"loadgen stats written to {args.json_out}")
-    run.set_summary({"kind": "loadgen",
+    run.set_summary({"kind": args.command, "shards": stats["shards"],
                      "requests": stats["requests"],
                      "served": stats["served"],
                      "requests_per_s": stats["requests_per_s"],
                      "outcomes": stats["outcomes"]})
+    if args.command == "fleet":
+        restarts = None
+        if supervisor is not None:
+            run.add_artifact(args.root, digest=False)
+            restarts = list(supervisor.restarts)
+        for summary in shard_summaries(stats, restarts):
+            with run.child("fleet-shard",
+                           {"shard": summary["shard"]}) as child:
+                child.set_summary(summary)
     if stats["served"] == 0:
-        run.record_failure("no request was served")
+        run.record_failure(f"{args.command} served no request")
         return 1
     return 0
+
+
+def _print_load_stats(label: str, stats: dict) -> None:
+    print(f"{label}: {stats['requests']} requests over "
+          f"{stats['tenants']} tenants across {stats['shards']} shard(s) "
+          f"({stats['requests_per_s']:,.1f} req/s)")
+    for status, count in stats["outcomes"].items():
+        print(f"  {status:<14} {count}")
+    service = stats["service"]
+    print(f"  batched into {service['rounds']} rounds "
+          f"(mean size {service['batch_size_mean']:.2f}, "
+          f"max {service['batch_size_max']}; "
+          f"{service['window_expired']} waited the whole window)")
+    print(f"  per-shard requests {stats['per_shard_requests']}, "
+          f"workers {stats['per_shard_workers']} | "
+          f"busy retries {stats['busy_retries']} | "
+          f"reconnects {stats['reconnects']}")
+    _print_latency_split(stats.get("latency_split"))
 
 
 def _format_ms(seconds) -> str:
@@ -773,8 +800,7 @@ def _fleet_map_path(args) -> str:
     return os.path.join(args.root, FLEET_MAP_NAME)
 
 
-def _write_fleet_json(path: str | None, payload: dict,
-                      label: str) -> None:
+def _write_json(path: str | None, payload: dict, label: str) -> None:
     if not path:
         return
     with open(path, "w", encoding="utf-8") as handle:
@@ -796,50 +822,9 @@ def _write_prom(path: str, snapshot: dict) -> None:
 def _fleet_load(args, run) -> int:
     """Drive a fleet: ``run`` spawns and stops its own (the one-shot
     smoke path), ``drive`` loads one already running (``fleet serve``).
-
-    One linked ``fleet-shard`` child row per shard records its share of
-    the traffic (and, when this call supervised, its restarts).
     """
-    import asyncio
-
-    from repro.service.fleet import run_fleet_loadgen, shard_summaries
-
     supervisor = _fleet_supervisor(args) if args.action == "run" else None
-    started = time.perf_counter()
-    with supervisor or contextlib.nullcontext():
-        stats = asyncio.run(run_fleet_loadgen(
-            _fleet_map_path(args), tenants=args.tenants,
-            requests=args.requests, concurrency=args.concurrency,
-            seed=args.seed, retry=_retry_policy(args)))
-    elapsed = time.perf_counter() - started
-    print(f"fleet: {stats['requests']} requests over "
-          f"{stats['tenants']} tenants across {stats['shards']} "
-          f"shards ({stats['requests_per_s']:,.1f} req/s)")
-    for status, count in stats["outcomes"].items():
-        print(f"  {status:<14} {count}")
-    print(f"  per-shard requests {stats['per_shard_requests']} | "
-          f"busy retries {stats['busy_retries']} | "
-          f"reconnects {stats['reconnects']}")
-    _print_wall_clock("requests", args.requests, elapsed)
-    _write_fleet_json(args.json_out, stats, "fleet stats")
-    if args.json_out:
-        run.add_artifact(args.json_out)
-    restarts = None
-    if supervisor is not None:
-        run.add_artifact(args.root, digest=False)
-        restarts = list(supervisor.restarts)
-    run.set_summary({"kind": "fleet", "shards": stats["shards"],
-                     "requests": stats["requests"],
-                     "served": stats["served"],
-                     "requests_per_s": stats["requests_per_s"],
-                     "outcomes": stats["outcomes"]})
-    for summary in shard_summaries(stats, restarts):
-        with run.child("fleet-shard", {"shard": summary["shard"]}) as child:
-            child.set_summary(summary)
-    if stats["served"] == 0:
-        run.record_failure("fleet served no request")
-        return 1
-    return 0
+    return _drive_shards(args, run, _fleet_map_path(args), supervisor)
 
 
 def _fleet_serve(args, run) -> int:
@@ -890,7 +875,7 @@ def _fleet_top(args, run) -> int:
             print(render_fleet_top(snapshot, previous), flush=True)
             if args.prom_out:
                 _write_prom(args.prom_out, snapshot)
-            _write_fleet_json(args.json_out, snapshot, "fleet snapshot")
+            _write_json(args.json_out, snapshot, "fleet snapshot")
             if args.once:
                 return 0 if snapshot["totals"]["alive"] else 1
             previous = snapshot
@@ -1426,7 +1411,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="banks per tenant connection")
     p_load.add_argument("--alpha", type=float, default=9.0)
     p_load.add_argument("--beta", type=float, default=6.0)
-    p_load.add_argument("--scheme", choices=("shamir", "xor"),
+    p_load.add_argument("--scheme", choices=("shamir", "rs"),
                         default="shamir")
     p_load.add_argument("--misfire-rate", type=float, default=0.0)
     p_load.add_argument("--timeout-rate", type=float, default=0.0)

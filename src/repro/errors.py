@@ -177,7 +177,8 @@ class LedgerWriteError(ReproError):
 
     Raised (chained to the ``OSError``) when the WAL write, flush or
     fsync of a batch fails, and by every later append, snapshot or
-    rotation of that ledger.  Records after a lost one would leave a
+    rotation of that ledger.  A failed drain snapshot is reported as
+    one too, after the ledger closed.  Records after a lost one would leave a
     sequence gap that recovery refuses, and a snapshot would claim the
     lost records, so the ledger stops at the first failure and the
     service restarts through recovery instead.

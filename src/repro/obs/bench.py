@@ -248,7 +248,8 @@ def _workload_svc_loadgen(params: dict, seed: int) -> tuple[int, str]:
             host, port = await service.start()
             try:
                 await run_loadgen(
-                    host, port, tenants=params["svc_tenants"],
+                    [{"host": host, "port": port}],
+                    tenants=params["svc_tenants"],
                     requests=params["svc_requests"],
                     concurrency=params["svc_concurrency"], seed=seed)
             finally:
@@ -269,7 +270,7 @@ def _workload_svc_fleet(params: dict, seed: int) -> tuple:
     """
     import asyncio
 
-    from repro.service.fleet import run_fleet_loadgen
+    from repro.service.client import run_loadgen
     from repro.service.supervisor import FleetSupervisor
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -277,7 +278,7 @@ def _workload_svc_fleet(params: dict, seed: int) -> tuple:
             os.path.join(tmp, "fleet"), params["fleet_shards"],
             window_s=0.0005, snapshot_every=16)
         with supervisor:
-            stats = asyncio.run(run_fleet_loadgen(
+            stats = asyncio.run(run_loadgen(
                 supervisor.map_path, tenants=params["fleet_tenants"],
                 requests=params["fleet_requests"],
                 concurrency=params["fleet_concurrency"], seed=seed))

@@ -20,12 +20,13 @@ Layer map:
   vectorized engine rounds (bit-identical to sequential handling);
 - :mod:`repro.service.server` - the asyncio TCP front end: rate
   limits, backpressure, graceful drain;
-- :mod:`repro.service.client` - the protocol client and the load
-  generator behind ``repro loadgen`` and the ``svc.loadgen`` bench
-  workload;
+- :mod:`repro.service.client` - the protocol client and the one load
+  generator, behind ``repro loadgen`` and ``repro fleet run|drive``:
+  it drives a list of shards (one server is a fleet of one shard)
+  with each worker pinned to one shard;
 - :mod:`repro.service.fleet` - tenant-hash partitioning across
-  shared-nothing shards, the shard-map-aware :class:`FleetClient`
-  with idempotent crash-safe retries, and the fleet load generator;
+  shared-nothing shards and the shard-map-aware :class:`FleetClient`
+  with idempotent crash-safe retries;
 - :mod:`repro.service.supervisor` - shard process supervision:
   spawn, health-probe, restart-through-recovery;
 - :mod:`repro.service.chaos` - scripted fault scenarios (SIGKILL
@@ -55,7 +56,6 @@ from repro.service.client import (
 from repro.service.fleet import (
     FleetClient,
     read_fleet_map,
-    run_fleet_loadgen,
     shard_index,
     write_fleet_map,
 )
@@ -80,7 +80,6 @@ __all__ = [
     "read_fleet_map",
     "read_ready_file",
     "run_chaos",
-    "run_fleet_loadgen",
     "run_loadgen",
     "run_scenario",
     "run_service",

@@ -17,9 +17,9 @@ after the dust settles:
 
 Scenarios (``repro chaos --scenario ...``):
 
-- ``kill-mid-batch``   - SIGKILL one shard while a retrying fleet
-  loadgen is mid-flight; the supervisor restarts it through recovery
-  and the load finishes against the recovered shard.
+- ``kill-mid-batch``   - SIGKILL one shard while a retrying
+  ``run_loadgen`` is mid-flight; the supervisor restarts it through
+  recovery and the load finishes against the recovered shard.
 - ``torn-tail``        - SIGKILL the fleet, then corrupt one shard's
   WAL with a torn trailing record; recovery must truncate exactly it.
 - ``restart-storm``    - kill/restart one shard repeatedly between
@@ -43,13 +43,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.recorder import OBS
-from repro.service.client import RetryPolicy
-from repro.service.fleet import (
-    FLEET_MAP_NAME,
-    FleetClient,
-    run_fleet_loadgen,
-    shard_index,
+from repro.service.client import (
+    RetryPolicy,
+    provision_population,
+    run_loadgen,
+    tenant_population,
 )
+from repro.service.fleet import FLEET_MAP_NAME, FleetClient, shard_index
 from repro.service.hub import WearHub
 from repro.service.ledger import WearLedger
 from repro.service.supervisor import FleetSupervisor
@@ -238,20 +238,14 @@ def _plan(tenants: list[str], requests: int, tag: str,
 
 async def _provision_population(client: FleetClient, tenants: int,
                                 seed: int) -> list[str]:
-    from repro.service.client import tenant_population
-
     payloads = tenant_population(tenants, seed)
     # Odd-indexed tenants run a mixed fault pipeline so crash recovery
     # exercises the stepped fault-RNG replay path, not just closed form.
-    for index, payload in enumerate(payloads):
-        if index % 2:
-            payload["faults"] = {"misfire_rate": 0.05,
-                                 "stuck_closed_probability": 0.2,
-                                 "timeout_rate": 0.02}
-        response = await client.provision(**payload)
-        if response["status"] not in ("ok", "exists"):
-            raise ConfigurationError(
-                f"chaos provision failed: {response}")
+    for payload in payloads[1::2]:
+        payload["faults"] = {"misfire_rate": 0.05,
+                             "stuck_closed_probability": 0.2,
+                             "timeout_rate": 0.02}
+    await provision_population(client, payloads)
     return [payload["tenant"] for payload in payloads]
 
 
@@ -269,7 +263,7 @@ def scenario_kill_mid_batch(root_dir: str, *, shards: int, tenants: int,
                 await asyncio.sleep(0.25)
                 sup.kill_shard(victim)
 
-            load = asyncio.create_task(run_fleet_loadgen(
+            load = asyncio.create_task(run_loadgen(
                 sup.map_path, tenants=tenants, requests=requests,
                 concurrency=4, seed=seed, retry=_retry()))
             kill = asyncio.create_task(assassin())

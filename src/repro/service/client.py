@@ -1,19 +1,20 @@
 """Client side of the service protocol, plus the load generator.
 
 :class:`ServiceClient` is a thin framed-request wrapper; ``run_loadgen``
-is the workhorse behind ``repro loadgen`` and the ``svc.loadgen`` bench
-workload: it provisions a seeded multi-tenant population, fires a fixed
-number of ``access`` requests at bounded concurrency, and reports every
-outcome class explicitly (served, exhausted, busy, rate-limited, fault)
-so a smoke run can assert both liveness *and* that backpressure answers
-were denials rather than drops.
+is the one load generator, behind ``repro loadgen``, ``repro fleet
+run|drive``, chaos ``kill-mid-batch`` and the ``svc.*`` bench
+workloads.  It drives a list of shards (one server is a fleet of one
+shard) through :class:`~repro.service.fleet.FleetClient`, and reports
+every outcome class explicitly (served, exhausted, busy, rate-limited,
+fault, unavailable) so a smoke run can assert both liveness *and* that
+backpressure answers were denials rather than drops.
 
-``busy`` answers are *transient* backpressure, so the loadgen absorbs
-them with :class:`RetryPolicy` - capped exponential backoff with full
-jitter and a bounded retry budget.  Retries reuse the request's
-idempotency key (``rid``), which is what makes retrying always safe:
-if the original attempt committed before the response was lost, the
-server replays the recorded response instead of charging wear again.
+``busy`` answers and lost connections are retried under
+:class:`RetryPolicy` - capped exponential backoff with full jitter and
+a bounded retry budget.  Retries reuse the request's idempotency key
+(``rid``), which is what makes retrying always safe: if the original
+attempt committed before the response was lost, the server replays the
+recorded response instead of charging wear again.
 """
 
 from __future__ import annotations
@@ -23,17 +24,20 @@ import json
 import os
 import random
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.obs.recorder import MetricsRegistry
 from repro.service.protocol import read_frame, write_frame
 
 __all__ = ["ServiceClient", "RetryPolicy", "tenant_population",
-           "run_loadgen", "read_ready_file", "latency_split_from_metrics",
+           "provision_population", "split_workers", "run_loadgen",
+           "read_ready_file", "latency_split_from_metrics",
            "LOADGEN_SCHEMA_VERSION"]
 
 #: Version of the ``run_loadgen`` stats payload (``--json-out``).
-LOADGEN_SCHEMA_VERSION = 1
+LOADGEN_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -180,84 +184,136 @@ def latency_split_from_metrics(response: dict | None) -> dict | None:
     return split or None
 
 
-async def run_loadgen(host: str, port: int, *, tenants: int = 4,
-                      requests: int = 100, concurrency: int = 8,
-                      seed: int = 0, faults: dict | None = None,
-                      drain: bool = False,
-                      retry: RetryPolicy | None = RetryPolicy(),
-                      population_kwargs: dict | None = None) -> dict:
-    """Drive a running service; returns the outcome statistics.
+async def provision_population(client, population: list[dict]) -> int:
+    """Provision every payload through ``client``; returns how many were new.
 
-    Every access carries a deterministic idempotency key, and ``busy``
-    backpressure answers are retried under ``retry`` (pass ``None`` to
-    surface them immediately).  Outcomes count each request's *final*
-    answer, so they still sum to ``requests``.
+    ``exists`` answers are tolerated, so a rerun over the same ledger
+    provisions nothing; any other answer raises.
     """
-    if requests < 1 or concurrency < 1:
-        raise ConfigurationError(
-            "requests and concurrency must be >= 1")
-    population = tenant_population(tenants, seed, faults=faults,
-                                   **(population_kwargs or {}))
-    admin = await ServiceClient(host, port).connect()
     provisioned = 0
     for payload in population:
-        response = await admin.provision(**payload)
+        response = await client.provision(**payload)
         if response["status"] == "ok":
             provisioned += 1
         elif response["status"] != "exists":
             raise ConfigurationError(
                 f"provision of {payload['tenant']!r} failed: {response}")
-    # An idle open connection holds every batching round open for the
-    # whole window; ``request`` reconnects for status, metrics and drain.
+    return provisioned
+
+
+def split_workers(planned: list[int], concurrency: int) -> list[int]:
+    """Workers per shard, in proportion to its planned requests.
+
+    A shard with requests gets at least one worker (so the total can
+    exceed ``concurrency``), one without gets none, and none gets more
+    workers than requests.  Each further worker goes to the shard with
+    the most requests per worker, ties to the lower index.
+    """
+    workers = [min(count, 1) for count in planned]
+    for _ in range(concurrency - sum(workers)):
+        index = max((i for i, count in enumerate(planned)
+                     if count > workers[i]),
+                    key=lambda i: planned[i] / workers[i], default=None)
+        if index is None:
+            break
+        workers[index] += 1
+    return workers
+
+
+def _sum_service(services: list[dict]) -> dict:
+    """The shards' batcher counters summed and batch sizes merged."""
+    total = {key: sum(service[key] for service in services)
+             for key in ("rounds", "requests", "window_expired")}
+    sizes: dict[int, int] = {}
+    for service in services:
+        for size, count in service["batch_sizes"].items():
+            sizes[int(size)] = sizes.get(int(size), 0) + count
+    total["batch_size_max"] = max(sizes, default=0)
+    total["batch_size_mean"] = (total["requests"] / total["rounds"]
+                                if total["rounds"] else 0.0)
+    total["batch_sizes"] = {str(size): sizes[size] for size in sorted(sizes)}
+    return total
+
+
+async def run_loadgen(shards: str | list[dict], *, tenants: int = 4,
+                      requests: int = 100, concurrency: int = 8,
+                      seed: int = 0, faults: dict | None = None,
+                      drain: bool = False,
+                      retry: RetryPolicy | None = RetryPolicy(),
+                      population_kwargs: dict | None = None) -> dict:
+    """Drive a running server or fleet; returns the outcome statistics.
+
+    ``shards`` is a fleet map path or a list of shard entries, each
+    naming a ``ready_file`` or a ``host``/``port`` pair; one server is
+    a fleet of one shard.  The ``(tenant, rid)`` plan is split by
+    owning shard and each worker is pinned to one shard
+    (:func:`split_workers`), so every connection open on a shard has
+    work there.  Requests go through
+    :class:`~repro.service.fleet.FleetClient`, whose ``retry`` budget
+    covers ``busy`` answers and reconnects (``None`` disables it).
+    Outcomes count each request's *final* answer, so they still sum to
+    ``requests``.
+    """
+    from repro.service.fleet import FleetClient, shard_index
+
+    if requests < 1 or concurrency < 1:
+        raise ConfigurationError(
+            "requests and concurrency must be >= 1")
+    population = tenant_population(tenants, seed, faults=faults,
+                                   **(population_kwargs or {}))
+    admin = FleetClient(shards, retry=retry, jitter_seed=seed)
+    provisioned = await provision_population(admin, population)
+    # An idle open connection holds every batching round on its shard
+    # open for the whole window; the admin client reconnects for the
+    # closing metrics and drain.
     await admin.close()
+    shard_count = len(admin.shards)
+    plans: list[deque] = [deque() for _ in range(shard_count)]
+    for index in range(requests):
+        tenant = population[index % tenants]["tenant"]
+        plans[shard_index(tenant, shard_count)].append(
+            (tenant, f"lg-{seed}-{index:06d}"))
+    per_shard_requests = [len(plan) for plan in plans]
+    per_shard_workers = split_workers(per_shard_requests, concurrency)
     outcomes: dict[str, int] = {}
     latencies: list[float] = []
-    busy_retries = 0
-    queue: asyncio.Queue[tuple[str, str] | None] = asyncio.Queue()
-    for index in range(requests):
-        rid = f"lg-{seed}-{index:06d}"
-        queue.put_nowait((population[index % tenants]["tenant"], rid))
-    for _ in range(concurrency):
-        queue.put_nowait(None)
 
-    async def worker(worker_index: int) -> None:
-        nonlocal busy_retries
-        jitter = random.Random(seed * 7919 + worker_index)
-        client = await ServiceClient(host, port).connect()
+    async def worker(client: FleetClient, plan: deque) -> None:
         try:
-            while True:
-                item = await queue.get()
-                if item is None:
-                    return
-                tenant, rid = item
+            while plan:
+                tenant, rid = plan.popleft()
+                started = time.perf_counter()
                 # One trace id per logical request, derived from the
                 # idempotency key so retries share it.
-                trace = f"tr-{rid}"
-                started = time.perf_counter()
                 response = await client.access(tenant, rid=rid,
-                                               trace=trace)
-                if retry is not None:
-                    for attempt in range(retry.retries):
-                        if response["status"] != "busy":
-                            break
-                        await asyncio.sleep(retry.delay_s(attempt, jitter))
-                        busy_retries += 1
-                        response = await client.access(tenant, rid=rid,
-                                                       trace=trace)
+                                               trace=f"tr-{rid}")
                 latencies.append(time.perf_counter() - started)
                 status = response["status"]
                 outcomes[status] = outcomes.get(status, 0) + 1
         finally:
             await client.close()
 
+    pinned = [shard for shard, count in enumerate(per_shard_workers)
+              for _ in range(count)]
+    clients = [FleetClient(admin.shards, retry=retry,
+                           jitter_seed=seed * 7919 + index + 1)
+               for index in range(len(pinned))]
     started = time.perf_counter()
-    await asyncio.gather(*(worker(index) for index in range(concurrency)))
+    await asyncio.gather(*(worker(client, plans[shard])
+                           for client, shard in zip(clients, pinned)))
     elapsed = time.perf_counter() - started
-    status = await admin.status()
-    split = latency_split_from_metrics(await admin.metrics())
+    # A shard whose metrics answer is an error adds no counters.
+    answered = [response for response
+                in (await admin.metrics())["shards"].values()
+                if response.get("status") == "ok"]
+    registry = MetricsRegistry()
+    for response in answered:
+        if response.get("metrics"):
+            registry.merge(response["metrics"])
     stats = {
         "schema_version": LOADGEN_SCHEMA_VERSION,
         "kind": "loadgen",
+        "shards": shard_count,
         "tenants": tenants,
         "provisioned": provisioned,
         "requests": requests,
@@ -265,11 +321,17 @@ async def run_loadgen(host: str, port: int, *, tenants: int = 4,
         "requests_per_s": requests / elapsed if elapsed > 0 else 0.0,
         "outcomes": dict(sorted(outcomes.items())),
         "served": outcomes.get("ok", 0),
-        "busy_retries": busy_retries,
+        "busy_retries": sum(client.busy_retries for client in clients),
+        "reconnects": sum(client.reconnects for client in clients),
+        "per_shard_requests": per_shard_requests,
+        "per_shard_workers": per_shard_workers,
         "latency_mean_s": (sum(latencies) / len(latencies)
                            if latencies else 0.0),
-        "service": status.get("service", {}),
+        "service": _sum_service([response["service"]
+                                 for response in answered]),
     }
+    split = latency_split_from_metrics(
+        {"status": "ok", "metrics": registry.snapshot()})
     if split is not None:
         stats["latency_split"] = split
     if drain:

@@ -29,21 +29,12 @@ import time
 
 from repro.errors import ConfigurationError
 from repro.obs.recorder import OBS
-from repro.service.client import (
-    RetryPolicy,
-    ServiceClient,
-    read_ready_file,
-    tenant_population,
-)
+from repro.service.client import RetryPolicy, ServiceClient, read_ready_file
 
 __all__ = ["FLEET_MAP_NAME", "shard_index", "write_fleet_map",
-           "read_fleet_map", "FleetClient", "run_fleet_loadgen",
-           "shard_summaries", "FLEET_SCHEMA_VERSION"]
+           "read_fleet_map", "FleetClient", "shard_summaries"]
 
 FLEET_MAP_NAME = "fleet.json"
-
-#: Version of the ``run_fleet_loadgen`` stats payload (``--json-out``).
-FLEET_SCHEMA_VERSION = 1
 
 
 def shard_index(tenant: str, shards: int) -> int:
@@ -92,23 +83,26 @@ def read_fleet_map(path: str, timeout_s: float = 30.0) -> list[dict]:
 class FleetClient:
     """Route requests to the owning shard, with crash-safe retries.
 
-    Connection failures and ``busy`` backpressure both retry under the
-    same jittered-backoff budget; a connection failure additionally
-    re-reads the shard's ready file, because the usual cause is a shard
-    that died and came back on a fresh port.  Exhausting the budget
-    yields a structured ``unavailable`` denial, never an exception -
-    fleet callers see the same response-object protocol as single-shard
-    ones.
+    ``shards`` is a fleet map path or the shard entries themselves,
+    index-ordered; an entry names a ``ready_file`` or, for a server
+    that does not write one, a ``host``/``port`` pair.  Connection
+    failures and ``busy`` backpressure both retry under the same
+    jittered-backoff budget (``retry=None``: no retry); a connection
+    failure additionally re-reads the shard's ready file, because the
+    usual cause is a shard that died and came back on a fresh port.
+    Exhausting the budget yields a structured ``unavailable`` denial,
+    never an exception - fleet callers see the same response-object
+    protocol as single-shard ones.
     """
 
-    def __init__(self, map_path: str, *,
-                 retry: RetryPolicy | None = None,
+    def __init__(self, shards: str | list[dict], *,
+                 retry: RetryPolicy | None = RetryPolicy(),
                  ready_timeout_s: float = 30.0,
                  jitter_seed: int = 0) -> None:
-        self.map_path = map_path
-        self.retry = retry or RetryPolicy()
+        self.retry = retry
         self.ready_timeout_s = ready_timeout_s
-        self.shards = read_fleet_map(map_path)
+        self.shards = (read_fleet_map(shards) if isinstance(shards, str)
+                       else list(shards))
         self.busy_retries = 0
         self.reconnects = 0
         self._rng = random.Random(jitter_seed)
@@ -124,9 +118,12 @@ class FleetClient:
     async def _client(self, index: int) -> ServiceClient:
         client = self._clients.get(index)
         if client is None:
-            host, port = read_ready_file(
-                self.shards[index]["ready_file"],
-                timeout_s=self.ready_timeout_s)
+            entry = self.shards[index]
+            if "ready_file" in entry:
+                host, port = read_ready_file(
+                    entry["ready_file"], timeout_s=self.ready_timeout_s)
+            else:
+                host, port = entry["host"], int(entry["port"])
             client = ServiceClient(host, port)
             await client.connect()
             self._clients[index] = client
@@ -140,7 +137,8 @@ class FleetClient:
     async def _request_shard(self, index: int, payload: dict) -> dict:
         """One routed request with the full retry discipline."""
         last: dict | None = None
-        for attempt in range(self.retry.retries + 1):
+        retries = self.retry.retries if self.retry is not None else 0
+        for attempt in range(retries + 1):
             if attempt:
                 await asyncio.sleep(
                     self.retry.delay_s(attempt - 1, self._rng))
@@ -228,93 +226,9 @@ class FleetClient:
             await self._drop(index)
 
 
-async def run_fleet_loadgen(map_path: str, *, tenants: int = 8,
-                            requests: int = 200, concurrency: int = 8,
-                            seed: int = 0, faults: dict | None = None,
-                            retry: RetryPolicy | None = None,
-                            population_kwargs: dict | None = None) -> dict:
-    """Drive a running fleet; returns aggregate + per-shard statistics.
-
-    The shard-map-aware twin of
-    :func:`~repro.service.client.run_loadgen`: same deterministic
-    population and idempotency keys, but requests route by tenant hash
-    and survive shard restarts through the
-    :class:`FleetClient` retry discipline.
-    """
-    if requests < 1 or concurrency < 1:
-        raise ConfigurationError("requests and concurrency must be >= 1")
-    population = tenant_population(tenants, seed, faults=faults,
-                                   **(population_kwargs or {}))
-    admin = FleetClient(map_path, retry=retry, jitter_seed=seed)
-    provisioned = 0
-    for payload in population:
-        response = await admin.provision(**payload)
-        if response["status"] == "ok":
-            provisioned += 1
-        elif response["status"] != "exists":
-            raise ConfigurationError(
-                f"provision of {payload['tenant']!r} failed: {response}")
-    shard_count = len(admin.shards)
-    outcomes: dict[str, int] = {}
-    per_shard_requests = [0] * shard_count
-    latencies: list[float] = []
-    queue: asyncio.Queue[tuple[str, str] | None] = asyncio.Queue()
-    for index in range(requests):
-        queue.put_nowait((population[index % tenants]["tenant"],
-                          f"fl-{seed}-{index:06d}"))
-    for _ in range(concurrency):
-        queue.put_nowait(None)
-
-    workers = [FleetClient(map_path, retry=retry,
-                           jitter_seed=seed * 7919 + w + 1)
-               for w in range(concurrency)]
-
-    async def worker(client: FleetClient) -> None:
-        try:
-            while True:
-                item = await queue.get()
-                if item is None:
-                    return
-                tenant, rid = item
-                per_shard_requests[client.shard_for(tenant)] += 1
-                started = time.perf_counter()
-                # Deterministic trace id per logical request, shared
-                # by every retry of the same rid.
-                response = await client.access(tenant, rid=rid,
-                                               trace=f"tr-{rid}")
-                latencies.append(time.perf_counter() - started)
-                status = response["status"]
-                outcomes[status] = outcomes.get(status, 0) + 1
-        finally:
-            await client.close()
-
-    started = time.perf_counter()
-    await asyncio.gather(*(worker(client) for client in workers))
-    elapsed = time.perf_counter() - started
-    stats = {
-        "schema_version": FLEET_SCHEMA_VERSION,
-        "kind": "fleet-loadgen",
-        "shards": shard_count,
-        "tenants": tenants,
-        "provisioned": provisioned,
-        "requests": requests,
-        "elapsed_s": elapsed,
-        "requests_per_s": requests / elapsed if elapsed > 0 else 0.0,
-        "outcomes": dict(sorted(outcomes.items())),
-        "served": outcomes.get("ok", 0),
-        "busy_retries": sum(c.busy_retries for c in workers),
-        "reconnects": sum(c.reconnects for c in workers),
-        "per_shard_requests": per_shard_requests,
-        "latency_mean_s": (sum(latencies) / len(latencies)
-                           if latencies else 0.0),
-    }
-    await admin.close()
-    return stats
-
-
 def shard_summaries(stats: dict,
                     restarts: list[int] | None = None) -> list[dict]:
-    """Per-shard breakdown rows from a ``run_fleet_loadgen`` stats dict.
+    """Per-shard breakdown rows from a ``run_loadgen`` stats dict.
 
     One compact summary per shard - routed requests, traffic share, and
     (when the caller supervised the fleet itself) restart counts - in

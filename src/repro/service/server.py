@@ -20,6 +20,11 @@ supervisor restarts the shard through recovery.  Recovery charges any
 record that reached the disk unanswered: wear on disk never falls
 below the wear the service acknowledged.
 
+A failed snapshot loses nothing (the WAL holds every acknowledged
+record): a periodic one is counted in ``snapshot_failures``, and a
+failed drain snapshot still ends the drain before :func:`run_service`
+raises it.  A response too large for one frame is answered ``error``.
+
 The handler counts each connection in and out of the batcher, which
 closes a round once every open connection has a request queued.
 
@@ -41,7 +46,7 @@ import signal
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, LedgerWriteError, ReproError
 from repro.obs.export import peak_rss_bytes
 from repro.obs.recorder import OBS
 from repro.service.batcher import RequestBatcher
@@ -156,6 +161,9 @@ class WearService:
         self._last_snapshot_round = 0
         self._started_monotonic = time.monotonic()
         self.recovered_records = 0
+        self.snapshot_failures = 0
+        #: The failed drain snapshot, which :func:`run_service` raises.
+        self.drain_failure: LedgerWriteError | None = None
 
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
@@ -204,7 +212,13 @@ class WearService:
             self._server.close()
         await self.batcher.drain()
         if self.failure is None:
-            self.hub.write_snapshot()
+            try:
+                self.hub.write_snapshot()
+            except OSError as exc:
+                # The WAL still holds every record: recovery replays it.
+                self.drain_failure = LedgerWriteError(
+                    f"drain snapshot {self.ledger.snapshot_path} "
+                    f"failed: {exc}")
         self.ledger.close()
         if self._server is not None:
             await self._server.wait_closed()
@@ -227,7 +241,14 @@ class WearService:
                 if request is None:
                     break
                 response, drain_after = await self._dispatch(request)
-                await write_frame(writer, response)
+                try:
+                    await write_frame(writer, response)
+                except ConfigurationError as exc:
+                    # Too large for one frame: nothing was written, so
+                    # the connection stays usable.
+                    await write_frame(writer, denied(
+                        "error", f"{request.get('op')!r} response: {exc}",
+                        error=type(exc).__name__))
                 if drain_after:
                     # Shut down from a fresh task: shutdown waits for
                     # open connections, which includes this handler.
@@ -361,7 +382,13 @@ class WearService:
             return
         if self.hub.rounds - self._last_snapshot_round >= every:
             self._last_snapshot_round = self.hub.rounds
-            self.hub.write_snapshot()
+            try:
+                self.hub.write_snapshot()
+            except OSError:
+                # The WAL holds every acknowledged record, so nothing is
+                # lost; rotation waits for a snapshot that covers it.
+                self.snapshot_failures += 1
+                return
             limit = self.config.segment_records
             if limit and (self.ledger.next_seq
                           - self.ledger.active_base) >= limit:
@@ -370,10 +397,10 @@ class WearService:
     def _status(self, request: dict) -> dict:
         response = self.hub.status(request.get("tenant"))
         if response["status"] == "ok" and "tenants" in response:
-            response["service"] = dict(self.batcher.stats(),
-                                       queue_depth=self.batcher.depth,
-                                       draining=self._draining,
-                                       recovered=self.recovered_records)
+            response["service"] = dict(
+                self.batcher.stats(), queue_depth=self.batcher.depth,
+                draining=self._draining, recovered=self.recovered_records,
+                snapshot_failures=self.snapshot_failures)
         return response
 
     def _metrics(self) -> dict:
@@ -407,7 +434,8 @@ class WearService:
             },
             service=dict(self.batcher.stats(),
                          queue_depth=self.batcher.depth,
-                         idempotent_replays=self.hub.idempotent_replays),
+                         idempotent_replays=self.hub.idempotent_replays,
+                         snapshot_failures=self.snapshot_failures),
             metrics=OBS.metrics.snapshot() if OBS.enabled else None,
             tenants=self.hub.wear_gauges(),
             observations=self.hub.wear_observations(),
@@ -420,7 +448,7 @@ class WearService:
 async def run_service(config: ServiceConfig) -> None:
     """Run a service until drained (op or SIGTERM/SIGINT).
 
-    Raises the failure that stopped it, if one did.
+    Raises the failure that stopped it, or a failed drain snapshot.
     """
     service = WearService(config)
     await service.start()
@@ -440,3 +468,5 @@ async def run_service(config: ServiceConfig) -> None:
             loop.remove_signal_handler(signum)
     if service.failure is not None:
         raise service.failure
+    if service.drain_failure is not None:
+        raise service.drain_failure

@@ -22,6 +22,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["design"])
 
+    def test_loadgen_offers_the_schemes_the_hub_serves(self):
+        args = build_parser().parse_args(
+            ["loadgen", "--port", "1", "--scheme", "rs"])
+        assert args.scheme == "rs"
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["loadgen", "--port", "1", "--scheme", "xor"])
+        assert excinfo.value.code == 2
+
 
 class TestDesign:
     def test_design_output(self, capsys):

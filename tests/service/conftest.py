@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.service import ledger as ledger_module
 from repro.service.ledger import WearLedger
 
 
@@ -43,3 +44,26 @@ def failing_wal(monkeypatch) -> list[FailingWal]:
 
     monkeypatch.setattr(WearLedger, "open_for_append", open_for_append)
     return handles
+
+
+class FailingSnapshot:
+    """Stands in for the ledger's ``save_checkpoint``: once armed, the
+    next snapshot write fails with ENOSPC and writes nothing."""
+
+    def __init__(self, save) -> None:
+        self._save = save
+        self.armed = False
+
+    def __call__(self, path, meta, results) -> None:
+        if self.armed:
+            self.armed = False
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._save(path, meta=meta, results=results)
+
+
+@pytest.fixture
+def failing_snapshot(monkeypatch) -> FailingSnapshot:
+    """Route every ledger snapshot write through one `FailingSnapshot`."""
+    failing = FailingSnapshot(ledger_module.save_checkpoint)
+    monkeypatch.setattr(ledger_module, "save_checkpoint", failing)
+    return failing

@@ -13,7 +13,7 @@ import socket
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.client import RetryPolicy
+from repro.service.client import RetryPolicy, run_loadgen, split_workers
 from repro.service.fleet import (
     FLEET_MAP_NAME,
     FleetClient,
@@ -21,6 +21,7 @@ from repro.service.fleet import (
     shard_index,
     write_fleet_map,
 )
+from repro.service.server import ServiceConfig, WearService
 
 
 class TestShardIndex:
@@ -156,7 +157,66 @@ class TestFleetClientUnavailable:
         # ready file - the failover path, exercised to exhaustion.
         assert client.reconnects == 3
 
+    def test_no_retry_policy_means_one_attempt(self, tmp_path):
+        client = FleetClient(self._dead_fleet(tmp_path), retry=None)
+
+        async def scenario():
+            try:
+                return await client.access("tenant-000", rid="r-0")
+            finally:
+                await client.close()
+
+        assert asyncio.run(scenario())["status"] == "unavailable"
+        assert client.reconnects == 1
+
     def test_provision_requires_a_tenant(self, tmp_path):
         client = FleetClient(self._dead_fleet(tmp_path))
         with pytest.raises(ConfigurationError):
             asyncio.run(client.provision(alpha=9.0))
+
+
+class TestSplitWorkers:
+    def test_proportional_with_one_worker_per_busy_shard(self):
+        assert split_workers([900, 600], 8) == [5, 3]
+        # All tenants on one shard: the idle shard gets no worker.
+        assert split_workers([0, 24], 4) == [0, 4]
+        # More busy shards than workers: each still gets one.
+        assert split_workers([3, 0, 5], 1) == [1, 0, 1]
+        # Never more workers than requests.
+        assert split_workers([2, 1], 8) == [2, 1]
+
+
+class TestInProcessFleet:
+    def test_fleet_rounds_close_early(self, tmp_path):
+        """Two shards under a 5 s window: no round waits it out, because
+        every connection open on a shard has work for that shard."""
+        configs = [ServiceConfig(
+            ledger_dir=str(tmp_path / f"shard-{index}" / "ledger"),
+            window_s=5.0,
+            ready_file=str(tmp_path / f"shard-{index}.ready"))
+            for index in range(2)]
+        map_path = str(tmp_path / FLEET_MAP_NAME)
+        write_fleet_map(map_path, [
+            {"index": index, "ledger_dir": config.ledger_dir,
+             "ready_file": config.ready_file}
+            for index, config in enumerate(configs)])
+
+        async def scenario():
+            services = [WearService(config) for config in configs]
+            for service in services:
+                await service.start()
+            try:
+                return await asyncio.wait_for(run_loadgen(
+                    map_path, tenants=8, requests=24, concurrency=4,
+                    seed=71), 5.0)
+            finally:
+                for service in services:
+                    await service.shutdown()
+
+        stats = asyncio.run(scenario())
+        assert stats["outcomes"] == {"ok": 24}
+        assert stats["shards"] == 2
+        assert sum(stats["per_shard_requests"]) == 24
+        assert all(stats["per_shard_workers"])
+        assert stats["service"]["requests"] == 24
+        assert stats["service"]["window_expired"] == 0

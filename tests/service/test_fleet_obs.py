@@ -15,8 +15,7 @@ import pytest
 from repro.obs.aggregate import collect_fleet_metrics, render_fleet_top
 from repro.obs.export import render_prometheus
 from repro.obs.recorder import OBS
-from repro.service.client import RetryPolicy
-from repro.service.fleet import run_fleet_loadgen
+from repro.service.client import RetryPolicy, run_loadgen
 from repro.service.supervisor import FleetSupervisor
 
 pytestmark = pytest.mark.slow
@@ -39,7 +38,7 @@ def fleet(tmp_path_factory):
     with FleetSupervisor(root, 2, window_s=0.001, snapshot_every=8,
                          max_restarts=5,
                          restart_backoff_s=0.02) as supervisor:
-        stats = asyncio.run(run_fleet_loadgen(
+        stats = asyncio.run(run_loadgen(
             supervisor.map_path, tenants=TENANTS, requests=REQUESTS,
             concurrency=4, seed=3,
             retry=RetryPolicy(retries=6, base_s=0.02, cap_s=0.3)))

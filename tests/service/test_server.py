@@ -6,10 +6,12 @@ function driving one ``asyncio.run`` scenario.
 
 import asyncio
 import json
+import re
 
 import pytest
 
 from repro.errors import ConfigurationError, LedgerWriteError
+from repro.service import protocol
 from repro.service.client import (
     ServiceClient,
     read_ready_file,
@@ -243,8 +245,8 @@ class TestRoundClosing:
     def test_loadgen_never_waits_out_a_long_window(self, tmp_path):
         async def scenario(host, port, service):
             return await asyncio.wait_for(run_loadgen(
-                host, port, tenants=4, requests=20, concurrency=2,
-                seed=47), 5.0)
+                [{"host": host, "port": port}], tenants=4, requests=20,
+                concurrency=2, seed=47), 5.0)
 
         stats = asyncio.run(_with_service(
             _config(tmp_path, window_s=5.0), scenario))
@@ -296,6 +298,76 @@ class TestWalWriteFailure:
         for field in ("attempts", "served", "remaining", "wear_cycles",
                       "current_copy", "dead_banks"):
             assert after[field] == before[field]
+
+
+class TestSnapshotFailure:
+    def test_failed_periodic_snapshot_still_answers(self, tmp_path,
+                                                    failing_snapshot):
+        config = _config(tmp_path, snapshot_every=1, segment_records=1)
+        payload = tenant_population(1, seed=59)[0]
+
+        async def scenario(host, port, service):
+            client = await ServiceClient(host, port).connect()
+            await client.provision(**payload)
+            failing_snapshot.armed = True
+            answers = [await client.access("tenant-000", rid=f"snap-{i}")
+                       for i in range(2)]
+            status = await client.status()
+            await client.close()
+            return answers, status
+
+        answers, status = asyncio.run(_with_service(config, scenario))
+        assert [a["status"] for a in answers] == ["ok", "ok"]
+        assert status["service"]["snapshot_failures"] == 1
+        hub = WearHub(WearLedger(config.ledger_dir))
+        hub.recover()
+        assert hub.tenants["tenant-000"].served == 2
+        hub.ledger.close()
+
+    def test_failed_drain_snapshot_ends_the_drain(self, tmp_path,
+                                                  failing_snapshot):
+        ready = str(tmp_path / "ready.json")
+        config = _config(tmp_path, ready_file=ready)
+
+        async def scenario():
+            serving = asyncio.ensure_future(run_service(config))
+            host, port = await asyncio.to_thread(read_ready_file, ready, 5)
+            client = await ServiceClient(host, port).connect()
+            await client.provision(**tenant_population(1, seed=61)[0])
+            assert (await client.access("tenant-000"))["status"] == "ok"
+            failing_snapshot.armed = True
+            assert (await client.drain())["status"] == "ok"
+            await client.close()
+            with pytest.raises(LedgerWriteError, match="snapshot.json"):
+                await asyncio.wait_for(serving, 5)
+
+        asyncio.run(scenario())
+        hub = WearHub(WearLedger(config.ledger_dir))
+        hub.recover()
+        assert hub.tenants["tenant-000"].served == 1
+        hub.ledger.close()
+
+
+class TestFrameCap:
+    def test_oversized_response_is_answered_not_dropped(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+
+        async def scenario(host, port, service):
+            client = await ServiceClient(host, port).connect()
+            for payload in tenant_population(48, seed=67):
+                await client.provision(**payload)
+            everyone = await client.status()
+            access = await client.access("tenant-000")
+            await client.close()
+            return everyone, access
+
+        everyone, access = asyncio.run(
+            _with_service(_config(tmp_path), scenario))
+        assert everyone["status"] == "error"
+        assert re.search(r"'status' response: frame of \d+ bytes exceeds "
+                         r"the 4096-byte", everyone["message"])
+        assert access["status"] == "ok"
 
 
 class TestDrain:
@@ -389,7 +461,8 @@ class TestReadyFile:
 class TestLoadgen:
     def test_loadgen_reports_every_outcome(self, tmp_path):
         async def scenario(host, port, service):
-            return await run_loadgen(host, port, tenants=3, requests=30,
+            return await run_loadgen([{"host": host, "port": port}],
+                                     tenants=3, requests=30,
                                      concurrency=4, seed=23)
 
         stats = asyncio.run(_with_service(_config(tmp_path), scenario))
@@ -400,9 +473,10 @@ class TestLoadgen:
 
     def test_loadgen_is_idempotent_over_provisioning(self, tmp_path):
         async def scenario(host, port, service):
-            first = await run_loadgen(host, port, tenants=2, requests=4,
+            shards = [{"host": host, "port": port}]
+            first = await run_loadgen(shards, tenants=2, requests=4,
                                       concurrency=2, seed=29)
-            second = await run_loadgen(host, port, tenants=2, requests=4,
+            second = await run_loadgen(shards, tenants=2, requests=4,
                                        concurrency=2, seed=29)
             return first, second
 
@@ -410,6 +484,16 @@ class TestLoadgen:
             _with_service(_config(tmp_path), scenario))
         assert first["provisioned"] == 2
         assert second["provisioned"] == 0  # already there, tolerated
+
+    def test_loadgen_serves_the_rs_scheme(self, tmp_path):
+        async def scenario(host, port, service):
+            return await run_loadgen([{"host": host, "port": port}],
+                                     tenants=2, requests=6, concurrency=2,
+                                     seed=31,
+                                     population_kwargs={"scheme": "rs"})
+
+        stats = asyncio.run(_with_service(_config(tmp_path), scenario))
+        assert stats["outcomes"] == {"ok": 6}
 
 
 class TestIdempotentRetries:

@@ -12,8 +12,8 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.client import RetryPolicy
-from repro.service.fleet import FleetClient, run_fleet_loadgen
+from repro.service.client import RetryPolicy, run_loadgen
+from repro.service.fleet import FleetClient
 from repro.service.supervisor import FleetSupervisor
 
 pytestmark = pytest.mark.slow
@@ -47,7 +47,7 @@ class TestFailover:
     def test_killed_shard_restarts_with_exact_state(self, tmp_path):
         retry = RetryPolicy(retries=6, base_s=0.02, cap_s=0.3)
         with _supervisor(tmp_path) as sup:
-            stats = asyncio.run(run_fleet_loadgen(
+            stats = asyncio.run(run_loadgen(
                 sup.map_path, tenants=4, requests=24, concurrency=4,
                 seed=5, retry=retry))
             assert stats["served"] > 0
