@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.weibull import WeibullDistribution
 from repro.errors import ConfigurationError, InfeasibleDesignError
@@ -314,6 +313,8 @@ def _min_bank_size(r_t: float, r_t1: float, k_fraction: float,
                    max_bank_size: int) -> int | None:
     """Smallest n with P[Bin(n, r_t) >= k] >= r_min and
     P[Bin(n, r_t1) >= k] <= p_fail, where k = ceil(k_fraction * n)."""
+    from scipy import stats
+
     # Evaluate in geometric chunks so cheap designs stay cheap to find.
     start = 1
     while start <= max_bank_size:

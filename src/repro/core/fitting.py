@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.weibull import WeibullDistribution
 from repro.errors import AllCensoredError, ConfigurationError
@@ -58,6 +57,8 @@ def fit_mle(lifetimes) -> WeibullDistribution:
     after which the scale follows in closed form:
     ``alpha = (mean(x^b)) ** (1/b)``.
     """
+    from scipy import optimize
+
     data = _validate_lifetimes(lifetimes)
     if np.allclose(data, data[0]):
         # Degenerate sample: every device failed at the same time.  The MLE
@@ -114,6 +115,8 @@ def fit_censored_mle(values, events) -> WeibullDistribution:
     input has no MLE (the likelihood is unbounded in ``alpha``) and
     raises :class:`~repro.errors.AllCensoredError`.
     """
+    from scipy import optimize
+
     data, observed = _validate_censored(values, events)
     d = int(observed.sum())
     if d == 0:

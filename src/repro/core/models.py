@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.weibull import WeibullDistribution
 from repro.errors import ConfigurationError
@@ -47,6 +46,8 @@ class LognormalLifetime:
 
     @property
     def _dist(self):
+        from scipy import stats
+
         return stats.lognorm(s=self.sigma, scale=math.exp(self.mu))
 
     def pdf(self, x):
@@ -99,6 +100,8 @@ class GammaLifetime:
 
     @property
     def _dist(self):
+        from scipy import stats
+
         return stats.gamma(a=self.k, scale=self.theta)
 
     def pdf(self, x):
@@ -182,6 +185,8 @@ def fit_lifetime_model(data, family: str):
             sigma = 1e-9
         return LognormalLifetime(mu=float(logs.mean()), sigma=sigma)
     if family == "gamma":
+        from scipy import stats
+
         k, _, theta = stats.gamma.fit(arr, floc=0.0)
         return GammaLifetime(k=float(k), theta=float(theta))
     raise ConfigurationError(f"unknown family {family!r}")

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.weibull import WeibullDistribution
 from repro.errors import ConfigurationError
@@ -70,6 +69,8 @@ def k_of_n_reliability(r, n: int, k: int):
         return parallel_reliability(r, n)
     if k == n:
         return series_reliability(r, n)
+    from scipy import stats
+
     r = np.asarray(np.clip(r, 0.0, 1.0), dtype=float)
     out = stats.binom.sf(k - 1, n, r)
     out = np.asarray(out, dtype=float)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.core.weibull import WeibullDistribution
 from repro.errors import ConfigurationError
@@ -49,6 +48,8 @@ def path_success_probability(device: WeibullDistribution,
 def receiver_success_probability(device: WeibullDistribution, height: int,
                                  n: int, k: int) -> float:
     """P[the receiver recovers the key from >= k of n copies] (Eq. 10)."""
+    from scipy import stats
+
     _validate(height, n, k)
     s1 = path_success_probability(device, height)
     return float(stats.binom.sf(k - 1, n, s1))
@@ -63,6 +64,8 @@ def adversary_success_probability(device: WeibullDistribution, height: int,
     independently with probability ``2**-(H-1)``; recovery needs at least
     ``k`` right paths.
     """
+    from scipy import stats
+
     _validate(height, n, k)
     s1 = path_success_probability(device, height)
     p_right = 2.0 ** -(height - 1)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.core.device import NEMS_CHARACTERISTICS, NEMSCharacteristics
 from repro.core.weibull import WeibullDistribution
@@ -80,6 +79,8 @@ def mary_path_success(device: WeibullDistribution,
 def mary_receiver_success(device: WeibullDistribution,
                           design: MaryTreeDesign, n: int, k: int) -> float:
     """Eq. 10 analogue with the m-ary path success."""
+    from scipy import stats
+
     if not 1 <= k <= n:
         raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
     return float(stats.binom.sf(k - 1, n, mary_path_success(device, design)))
@@ -88,6 +89,8 @@ def mary_receiver_success(device: WeibullDistribution,
 def mary_adversary_success(device: WeibullDistribution,
                            design: MaryTreeDesign, n: int, k: int) -> float:
     """Eqs. 11-15 analogue: random-path-per-copy adversary."""
+    from scipy import stats
+
     if not 1 <= k <= n:
         raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
     s1 = mary_path_success(device, design)

@@ -257,24 +257,28 @@ def scenario_kill_mid_batch(root_dir: str, *, shards: int, tenants: int,
     with _supervisor(root_dir, shards) as sup:
         async def drive() -> dict:
             victim = 0
-
-            async def assassin() -> None:
-                # Let some rounds land, then kill mid-flight.
-                await asyncio.sleep(0.25)
-                sup.kill_shard(victim)
-
             load = asyncio.create_task(run_loadgen(
                 sup.map_path, tenants=tenants, requests=requests,
                 concurrency=4, seed=seed, retry=_retry()))
-            kill = asyncio.create_task(assassin())
-            await kill
-            # Supervisor notices the corpse and restarts it through
-            # recovery while retries are still in flight.
+            # Kill once the victim has served an access, so the load
+            # is under way there and must retry across the crash.
+            while not load.done():
+                status = await asyncio.to_thread(sup.probe, victim)
+                if status["service"]["requests"]:
+                    break
+                await asyncio.sleep(0.002)
+            if load.done():
+                await load
+                raise InvariantViolation(
+                    f"the load finished before shard {victim} was "
+                    f"killed; nothing retried across the crash")
+            sup.kill_shard(victim)
+            # Restart in a thread: workers on the healthy shards keep
+            # running while the victim recovers.
             while not all(sup.alive()):
-                sup.poll()
+                await asyncio.to_thread(sup.poll)
                 await asyncio.sleep(0.05)
-            stats = await load
-            return stats
+            return await load
 
         stats = drive_stats = asyncio.run(drive())
         if sum(stats["outcomes"].values()) != requests:

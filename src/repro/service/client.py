@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.obs.recorder import MetricsRegistry
-from repro.service.protocol import read_frame, write_frame
+from repro.service.protocol import cap_socket_reads, read_frame, write_frame
 
 __all__ = ["ServiceClient", "RetryPolicy", "tenant_population",
            "provision_population", "split_workers", "run_loadgen",
@@ -71,6 +71,7 @@ class ServiceClient:
     async def connect(self) -> "ServiceClient":
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port)
+        cap_socket_reads(self._writer.transport)
         return self
 
     async def request(self, payload: dict) -> dict:

@@ -120,8 +120,11 @@ class FleetClient:
         if client is None:
             entry = self.shards[index]
             if "ready_file" in entry:
-                host, port = read_ready_file(
-                    entry["ready_file"], timeout_s=self.ready_timeout_s)
+                # read_ready_file polls with time.sleep: in a thread,
+                # other shards' requests go on while this one restarts.
+                host, port = await asyncio.to_thread(
+                    read_ready_file, entry["ready_file"],
+                    timeout_s=self.ready_timeout_s)
             else:
                 host, port = entry["host"], int(entry["port"])
             client = ServiceClient(host, port)

@@ -26,6 +26,8 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "MAX_FRAME_BYTES",
+    "READ_CHUNK_BYTES",
+    "cap_socket_reads",
     "encode_frame",
     "decode_payload",
     "read_frame",
@@ -37,7 +39,19 @@ __all__ = [
 #: Hard cap on one frame's JSON payload (requests and responses alike).
 MAX_FRAME_BYTES = 1 << 20
 
+#: Most bytes one socket read may take.  asyncio's transports read up
+#: to 256 KiB at a time, above glibc's initial 128 KiB mmap threshold:
+#: in a process with a compact heap every read then maps a fresh
+#: buffer, shrinks it and takes minor page faults.  64 KiB reads come
+#: from the heap; a larger frame takes several reads.
+READ_CHUNK_BYTES = 64 * 1024
+
 _LENGTH = struct.Struct(">I")
+
+
+def cap_socket_reads(transport: asyncio.BaseTransport) -> None:
+    """Cap each read of ``transport`` at :data:`READ_CHUNK_BYTES`."""
+    transport.max_size = READ_CHUNK_BYTES
 
 
 def encode_frame(payload: dict) -> bytes:

@@ -52,7 +52,13 @@ from repro.obs.recorder import OBS
 from repro.service.batcher import RequestBatcher
 from repro.service.hub import WearHub
 from repro.service.ledger import WearLedger
-from repro.service.protocol import denied, ok, read_frame, write_frame
+from repro.service.protocol import (
+    cap_socket_reads,
+    denied,
+    ok,
+    read_frame,
+    write_frame,
+)
 
 __all__ = ["ServiceConfig", "WearService", "run_service"]
 
@@ -144,6 +150,10 @@ class WearService:
                                       max_batch=self.config.max_batch)
         self.advisor = None
         if self.config.capacity_horizon:
+            # The advisor's refits solve with scipy.optimize: import it
+            # at start-up, not inside the request whose refresh runs one.
+            import scipy.optimize  # noqa: F401
+
             from repro.capacity.policy import CapacityAdvisor, CapacityPolicy
 
             self.advisor = CapacityAdvisor(
@@ -229,6 +239,7 @@ class WearService:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        cap_socket_reads(writer.transport)
         self.batcher.connection_opened()
         try:
             while True:

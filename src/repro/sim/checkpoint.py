@@ -69,7 +69,9 @@ def save_checkpoint(path: str, meta: dict, results: list) -> None:
     # replace lands last is correct.
     tmp_path = f"{path}.tmp.{os.getpid()}"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+        # json.dump always streams through CPython's pure-Python
+        # encoder; json.dumps takes the C encoder for the same text.
+        handle.write(json.dumps(payload))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -44,6 +43,8 @@ def _validate_sample(data) -> np.ndarray:
 
 def ks_test(data, model) -> tuple[float, float]:
     """Kolmogorov-Smirnov statistic and p-value of data vs model."""
+    from scipy import stats
+
     arr = _validate_sample(data)
     cdf = _model_cdf(model)
     result = stats.kstest(arr, lambda x: np.asarray(cdf(x), dtype=float))
@@ -57,6 +58,8 @@ def chi_square_binned(data, model, n_bins: int = 10,
     Bin edges are the model's quantiles, so each bin expects
     ``len(data) / n_bins`` observations under the null.
     """
+    from scipy import stats
+
     arr = _validate_sample(data)
     if n_bins < 3:
         raise ConfigurationError("need at least 3 bins")

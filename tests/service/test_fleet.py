@@ -9,11 +9,17 @@ import asyncio
 import json
 import random
 import socket
+import time
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.client import RetryPolicy, run_loadgen, split_workers
+from repro.service.client import (
+    RetryPolicy,
+    run_loadgen,
+    split_workers,
+    tenant_population,
+)
 from repro.service.fleet import (
     FLEET_MAP_NAME,
     FleetClient,
@@ -173,6 +179,42 @@ class TestFleetClientUnavailable:
         client = FleetClient(self._dead_fleet(tmp_path))
         with pytest.raises(ConfigurationError):
             asyncio.run(client.provision(alpha=9.0))
+
+    def test_missing_ready_file_does_not_stall_other_shards(self, tmp_path):
+        """While one request waits for a shard's ready file, a request
+        to a live shard on the same event loop is still answered."""
+        population = tenant_population(8, 5)
+        live, missing = (
+            next(payload for payload in population
+                 if shard_index(payload["tenant"], 2) == index)
+            for index in range(2))
+
+        async def scenario():
+            service = WearService(ServiceConfig(
+                ledger_dir=str(tmp_path / "ledger")))
+            host, port = await service.start()
+            client = FleetClient(
+                [{"host": host, "port": port},
+                 {"ready_file": str(tmp_path / "never.json")}],
+                retry=None, ready_timeout_s=2.0)
+            try:
+                assert (await client.provision(**live))["status"] == "ok"
+                started = time.perf_counter()
+                stuck = asyncio.create_task(
+                    client.access(missing["tenant"]))
+                response = await client.access(live["tenant"])
+                elapsed = time.perf_counter() - started
+                waiting = not stuck.done()
+                return response, elapsed, waiting, await stuck
+            finally:
+                await client.close()
+                await service.shutdown()
+
+        response, elapsed, waiting, stuck = asyncio.run(scenario())
+        assert response["status"] == "ok"
+        assert elapsed < 0.5
+        assert waiting
+        assert stuck["status"] == "unavailable"
 
 
 class TestSplitWorkers:
