@@ -59,32 +59,45 @@ class Share(namedtuple("Share", ["index", "data"])):
         return tuple.__new__(cls, (index, data))
 
 
+def _draw_rows(k: int, length: int, rng: np.random.Generator) -> np.ndarray:
+    """The ``k - 1`` random coefficient rows of a ``length``-byte split."""
+    return rng.integers(0, 256, size=(k - 1, length), dtype=np.uint8)
+
+
 def split_secret(secret: bytes, k: int, n: int,
                  rng: np.random.Generator | None = None,
-                 field: GF256 = GF_RS) -> list[Share]:
+                 field: GF256 = GF_RS, *,
+                 rows: np.ndarray | None = None) -> list[Share]:
     """Split ``secret`` into ``n`` shares, any ``k`` of which recover it.
 
     The random coefficients come from ``rng`` (a fresh generator when
-    omitted).  All byte positions share one coefficient matrix draw, so
-    splitting is vectorized over the secret length.
+    omitted), or are ``rows``: the ``(k - 1, len(secret))`` uint8 rows a
+    caller drew earlier from ``rng`` with the same call, so the shares
+    are the ones ``rng`` would have given then.  All byte positions
+    share one coefficient matrix draw, so splitting is vectorized over
+    the secret length.
     """
     if not 1 <= k <= n <= MAX_SHARES:
         raise ConfigurationError(
             f"need 1 <= k <= n <= {MAX_SHARES}, got k={k}, n={n}")
     if not secret:
         raise ConfigurationError("secret must be non-empty")
-    if rng is None:
-        from repro.sim.rng import make_rng
-
-        rng = make_rng()
 
     secret_arr = np.frombuffer(secret, dtype=np.uint8)
+    if rows is None:
+        if rng is None:
+            from repro.sim.rng import make_rng
+
+            rng = make_rng()
+        rows = _draw_rows(k, secret_arr.size, rng)
+    elif rows.shape != (k - 1, secret_arr.size):
+        raise ConfigurationError(
+            f"rows must have shape {(k - 1, secret_arr.size)}, "
+            f"got {rows.shape}")
     # coeffs[0] is the secret itself; rows 1..k-1 are uniform random.
     coeffs = np.empty((k, secret_arr.size), dtype=np.uint8)
     coeffs[0] = secret_arr
-    if k > 1:
-        coeffs[1:] = rng.integers(0, 256, size=(k - 1, secret_arr.size),
-                                  dtype=np.uint8)
+    coeffs[1:] = rows
 
     # Single-shot evaluation of every byte's polynomial at all n points:
     # share i is sum_j coeffs[j] * x_i^j, i.e. one GF matmul against a

@@ -41,27 +41,44 @@ def _to_symbols(secret: bytes) -> np.ndarray:
     return np.frombuffer(secret, dtype=">u2").astype(np.uint16)
 
 
+def _draw_rows16(k: int, symbols: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """The ``k - 1`` random coefficient rows of a ``symbols``-symbol split."""
+    return rng.integers(0, 1 << 16, size=(k - 1, symbols),
+                        dtype=np.uint32).astype(np.uint16)
+
+
 def split_secret16(secret: bytes, k: int, n: int,
                    rng: np.random.Generator | None = None,
-                   field: GF65536 | None = None) -> list[Share16]:
-    """Split ``secret`` into ``n`` shares with threshold ``k``."""
+                   field: GF65536 | None = None, *,
+                   rows: np.ndarray | None = None) -> list[Share16]:
+    """Split ``secret`` into ``n`` shares with threshold ``k``.
+
+    ``rows`` are the ``(k - 1, symbols)`` uint16 coefficient rows a
+    caller drew earlier from ``rng`` with the same call, as for
+    :func:`repro.codes.shamir.split_secret`.
+    """
     if not 1 <= k <= n <= MAX_SHARES16:
         raise ConfigurationError(
             f"need 1 <= k <= n <= {MAX_SHARES16}, got k={k}, n={n}")
     if not secret:
         raise ConfigurationError("secret must be non-empty")
-    if rng is None:
-        from repro.sim.rng import make_rng
-
-        rng = make_rng()
     field = field or gf65536()
 
     symbols = _to_symbols(secret)
+    if rows is None:
+        if rng is None:
+            from repro.sim.rng import make_rng
+
+            rng = make_rng()
+        rows = _draw_rows16(k, symbols.size, rng)
+    elif rows.shape != (k - 1, symbols.size):
+        raise ConfigurationError(
+            f"rows must have shape {(k - 1, symbols.size)}, "
+            f"got {rows.shape}")
     coeffs = np.empty((k, symbols.size), dtype=np.uint16)
     coeffs[0] = symbols
-    if k > 1:
-        coeffs[1:] = rng.integers(0, 1 << 16, size=(k - 1, symbols.size),
-                                  dtype=np.uint32).astype(np.uint16)
+    coeffs[1:] = rows
 
     shares = []
     for x in range(1, n + 1):

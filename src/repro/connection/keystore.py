@@ -1,9 +1,13 @@
 """Binding secret shares to the switches of a parallel bank.
 
 Each copy of the limited-use connection holds an independent Shamir split
-of the protected secret: share ``i`` sits behind switch ``i``, so an
-access that closes fewer than ``k`` switches physically cannot recover
-the secret - the k-of-n semantics are cryptographic, not just counted.
+of the protected secret: share ``i`` sits behind switch ``i``.  Wherever
+a readout can differ from the stored shares - through a fault hook, or
+after a stored share was swapped - the answer is what the shares read
+decode to, so fewer than ``k`` of them cannot recover the secret: there
+the k-of-n semantics are cryptographic.  A store whose readouts cannot
+differ returns its provisioned secret after the same k-of-n count check,
+since any ``k`` of its shares provably interpolate to it.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.codes.shamir import recover_from_pairs, split_secret
+from repro.codes.shamir import _draw_rows, recover_from_pairs, split_secret
 from repro.codes.shamir16 import (
     MAX_SHARES16,
     Share16,
+    _draw_rows16,
     recover_secret16,
     split_secret16,
 )
@@ -60,6 +65,14 @@ class BankKeyStore:
     call is bit-identical to consulting the model share by share, by the
     :mod:`repro.faults.injectors` substream contract (pinned in
     ``tests/differential``).
+
+    The shares are built on their first readout (the ``_shares``
+    property), for every scheme: most copies of a connection are never
+    read, and a store with no fault hook never needs them.  A Shamir
+    store draws its coefficient rows from ``rng`` at construction, with
+    the call :func:`~repro.codes.shamir.split_secret` makes, so the
+    caller's generator ends in the same state and a later build gives
+    the shares an immediate split would have.
     """
 
     def __init__(self, secret: bytes, n: int, k: int,
@@ -77,29 +90,26 @@ class BankKeyStore:
         self.scheme = scheme
         self.bank_id = bank_id
         self.fault_hook = fault_hook
+        self._secret = secret
         self._secret_len = len(secret)
+        self._rows: np.ndarray | None = None
         if k == 1:
-            self._shares = [secret] * n
             self._mode = "replicas"
         elif scheme == "rs":
             if n > 255:
                 raise ConfigurationError(
                     "RS banks support at most 255 shares")
-            # RS splitting draws no randomness, so it is deferred to the
-            # first readout (see the ``_shares`` property): RS stores
-            # back a fallback path most copies never exercise.
-            self._rs_source = secret
-            self._shares = None
             self._mode = "rs"
         elif n <= 255:
-            self._shares = split_secret(secret, k, n, rng)
+            self._rows = _draw_rows(k, len(secret), rng)
             self._mode = "gf256"
         elif n <= MAX_SHARES16:
-            self._shares = split_secret16(secret, k, n, rng)
+            self._rows = _draw_rows16(k, -(-len(secret) // 2), rng)
             self._mode = "gf65536"
         else:
             raise ConfigurationError(
                 f"banks beyond {MAX_SHARES16} shares are not supported")
+        self._shares_list: list | None = None
         # Memoized pristine recoveries keyed by picked-index tuple.
         # An entry is stored/served only when every readout returned the
         # *stored* share object (fault hooks hand back new objects
@@ -107,73 +117,69 @@ class BankKeyStore:
         # - and hence the deterministic recovery - are unchanged since
         # the cached call.
         self._pristine: dict[tuple[int, ...], bytes] = {}
-        # The provisioned secret, served directly for pristine readouts
-        # of an unmutated store: recovery from any k intact shares of
-        # the original split provably returns this exact byte string, so
-        # interpolating is pure waste.  Token validation drops it the
+        # Whether the stored shares are the original split, so pristine
+        # readouts recover the provisioned secret byte for byte and
+        # interpolating is pure waste.  Token validation clears it the
         # moment a stored share object is swapped (tests corrupt stores
         # in place), falling back to honest per-tuple recovery.
-        self._plain_secret: bytes | None = secret
-        # Decoded RS message chunks, cached after the first successful
-        # decode: RS correction of any decodable word yields the true
-        # message, so later recoveries only re-decode the chunks that
-        # corrupted readouts actually touched.
+        self._intact = True
+        # Decoded RS message chunks, seeded when the shares are built:
+        # RS correction of any decodable word yields the true message,
+        # so recoveries only re-decode the chunks that corrupted
+        # readouts actually touched.
         self._rs_plain: np.ndarray | None = None
-        # Identity snapshot of the stored data objects, taken when a
-        # cache is first filled.  A stored share swapped afterwards
-        # (tests corrupt stores in place) invalidates both caches.
+        # Identity snapshot of the stored data objects, taken when the
+        # shares are built.  A stored share swapped afterwards (tests
+        # corrupt stores in place) invalidates every cache.
         self._stored_tokens: list | None = None
         # (n_chunks, n) matrix of the stored share symbols - the true
         # codewords, one chunk per row.  Built lazily by ``_recover_rs``
         # and invalidated together with ``_stored_tokens``.
         self._true_matrix: np.ndarray | None = None
-        if self._mode in ("gf256", "gf65536"):
-            # Arm the token guard from birth so a swapped share is
-            # detected on the first recover, not the first cache fill
-            # (the plain-secret fast path depends on it).
-            self._stored_tokens = [s.data for s in self._shares]
-
-    def _refresh_tokens(self) -> None:
-        if self._stored_tokens is None:
-            self._stored_tokens = [s.data for s in self._shares]
 
     def _validate_tokens(self, pairs) -> None:
         """Drop the recovery caches if any stored share backing ``pairs``
         is no longer the object the caches were computed from."""
         tokens = self._stored_tokens
-        if tokens is None:
-            return
         shares = self._shares
         for i, _ in pairs:
             if shares[i].data is not tokens[i]:
                 self._stored_tokens = [s.data for s in shares]
                 self._pristine.clear()
-                self._plain_secret = None
+                self._intact = False
                 self._rs_plain = None
                 self._true_matrix = None
                 return
 
     @property
     def _shares(self) -> list:
-        shares = self._shares_list
-        if shares is None:
-            shares = self._shares_list = rs_split_secret(
-                self._rs_source, self.k, self.n)
-            # Freshly split shares are authoritative, so the decoded
-            # chunks are the (padded) source itself; seed the cache and
-            # the token snapshot together.  In-place corruption of the
-            # store afterwards is caught by ``_validate_tokens``.
-            n_chunks = -(-self._secret_len // self.k)
-            padded = self._rs_source + b"\x00" * (
-                n_chunks * self.k - self._secret_len)
-            self._rs_plain = np.frombuffer(
-                padded, dtype=np.uint8).reshape(n_chunks, self.k).copy()
-            self._stored_tokens = [s.data for s in shares]
-        return shares
+        """The stored shares, built and token-guarded on first access.
 
-    @_shares.setter
-    def _shares(self, value) -> None:
-        self._shares_list = value
+        Built through this module's names for the split functions, so a
+        wrapper installed on them sees every build.
+        """
+        shares = self._shares_list
+        if shares is not None:
+            return shares
+        secret, k, n = self._secret, self.k, self.n
+        if self._mode == "replicas":
+            shares = self._shares_list = [secret] * n
+            return shares
+        if self._mode == "gf256":
+            shares = split_secret(secret, k, n, rows=self._rows)
+        elif self._mode == "gf65536":
+            shares = split_secret16(secret, k, n, rows=self._rows)
+        else:
+            shares = rs_split_secret(secret, k, n)
+            # Freshly split shares are authoritative, so the decoded
+            # chunks are the (padded) source itself.
+            n_chunks = -(-self._secret_len // k)
+            padded = secret + b"\x00" * (n_chunks * k - self._secret_len)
+            self._rs_plain = np.frombuffer(
+                padded, dtype=np.uint8).reshape(n_chunks, k).copy()
+        self._stored_tokens = [s.data for s in shares]
+        self._shares_list = shares
+        return shares
 
     def recover(self, live_indices: list[int]) -> bytes:
         """Recover the secret from the switches that closed.
@@ -192,6 +198,11 @@ class BankKeyStore:
                 bank_id=self.bank_id)
         if min(live_indices) < 0 or max(live_indices) >= self.n:
             raise ConfigurationError("switch index out of range")
+        if self._shares_list is None and self.fault_hook is None:
+            # Unbuilt shares cannot have been swapped, and unhooked
+            # readouts are the stored shares: any k of them interpolate
+            # to the provisioned secret, so none need building.
+            return self._secret
 
         shares = self._shares
         datas = ([shares[i] for i in live_indices]
@@ -235,12 +246,11 @@ class BankKeyStore:
                 break
         if pristine:
             self._validate_tokens(picked)
-            plain = self._plain_secret
-            if plain is not None:
+            if self._intact:
                 # Untouched readouts of an unmutated store: the
                 # interpolation result is provably the provisioned
                 # secret, byte for byte.
-                return plain
+                return self._secret
             key = tuple([i for i, _ in picked])
             cached = self._pristine.get(key)
             if cached is not None:
@@ -257,7 +267,6 @@ class BankKeyStore:
             if len(self._pristine) > 256:
                 self._pristine.clear()
             self._pristine[key] = secret
-            self._refresh_tokens()
         return secret
 
     def _recover_rs(self, live: list[tuple[int, bytes]]) -> bytes:
@@ -279,7 +288,6 @@ class BankKeyStore:
             msgs = rs_recover_chunks(dict(live), self.k, self.n,
                                      correct_errors=True)
             self._rs_plain = msgs
-            self._refresh_tokens()
             return msgs.tobytes()[:self._secret_len]
         shares = self._shares
         touched: list[tuple[int, np.ndarray, np.ndarray]] = []

@@ -171,9 +171,8 @@ def _validate_params(request: dict) -> dict:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid provision request: {exc}")
-    # Validate everything *before* the caller logs the record: a
-    # provision that cannot build must never enter the WAL, or replay
-    # would fail on it forever.
+    # The cheap checks; WearHub.provision fabricates the tenant before
+    # logging the record, which catches whatever these miss.
     if params["alpha"] <= 0 or params["beta"] <= 0:
         raise ConfigurationError("alpha and beta must be positive")
     if not 1 <= params["k"] <= params["n"]:
@@ -241,12 +240,16 @@ class WearHub:
                           tenant=name)
         try:
             params = _validate_params(request)
-        except ConfigurationError as exc:
+            # Fabricate before logging: a provision that cannot build
+            # must never enter the WAL, or replay would fail on it
+            # forever.
+            hardware = self._fabricate(params)
+        except (ConfigurationError, ValueError) as exc:
             return denied("bad-request", str(exc))
         record = {"op": "provision", "tenant": name}
         record.update(params)
         self.ledger.append(record)
-        tenant = self._build_tenant(name, params)
+        tenant = self._register(name, params, *hardware)
         if OBS.enabled:
             OBS.metrics.inc("svc.provisions")
         capacity = int(tenant.pool.state.remaining_capacity(tenant.row))
@@ -254,14 +257,21 @@ class WearHub:
                   n=params["n"], k=params["k"])
 
     def _build_tenant(self, name: str, params: dict) -> TenantRecord:
-        """Fabricate a tenant's hardware and shares, deterministically.
+        """Fabricate and register a tenant (replay and snapshot restore)."""
+        return self._register(name, params, *self._fabricate(params))
+
+    @staticmethod
+    def _fabricate(params: dict) -> tuple:
+        """A tenant's lifetimes, keystores and fault model; no hub state.
 
         The draw order replicates
         :class:`~repro.connection.architecture.LimitedUseConnection`
-        verbatim (per copy: lifetimes, then the Shamir split), so a
-        tenant rebuilt from its provision record recovers byte-identical
-        secrets; the fault RNG is a separate positional substream so
-        fabricating with and without faults yields the same lifetimes.
+        verbatim (per copy: lifetimes, then the split's coefficient
+        rows), so a tenant rebuilt from its provision record recovers
+        byte-identical secrets; the fault RNG is a separate positional
+        substream so fabricating with and without faults yields the same
+        lifetimes.  No shares are built here: a store builds them on its
+        first readout, which a hook-free store never needs.
         """
         device = WeibullDistribution(alpha=params["alpha"],
                                      beta=params["beta"])
@@ -282,10 +292,15 @@ class WearHub:
                                        scheme=params["scheme"],
                                        bank_id=copy,
                                        fault_hook=fault_model))
-        key = (copies, n, k)
+        return lifetimes, stores, fault_model
+
+    def _register(self, name: str, params: dict, lifetimes: np.ndarray,
+                  stores: list, fault_model) -> TenantRecord:
+        """Give a fabricated tenant its pool row, row hook and name."""
+        key = (params["copies"], params["n"], params["k"])
         pool = self.pools.get(key)
         if pool is None:
-            pool = self.pools[key] = _Pool(copies, n, k)
+            pool = self.pools[key] = _Pool(*key)
         row = pool.add_row(lifetimes)
         hook = vector_hook_for(fault_model)
         if hook is not None:
@@ -729,7 +744,7 @@ class WearHub:
         for entry in snapshot["results"]:
             try:
                 self._restore_tenant(entry)
-            except (ConfigurationError, KeyError) as exc:
+            except (ConfigurationError, KeyError, ValueError) as exc:
                 raise LedgerCorruptionError(
                     f"snapshot tenant {entry.get('tenant')!r} does not "
                     f"restore: {exc}", path=self.ledger.snapshot_path,
@@ -752,7 +767,7 @@ class WearHub:
                         or name in self.tenants:
                     raise ConfigurationError(f"tenant {name!r} is not new")
                 self._build_tenant(name, _validate_params(record))
-            except ConfigurationError as exc:
+            except (ConfigurationError, ValueError) as exc:
                 raise LedgerCorruptionError(
                     f"provision record {record['seq']} does not replay: "
                     f"{exc}", path=self.ledger.wal_path,

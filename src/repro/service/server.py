@@ -462,17 +462,32 @@ async def run_service(config: ServiceConfig) -> None:
     Raises the failure that stopped it, or a failed drain snapshot.
     """
     service = WearService(config)
-    await service.start()
     loop = asyncio.get_running_loop()
+    # The handlers go in before start() writes the ready file, which a
+    # supervisor may answer with a signal at once; a stop requested
+    # before start() returns drains as soon as it does.
+    started = False
+    stop_requested = False
+
+    def request_stop() -> None:
+        nonlocal stop_requested
+        if started:
+            service.stop()
+        else:
+            stop_requested = True
 
     installed = []
     for signum in (signal.SIGTERM, signal.SIGINT):
         try:
-            loop.add_signal_handler(signum, service.stop)
+            loop.add_signal_handler(signum, request_stop)
             installed.append(signum)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass
     try:
+        await service.start()
+        started = True
+        if stop_requested:
+            service.stop()
         await service.wait_closed()
     finally:
         for signum in installed:

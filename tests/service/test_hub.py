@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.connection import keystore
 from repro.connection.architecture import LimitedUseConnection
 from repro.core.degradation import PAPER_CRITERIA, DesignPoint
 from repro.core.weibull import WeibullDistribution
@@ -57,6 +58,32 @@ class TestProvision:
                     _provision_request(faults={"unknown_field": 1}),
                     {"op": "provision", "tenant": "t"}):
             assert hub.provision(bad)["status"] == "bad-request"
+
+    @pytest.mark.parametrize("overrides", [
+        {"scheme": "rs", "n": 300},
+        {"n": 70000, "k": 2},
+        {"alpha": float("inf")},
+        {"alpha": float("nan")},
+        {"beta": float("nan")},
+        {"seed": -1},
+    ], ids=["rs-n300", "n70000", "alpha-inf", "alpha-nan", "beta-nan",
+            "seed-negative"])
+    def test_unbuildable_provision_never_enters_the_wal(
+            self, tmp_path, overrides):
+        """Inputs the parameter checks pass but fabrication rejects."""
+        hub = WearHub(WearLedger(str(tmp_path)))
+        hub.ledger.open_for_append()
+        assert hub.provision(_provision_request("a"))["status"] == "ok"
+        before = hub.ledger.next_seq
+        response = hub.provision(_provision_request("b", **overrides))
+        assert response["status"] == "bad-request"
+        assert hub.ledger.next_seq == before
+        assert "b" not in hub.tenants
+        hub.ledger.close()
+        recovered = WearHub(WearLedger(str(tmp_path)))
+        assert recovered.recover() == 1
+        assert list(recovered.tenants) == ["a"]
+        recovered.ledger.close()
 
     def test_same_shape_tenants_share_a_pool(self, hub):
         hub.provision(_provision_request("a", seed=1))
@@ -207,6 +234,76 @@ class TestStatus:
             hub.serve_round(["t0"])
         status = hub.status("t0")
         assert "injections" in status
+
+
+class TestLazyShares:
+    """Keystores build their shares on first readout, so a hook-free
+    tenant never splits its secret: not at provisioning, not in a round,
+    not in recovery."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch) -> list:
+        calls = []
+        split_secret = keystore.split_secret
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return split_secret(*args, **kwargs)
+
+        monkeypatch.setattr(keystore, "split_secret", counting)
+        return calls
+
+    @staticmethod
+    def _built(tenant) -> list[int]:
+        return [copy for copy, store in enumerate(tenant.stores)
+                if store._shares_list is not None]
+
+    def test_hook_free_tenants_never_split(self, tmp_path, splits):
+        hub = WearHub(WearLedger(str(tmp_path)))
+        hub.ledger.open_for_append()
+        names = [f"t{i}" for i in range(20)]
+        for i, name in enumerate(names):
+            hub.provision(_provision_request(name, seed=i))
+        served = 0
+        for index in range(40):
+            responses = hub.serve_round([(name, f"r{index}")
+                                         for name in names])
+            served += sum(r["status"] == "ok" for r in responses.values())
+            for name, response in responses.items():
+                if response["status"] == "ok":
+                    assert bytes.fromhex(response["secret"]) == SECRET
+        hub.ledger.close()
+        recovered = WearHub(WearLedger(str(tmp_path)))
+        recovered.recover()
+        recovered.ledger.close()
+        assert served > 0
+        assert splits == []
+        for tenant in [*hub.tenants.values(), *recovered.tenants.values()]:
+            assert self._built(tenant) == []
+        assert recovered.status()["tenants"] == hub.status()["tenants"]
+
+    def test_fault_tenant_splits_each_copy_it_reads_once(
+            self, tmp_path, splits):
+        hub = WearHub(WearLedger(str(tmp_path)))
+        hub.ledger.open_for_append()
+        hub.provision(_provision_request(faults={"misfire_rate": 0.2}))
+        read = set()
+        while True:
+            response = hub.serve_round([("t0", f"r{hub.rounds}")])["t0"]
+            if response["status"] == "exhausted":
+                break
+            assert response["status"] == "ok"
+            read.add(response["copy"])
+            assert len(splits) == len(read)
+        hub.ledger.close()
+        assert splits == [(K, N)] * len(read)
+        assert self._built(hub.tenants["t0"]) == sorted(read)
+        del splits[:]
+        recovered = WearHub(WearLedger(str(tmp_path)))
+        recovered.recover()
+        recovered.ledger.close()
+        assert splits == [(K, N)] * len(read)
+        assert self._built(recovered.tenants["t0"]) == sorted(read)
 
 
 class TestConnectionEquivalence:

@@ -6,7 +6,10 @@ function driving one ``asyncio.run`` scenario.
 
 import asyncio
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,38 @@ from repro.service.ledger import WearLedger
 from repro.service.server import ServiceConfig, WearService, run_service
 
 pytestmark = pytest.mark.slow
+
+_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+#: ``repro serve`` with ``WearService.start`` wrapped to SIGTERM its own
+#: process as soon as the original returns - the instant a supervisor
+#: may see the ready file.  ``argv[1]`` is the seconds the wrapper then
+#: yields to the event loop before returning, which lets the signal
+#: arrive while ``start()`` is still running.
+_SIGTERM_AT_READY_CHILD = """
+import asyncio
+import os
+import signal
+import sys
+
+from repro.cli.main import main
+from repro.service.server import WearService
+
+original = WearService.start
+delay = float(sys.argv[1])
+
+
+async def start(self):
+    address = await original(self)
+    os.kill(os.getpid(), signal.SIGTERM)
+    if delay:
+        await asyncio.sleep(delay)
+    return address
+
+
+WearService.start = start
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 def _config(tmp_path, **overrides) -> ServiceConfig:
@@ -99,6 +134,23 @@ class TestServing:
             await client.close()
 
         asyncio.run(_with_service(_config(tmp_path), scenario))
+
+    def test_unbuildable_provision_is_a_bad_request(self, tmp_path):
+        """A seed the generator refuses is answered, not a dropped
+        connection, and leaves no record behind."""
+        async def scenario(host, port, service):
+            client = await ServiceClient(host, port).connect()
+            bad, good = tenant_population(2, seed=3)
+            refused = await client.provision(**dict(bad, seed=-1))
+            assert refused["status"] == "bad-request"
+            assert service.ledger.next_seq == 0
+            assert (await client.provision(**good))["status"] == "ok"
+            await client.close()
+
+        asyncio.run(_with_service(_config(tmp_path), scenario))
+        recovered = WearHub(WearLedger(str(tmp_path / "ledger")))
+        assert recovered.recover() == 1
+        recovered.ledger.close()
 
     def test_unknown_ops_and_tenants_are_denials(self, tmp_path):
         async def scenario(host, port, service):
@@ -394,6 +446,23 @@ class TestDrain:
             (tmp_path / "ledger" / "snapshot.json").read_text())
         assert snapshot["meta"]["kind"] == "svc-snapshot"
         assert snapshot["meta"]["last_seq"] == 1
+
+    @pytest.mark.parametrize("delay", [0.0, 0.05],
+                             ids=["after-start", "during-start"])
+    def test_sigterm_at_the_ready_file_drains(self, tmp_path, delay):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [_SRC, env.get("PYTHONPATH")]))
+        ledger = tmp_path / "ledger"
+        proc = subprocess.run(
+            [sys.executable, "-c", _SIGTERM_AT_READY_CHILD, str(delay),
+             "serve", "--ledger", str(ledger), "--no-record",
+             "--ready-file", str(tmp_path / "ready.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "service drained cleanly" in proc.stdout
+        snapshot = json.loads((ledger / "snapshot.json").read_text())
+        assert snapshot["meta"]["kind"] == "svc-snapshot"
 
     def test_draining_service_denies_new_work(self, tmp_path):
         async def scenario():
