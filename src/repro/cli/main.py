@@ -362,12 +362,12 @@ def cmd_pads(args, run) -> int:
 
 
 def _resolve_workers(args) -> int | None:
-    """Map the ``--workers`` flag to an engine argument.
+    """Map the ``--workers`` flag to the campaign runner's ``workers``.
 
     ``None`` (flag omitted) auto-sizes to the host's CPU count; a
-    resolved count of 1 returns ``None`` so single-worker runs use the
-    in-process serial loop - bit-identical results either way, but
-    without process-pool overhead on single-core hosts.
+    resolved count of 1 returns ``None`` so single-worker runs stay in
+    this process - bit-identical results either way, but without
+    process-pool overhead on single-core hosts.
     """
     from repro.sim.parallel import default_workers
 
@@ -379,17 +379,14 @@ def _resolve_workers(args) -> int | None:
 
 def cmd_simulate(args, run) -> int:
     point = _design_point(args)
-    checkpointed = args.checkpoint is not None or args.workers is not None \
-        or args.hardware
     started = time.perf_counter()
-    if checkpointed:
+    if args.checkpoint is not None or args.workers is not None:
         from repro.sim.montecarlo import simulate_access_bounds_checkpointed
 
         bounds = simulate_access_bounds_checkpointed(
             point, args.trials, args.seed,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
-            hardware=args.hardware,
             workers=_resolve_workers(args))
     else:
         bounds = simulate_access_bounds(point, args.trials,
@@ -1243,18 +1240,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=200)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="shard trials across N worker processes "
-                            "(default: all CPUs; results are "
-                            "bit-identical for any N)")
+                       help="run one substream per trial, sharded across "
+                            "N worker processes (1: in this process; "
+                            "default with --checkpoint: all CPUs); these "
+                            "per-trial runs are bit-identical for any N. "
+                            "Without --workers and --checkpoint the "
+                            "trials run batched on one generator in this "
+                            "process, which gives different numbers")
     p_sim.add_argument("--checkpoint", metavar="FILE", default=None,
                        help="checkpoint file: created/updated during the "
                             "run, resumed from when present (switches to "
                             "per-trial substreams)")
     p_sim.add_argument("--checkpoint-every", type=int, default=50,
                        help="trials between checkpoint writes")
-    p_sim.add_argument("--hardware", action="store_true",
-                       help="drive the stateful hardware simulation "
-                            "instead of the vectorized fast path")
     _add_obs_arguments(p_sim)
     _add_record_arguments(p_sim)
     p_sim.set_defaults(func=cmd_simulate)

@@ -13,9 +13,10 @@ and reports the two quantities the security argument cares about:
   turned into a correct secret despite injected misfires, timeouts and
   corruption.
 
-Trials run on deterministic per-trial RNG substreams and checkpoint
-through :mod:`repro.sim.checkpoint`, so a campaign killed mid-run
-resumes bit-identically (acceptance criterion of the robustness issue).
+Trials run on deterministic per-trial RNG substreams through
+:func:`repro.sim.parallel.run_checkpointed_trials`, in process or on a
+worker pool, and checkpoint through :mod:`repro.sim.checkpoint`, so a
+campaign killed mid-run resumes bit-identically under any worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.faults.injectors import (
     TransientMisfire,
 )
 from repro.obs.recorder import OBS
-from repro.sim.montecarlo import run_checkpointed_trials
+from repro.sim.parallel import run_checkpointed_trials
 from repro.sim.rng import derive_rng
 
 __all__ = [
@@ -293,7 +294,7 @@ class FaultCampaignReport:
 def _campaign_trial(index: int, rng: np.random.Generator,
                     design: DesignPoint,
                     config: FaultCampaignConfig) -> dict:
-    """Picklable per-trial adapter shared by the serial and parallel paths."""
+    """Picklable per-trial adapter, so a worker pool can ship it."""
     return run_fault_trial(design, config, rng)
 
 
@@ -304,28 +305,18 @@ def run_fault_campaign(design: DesignPoint, config: FaultCampaignConfig,
                        workers: int | None = None) -> FaultCampaignReport:
     """Run (or resume) a checkpointed fault-injection campaign.
 
-    ``workers`` runs the campaign sharded across a process pool
-    (:func:`repro.sim.parallel.run_parallel_trials`); trial ``i`` draws
-    from the substream ``(seed, i)`` either way, so the report - and the
-    checkpoint file - is bit-identical for any worker count, and a
-    checkpoint written under one count resumes under another.
+    The campaign runs on :func:`repro.sim.parallel.run_checkpointed_trials`:
+    ``workers=None`` in this process, ``workers=N`` sharded across a pool
+    of N.  Trial ``i`` draws from the substream ``(seed, i)`` either way,
+    so the report - and the checkpoint file - is bit-identical for any
+    worker count, and a checkpoint written under one count resumes under
+    another.
     """
     meta = {"kind": "fault-campaign",
             "design": design_to_dict(design),
             "config": config.to_dict()}
-    if workers is not None:
-        from repro.sim.parallel import run_parallel_trials
-
-        records = run_parallel_trials(
-            _campaign_trial, trials, seed,
-            trial_args=(design, config),
-            workers=workers, checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every, meta=meta)
-        return FaultCampaignReport.from_records(records, config)
-
-    def trial(index: int, rng: np.random.Generator) -> dict:
-        return _campaign_trial(index, rng, design, config)
-
-    records = run_checkpointed_trials(trial, trials, seed, checkpoint_path,
-                                      checkpoint_every, meta)
+    records = run_checkpointed_trials(
+        _campaign_trial, trials, seed, trial_args=(design, config),
+        workers=workers, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every, meta=meta)
     return FaultCampaignReport.from_records(records, config)

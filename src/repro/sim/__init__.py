@@ -12,11 +12,10 @@ from repro.sim.parallel import (
     default_shard_size,
     default_workers,
     plan_shards,
-    run_parallel_trials,
+    run_checkpointed_trials,
 )
 from repro.sim.montecarlo import (
     AccessBoundSummary,
-    run_checkpointed_trials,
     simulate_access_bounds,
     simulate_access_bounds_checkpointed,
     simulate_access_bounds_hardware,
@@ -71,7 +70,6 @@ __all__ = [
     "replay_trace",
     "required_safety_factor",
     "run_checkpointed_trials",
-    "run_parallel_trials",
     "save_checkpoint",
     "set_default_seed",
     "shard_checkpoint_path",

@@ -10,13 +10,16 @@ architecture (how many accesses a real instance serves before dying):
   budget, and serially-consumed banks add their contributions.
 - :func:`simulate_access_bounds_hardware` - drives the stateful
   :class:`~repro.core.hardware.SerialCopies` switch by switch; slow but
-  assumption-free.  Tests cross-validate the two.
+  assumption-free, and the only path with process variation and an
+  access cap.  Given the same generator both paths return the same
+  bounds, which ``tests/differential/test_fast_vs_hardware.py`` pins.
 
 Long campaigns are made interruption-safe by
-:func:`run_checkpointed_trials`: trial ``i`` always draws from the RNG
-substream keyed ``(seed, i)`` (:func:`repro.sim.rng.substream`) and
-finished trials are persisted via :mod:`repro.sim.checkpoint`, so a
-campaign killed at any point resumes bit-identically.
+:func:`repro.sim.parallel.run_checkpointed_trials`: trial ``i`` always
+draws from the RNG substream keyed ``(seed, i)``
+(:func:`repro.sim.rng.substream`) and finished trials are persisted via
+:mod:`repro.sim.checkpoint`, so a campaign killed at any point resumes
+bit-identically, in this process or on a worker pool.
 :func:`simulate_access_bounds_checkpointed` applies this to the access
 bound measurement; :mod:`repro.faults.campaign` applies it to
 fault-injection campaigns.
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,16 +38,10 @@ from repro.core.variation import NoVariation, ProcessVariation
 from repro.engine.state import WearState
 from repro.errors import ConfigurationError
 from repro.obs.recorder import OBS
-from repro.sim.checkpoint import (
-    load_checkpoint,
-    save_checkpoint,
-    validate_checkpoint,
-)
-from repro.sim.rng import substream
+from repro.sim.parallel import run_checkpointed_trials
 
 __all__ = [
     "AccessBoundSummary",
-    "run_checkpointed_trials",
     "simulate_access_bounds",
     "simulate_access_bounds_checkpointed",
     "simulate_access_bounds_hardware",
@@ -128,78 +124,13 @@ def simulate_access_bounds(design: DesignPoint, trials: int,
     return totals
 
 
-def run_checkpointed_trials(trial_fn: Callable[[int, np.random.Generator],
-                                               object],
-                            trials: int, seed: int,
-                            checkpoint_path: str | None = None,
-                            checkpoint_every: int = 50,
-                            meta: dict | None = None) -> list:
-    """Run ``trials`` independent trials with checkpoint/resume.
-
-    ``trial_fn(index, rng)`` must return a JSON-safe result and draw all
-    its randomness from the supplied generator - the substream keyed
-    ``(seed, index)``.  Because the stream depends only on the trial
-    index, a campaign killed mid-run and resumed from its checkpoint
-    produces results bit-identical to an uninterrupted run.
-
-    ``meta`` extends the identity recorded in (and validated against)
-    the checkpoint; seed and trial count are always included.  A
-    checkpoint written by a different campaign raises
-    :class:`ConfigurationError` instead of resuming.
-    """
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
-    if checkpoint_every < 1:
-        raise ConfigurationError("checkpoint_every must be >= 1")
-    full_meta = {"seed": int(seed), "trials": int(trials)}
-    full_meta.update(meta or {})
-    results: list = []
-    if checkpoint_path is not None:
-        payload = load_checkpoint(checkpoint_path)
-        if payload is not None:
-            results = validate_checkpoint(payload, full_meta,
-                                          checkpoint_path)
-            if len(results) > trials:
-                raise ConfigurationError(
-                    f"checkpoint {checkpoint_path!r} holds "
-                    f"{len(results)} results for a {trials}-trial "
-                    f"campaign")
-    for index in range(len(results), trials):
-        if OBS.enabled:
-            setup_started = time.perf_counter()
-            rng = substream(seed, index)
-            trial_started = time.perf_counter()
-            results.append(trial_fn(index, rng))
-            OBS.metrics.observe("mc.substream_setup_s",
-                                trial_started - setup_started)
-            OBS.metrics.observe("mc.trial_s",
-                                time.perf_counter() - trial_started)
-            OBS.metrics.inc("mc.checkpointed_trials")
-        else:
-            results.append(trial_fn(index, substream(seed, index)))
-        if checkpoint_path is not None \
-                and (index + 1) % checkpoint_every == 0:
-            save_checkpoint(checkpoint_path, full_meta, results)
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, full_meta, results)
-    return results
-
-
 def _access_bound_trial(index: int, rng: np.random.Generator,
-                        design: DesignPoint, hardware: bool,
-                        variation: ProcessVariation | None,
-                        max_accesses: int | None) -> int:
+                        design: DesignPoint) -> int:
     """One checkpointable access-bound trial, drawing only from ``rng``.
 
-    Module-level (rather than a closure) so the parallel engine can ship
-    it to worker processes by qualified name; the serial path calls the
-    same function, which is what makes serial and parallel campaigns
-    bit-identical by construction.
+    Module-level (rather than a closure) so a worker pool can ship it to
+    its processes by qualified name.
     """
-    if hardware:
-        state = WearState.fabricate(design.device, 1, design.copies,
-                                    design.n, design.k, rng, variation)
-        return int(state.run_to_exhaustion(max_accesses)[0])
     return int(simulate_access_bounds(design, 1, rng)[0])
 
 
@@ -207,10 +138,6 @@ def simulate_access_bounds_checkpointed(design: DesignPoint, trials: int,
                                         seed: int,
                                         checkpoint_path: str | None = None,
                                         checkpoint_every: int = 50,
-                                        hardware: bool = False,
-                                        variation: ProcessVariation | None
-                                        = None,
-                                        max_accesses: int | None = None,
                                         workers: int | None = None,
                                         shard_size: int | None = None,
                                         ) -> np.ndarray:
@@ -220,34 +147,18 @@ def simulate_access_bounds_checkpointed(design: DesignPoint, trials: int,
     through vectorized batches), each trial here is fabricated from its
     own ``(seed, index)`` substream, so the result vector is a pure
     function of ``(design, trials, seed)`` - resumable and
-    order-independent.  ``hardware=True`` drives the stateful simulation
-    instead of the order-statistics fast path.
+    order-independent.
 
-    ``workers`` shards the campaign across a process pool
-    (:func:`repro.sim.parallel.run_parallel_trials`); ``None`` keeps the
-    in-process serial loop.  Both paths share one trial function and one
-    checkpoint format, so any mix of worker counts - including resuming
-    a parallel checkpoint serially or vice versa - replays the same
-    bits.
+    The campaign runs on :func:`repro.sim.parallel.run_checkpointed_trials`:
+    ``workers=None`` in this process, ``workers=N`` on a pool of N.  Any
+    mix of worker counts - including resuming a pooled run's checkpoint
+    in process or vice versa - replays the same bits.
     """
-    meta = {"design": design_to_dict(design),
-            "mode": "hardware" if hardware else "fast"}
-    trial_args = (design, hardware, variation, max_accesses)
-    if workers is not None:
-        from repro.sim.parallel import run_parallel_trials
-
-        bounds = run_parallel_trials(
-            _access_bound_trial, trials, seed, trial_args=trial_args,
-            workers=workers, checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every, meta=meta,
-            shard_size=shard_size)
-        return np.asarray(bounds, dtype=np.int64)
-
-    def trial(index: int, rng: np.random.Generator) -> int:
-        return _access_bound_trial(index, rng, *trial_args)
-
-    bounds = run_checkpointed_trials(trial, trials, seed, checkpoint_path,
-                                     checkpoint_every, meta)
+    bounds = run_checkpointed_trials(
+        _access_bound_trial, trials, seed, trial_args=(design,),
+        workers=workers, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+        meta={"design": design_to_dict(design)}, shard_size=shard_size)
     return np.asarray(bounds, dtype=np.int64)
 
 

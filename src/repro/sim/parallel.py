@@ -1,40 +1,42 @@
-"""Process-pool sharded Monte Carlo campaigns with bit-identical resume.
+"""Checkpointed Monte Carlo campaigns with bit-identical resume.
 
-:func:`run_parallel_trials` is the parallel counterpart of
-:func:`repro.sim.montecarlo.run_checkpointed_trials`: the trial range is
-partitioned into contiguous **shards**, each shard runs on a
-``ProcessPoolExecutor`` worker, and every trial still draws from its own
-RNG substream keyed ``(seed, index)`` (:func:`repro.sim.rng.substream`).
-Because trial ``i`` never depends on which worker ran it, the result
-vector - and the final canonical checkpoint file - is byte-identical to
-a serial run for **any** worker count; ``tests/differential`` holds the
-harness that proves it.
+:func:`run_checkpointed_trials` is the one campaign runner.  Every trial
+draws from its own RNG substream keyed ``(seed, index)``
+(:func:`repro.sim.rng.substream`).  ``workers=None`` runs the missing
+trials in index order in the calling process; ``workers=N`` partitions
+them into contiguous **shards** and runs each on a
+``ProcessPoolExecutor`` worker.  Because trial ``i`` never depends on
+where it ran, the result vector - and the final canonical checkpoint
+file - is byte-identical for **any** worker count; ``tests/differential``
+holds the harness that proves it.
 
 Checkpointing is two-level:
 
-- each worker persists its shard's progress to a range-named shard file
-  (``<path>.shard-<start>-<stop>``, same atomic JSON format with a
+- each pool worker persists its shard's progress to a range-named shard
+  file (``<path>.shard-<start>-<stop>``, same atomic JSON format with a
   ``meta["shard"]`` entry) every ``checkpoint_every`` trials;
-- the parent folds finished shards into the **canonical** checkpoint at
-  ``<path>``, which always holds the longest complete prefix of results.
-  The canonical file therefore stays loadable by the serial engine, so
-  a campaign started with 4 workers can resume with 1 (or vice versa)
-  and still replay bit-identically.
+- the runner keeps the **canonical** checkpoint at ``<path>``, which
+  always holds the longest complete prefix of results.  Every run, in
+  process or pooled, starts from that prefix plus any shard files a
+  killed run left, so a campaign started with 4 workers can resume in
+  process (or vice versa) and still replay bit-identically.
 
-Failure handling is structured: a worker crash (dead process), a shard
+In process, a trial's exception propagates unchanged.  In a pool,
+failure handling is structured: a worker crash (dead process), a shard
 timeout, or an exception from the trial function retries the shard up to
 ``max_shard_retries`` times and then raises
 :class:`~repro.errors.ParallelExecutionError` carrying the shard range,
-attempt count and failure kind.  Finished shards survive the error on
-disk, so the campaign resumes rather than restarts.
+attempt count and failure kind.  Either way finished trials survive the
+error on disk, so the campaign resumes rather than restarts.
 
-Trial functions must be module-level callables (workers import them by
-qualified name) with signature ``trial_fn(index, rng, *trial_args)``,
-drawing **all** randomness from ``rng``.  Workers additionally clear the
-process-wide default seed (:func:`repro.sim.rng.set_default_seed`) on
-entry: a forked worker inherits the parent's module-level RNG state, and
-two workers replaying that shared stream would observe *correlated*
-draws for code that incorrectly falls back to it.
+Trial functions have the signature ``trial_fn(index, rng, *trial_args)``
+and draw **all** randomness from ``rng``; a pool needs them to be
+module-level callables (workers import them by qualified name).
+Workers additionally clear the process-wide default seed
+(:func:`repro.sim.rng.set_default_seed`) on entry: a forked worker
+inherits the parent's module-level RNG state, and two workers replaying
+that shared stream would observe *correlated* draws for code that
+incorrectly falls back to it.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ __all__ = [
     "default_workers",
     "default_shard_size",
     "plan_shards",
-    "run_parallel_trials",
+    "run_checkpointed_trials",
 ]
 
 #: Shards planned per worker: small enough to keep per-shard checkpoint
@@ -172,30 +174,39 @@ def _absorb_shard_files(checkpoint_path: str, full_meta: dict,
     return merge_shard_payloads(payloads, trials) if payloads else {}
 
 
-def run_parallel_trials(trial_fn: Callable, trials: int, seed: int, *,
-                        trial_args: tuple = (),
-                        workers: int | None = None,
-                        checkpoint_path: str | None = None,
-                        checkpoint_every: int = 50,
-                        meta: dict | None = None,
-                        shard_size: int | None = None,
-                        max_shard_retries: int = 2,
-                        shard_timeout: float | None = None) -> list:
-    """Run ``trials`` independent trials across a process pool.
+def run_checkpointed_trials(trial_fn: Callable, trials: int, seed: int, *,
+                            trial_args: tuple = (),
+                            workers: int | None = None,
+                            checkpoint_path: str | None = None,
+                            checkpoint_every: int = 50,
+                            meta: dict | None = None,
+                            shard_size: int | None = None,
+                            max_shard_retries: int = 2,
+                            shard_timeout: float | None = None) -> list:
+    """Run ``trials`` independent trials with checkpoint/resume.
 
-    Drop-in parallel equivalent of
-    :func:`repro.sim.montecarlo.run_checkpointed_trials`: same meta
-    validation, same canonical checkpoint format, bit-identical results
-    for any ``workers`` - including resuming another run's checkpoint
-    written under a different worker count (or serially).
+    ``trial_fn(index, rng, *trial_args)`` must return a JSON-safe result
+    and draw all its randomness from ``rng`` - the substream keyed
+    ``(seed, index)``.  Because the stream depends only on the trial
+    index, the results are bit-identical for any ``workers``, and a
+    campaign killed mid-run resumes from its checkpoint (written under
+    any worker count) to an uninterrupted run's results.
 
-    ``trial_fn`` must be a picklable module-level callable
-    ``trial_fn(index, rng, *trial_args)`` returning a JSON-safe result.
+    ``workers=None`` runs the trials in index order in this process and
+    saves the canonical checkpoint every ``checkpoint_every`` trials; a
+    trial's exception propagates unchanged.  ``workers=N`` runs shards
+    of ``shard_size`` trials on a pool of N processes, so ``trial_fn``
+    must then be a picklable module-level callable.
     ``shard_timeout`` bounds one shard attempt in seconds; on expiry the
     pool is abandoned and the shard retried on a fresh one.  After
     ``max_shard_retries`` failed retries a
     :class:`~repro.errors.ParallelExecutionError` surfaces the shard
     range and failure kind; completed shards stay on disk.
+
+    ``meta`` extends the identity recorded in (and validated against)
+    the checkpoint; seed and trial count are always included.  A
+    checkpoint written by a different campaign raises
+    :class:`~repro.errors.CheckpointMismatchError` instead of resuming.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
@@ -205,8 +216,7 @@ def run_parallel_trials(trial_fn: Callable, trials: int, seed: int, *,
         raise ConfigurationError("max_shard_retries must be >= 0")
     if shard_timeout is not None and shard_timeout <= 0:
         raise ConfigurationError("shard_timeout must be > 0")
-    workers = workers if workers is not None else default_workers()
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ConfigurationError("workers must be >= 1")
 
     full_meta = {"seed": int(seed), "trials": int(trials)}
@@ -229,22 +239,14 @@ def run_parallel_trials(trial_fn: Callable, trials: int, seed: int, *,
             done.setdefault(index, result)
 
     started = time.perf_counter()
-    fresh_trials = trials - len(done)
     remaining = [i for i in range(trials) if i not in done]
-    if shard_size is None:
-        shard_size = default_shard_size(trials, workers)
-    shards = plan_shards(remaining, shard_size)
-
-    def prefix_length() -> int:
-        length = 0
-        while length in done:
-            length += 1
-        return min(length, trials)
 
     def save_canonical() -> None:
         if checkpoint_path is None:
             return
-        length = prefix_length()
+        length = 0
+        while length in done:
+            length += 1
         save_checkpoint(checkpoint_path, full_meta,
                         [done[i] for i in range(length)])
         for path in list_shard_checkpoints(checkpoint_path):
@@ -253,11 +255,16 @@ def run_parallel_trials(trial_fn: Callable, trials: int, seed: int, *,
             if shard and shard[1] <= length:
                 os.remove(path)
 
-    if shards:
-        _execute_shards(shards, trial_fn, trial_args, seed, workers,
-                        checkpoint_path, checkpoint_every, full_meta,
-                        max_shard_retries, shard_timeout, done,
-                        save_canonical)
+    if workers is None:
+        _run_in_process(remaining, trial_fn, trial_args, seed,
+                        checkpoint_every, done, save_canonical)
+    elif remaining:
+        if shard_size is None:
+            shard_size = default_shard_size(trials, workers)
+        _execute_shards(plan_shards(remaining, shard_size), trial_fn,
+                        trial_args, seed, workers, checkpoint_path,
+                        checkpoint_every, full_meta, max_shard_retries,
+                        shard_timeout, done, save_canonical)
 
     results = [done[i] for i in range(trials)]
     if checkpoint_path is not None:
@@ -267,10 +274,36 @@ def run_parallel_trials(trial_fn: Callable, trials: int, seed: int, *,
     if OBS.enabled:
         elapsed = time.perf_counter() - started
         OBS.metrics.inc("parallel.campaigns")
-        if elapsed > 0 and fresh_trials:
+        if elapsed > 0 and remaining:
             OBS.metrics.set_gauge("parallel.trials_per_s",
-                                  fresh_trials / elapsed)
+                                  len(remaining) / elapsed)
     return results
+
+
+def _run_in_process(indices: list[int], trial_fn: Callable,
+                    trial_args: tuple, seed: int, checkpoint_every: int,
+                    done: dict, save_canonical: Callable[[], None]) -> None:
+    """Run the trials at sorted ``indices`` here, lowest first.
+
+    The lowest missing index is the canonical prefix's length, so every
+    trial extends the prefix that ``save_canonical`` writes.
+    """
+    for count, index in enumerate(indices, 1):
+        if OBS.enabled:
+            setup_started = time.perf_counter()
+            rng = substream(seed, index)
+            trial_started = time.perf_counter()
+            done[index] = trial_fn(index, rng, *trial_args)
+            OBS.metrics.observe("mc.substream_setup_s",
+                                trial_started - setup_started)
+            OBS.metrics.observe("mc.trial_s",
+                                time.perf_counter() - trial_started)
+            OBS.metrics.inc("mc.checkpointed_trials")
+        else:
+            done[index] = trial_fn(index, substream(seed, index),
+                                   *trial_args)
+        if count % checkpoint_every == 0:
+            save_canonical()
 
 
 def _execute_shards(shards: list[tuple[int, int]], trial_fn: Callable,

@@ -371,12 +371,6 @@ class TestParallelWorkers:
         assert code == 0
         assert "simulated 12 fabricated instances" in out
 
-    def test_simulate_hardware_flag_uses_checkpointed_path(self, capsys):
-        code, out, _ = run_cli(
-            capsys, *self.SIM, "--trials", "8", "--hardware")
-        assert code == 0
-        assert "simulated 8 fabricated instances" in out
-
     def test_workers_must_be_positive(self, capsys):
         code, _, err = run_cli(
             capsys, *self.SIM, "--trials", "5", "--workers", "0")

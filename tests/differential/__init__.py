@@ -1,15 +1,15 @@
-"""Differential harness: serial vs parallel vs analytic cross-validation.
+"""Differential harness: in-process vs pooled vs analytic cross-validation.
 
 Each module pins one family of guarantees:
 
-- ``test_serial_parallel_identity`` - the parallel engine is a pure
-  refactoring of the serial loop: byte-identical results and checkpoint
-  files for any worker count;
+- ``test_serial_parallel_identity`` - the campaign runner gives
+  byte-identical results and checkpoint files in process and on a pool
+  of any worker count;
 - ``test_kill_resume`` - a campaign SIGKILLed mid-flight resumes under a
   *different* worker count bit-identical to an uninterrupted run;
 - ``test_fast_vs_hardware`` - the vectorized order-statistics simulator
-  and the stateful switch-by-switch simulator agree statistically on a
-  seeded design grid;
+  and the stateful switch-by-switch simulator return identical bounds
+  from the same generator on a seeded design grid;
 - ``test_service_batching`` - coalesced multi-tenant service rounds are
   byte-identical to sequential handling (responses, wear arrays, WAL),
   with and without fault models;

@@ -1,9 +1,9 @@
 """Subprocess target for the SIGKILL mid-campaign differential test.
 
-Runs a parallel hardware-mode access-bound campaign against a
-checkpoint path given on the command line.  The parent test polls the
-canonical checkpoint for progress and SIGKILLs this process group
-mid-flight; nothing here cooperates with the kill, which is the point.
+Runs a pooled access-bound campaign against a checkpoint path given
+on the command line.  The parent test polls the canonical checkpoint
+for progress and SIGKILLs this process group mid-flight; nothing here
+cooperates with the kill, which is the point.
 
 Usage: python _kill_target.py CHECKPOINT_PATH TRIALS SEED
 """
@@ -23,7 +23,7 @@ def main() -> None:
                                window="fractional")
     simulate_access_bounds_checkpointed(
         design, trials, seed, checkpoint_path=checkpoint_path,
-        checkpoint_every=2, hardware=True, workers=2, shard_size=20)
+        checkpoint_every=2, workers=2, shard_size=20)
 
 
 if __name__ == "__main__":

@@ -81,13 +81,13 @@ def test_sigkill_then_resume_under_different_worker_count(tmp_path):
     design = paper_design(200)
     resumed = simulate_access_bounds_checkpointed(
         design, TRIALS, SEED, checkpoint_path=checkpoint,
-        checkpoint_every=2, hardware=True, workers=3, shard_size=20)
+        checkpoint_every=2, workers=3, shard_size=20)
 
     # Uninterrupted reference: same campaign, never killed, serial.
     reference_path = str(tmp_path / "reference.ckpt")
     reference = simulate_access_bounds_checkpointed(
         design, TRIALS, SEED, checkpoint_path=reference_path,
-        checkpoint_every=2, hardware=True)
+        checkpoint_every=2)
 
     assert np.array_equal(resumed, reference)
     with open(checkpoint, "rb") as resumed_file, \

@@ -1,10 +1,11 @@
-"""Serial vs parallel campaigns must be byte-identical, any worker count.
+"""In-process vs pooled campaigns must be byte-identical, any worker count.
 
-The parallel engine's contract is that sharding is *invisible*: trial
+The campaign runner's contract is that sharding is *invisible*: trial
 ``i`` draws from the substream ``(seed, i)`` no matter which worker runs
 it, and the canonical checkpoint is rebuilt in prefix order.  These
-tests drive both engines over the same campaigns and compare raw result
-arrays, sorted bounds, and the literal bytes of the checkpoint files.
+tests run the same campaigns in process and on pools and compare raw
+result arrays, sorted bounds, and the literal bytes of the checkpoint
+files.
 """
 
 import numpy as np
@@ -37,15 +38,6 @@ class TestAccessBoundIdentity:
         assert np.array_equal(np.sort(bounds), np.sort(serial_bounds))
         # The canonical checkpoint file is byte-for-byte the serial one.
         assert path.read_bytes() == serial_ckpt
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_hardware_mode_bit_identical(self, small_design, workers):
-        serial = simulate_access_bounds_checkpointed(
-            small_design, 24, seed=3, hardware=True)
-        parallel = simulate_access_bounds_checkpointed(
-            small_design, 24, seed=3, hardware=True, workers=workers,
-            shard_size=5)
-        assert np.array_equal(serial, parallel)
 
     def test_shard_size_is_invisible(self, small_design):
         reference = simulate_access_bounds_checkpointed(

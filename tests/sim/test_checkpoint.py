@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 
 from repro.core.degradation import PAPER_CRITERIA, solve_encoded_fractional
+from repro.core.serialize import design_to_dict
 from repro.core.weibull import WeibullDistribution
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointMismatchError, ConfigurationError
+from repro.sim import montecarlo
 from repro.sim.checkpoint import (
+    list_shard_checkpoints,
     load_checkpoint,
     save_checkpoint,
+    shard_checkpoint_path,
     validate_checkpoint,
 )
-from repro.sim.montecarlo import (
-    run_checkpointed_trials,
-    simulate_access_bounds_checkpointed,
-)
+from repro.sim.montecarlo import simulate_access_bounds_checkpointed
+from repro.sim.parallel import run_checkpointed_trials
 from repro.sim.rng import (
     get_default_seed,
     make_rng,
@@ -182,17 +184,54 @@ class TestCheckpointedAccessBounds:
             design, 8, seed=11, checkpoint_path=path)
         assert np.array_equal(straight, again)
 
-    def test_hardware_and_fast_paths_agree_on_scale(self, design):
-        fast = simulate_access_bounds_checkpointed(design, 6, seed=2)
-        hardware = simulate_access_bounds_checkpointed(design, 6, seed=2,
-                                                       hardware=True)
-        assert hardware.mean() == pytest.approx(fast.mean(), rel=0.2)
-
-    def test_mode_mismatch_rejected(self, design, tmp_path):
+    def test_other_campaign_rejected(self, design, tmp_path):
         path = str(tmp_path / "mc.json")
         simulate_access_bounds_checkpointed(design, 3, seed=2,
                                             checkpoint_path=path)
-        with pytest.raises(ConfigurationError):
-            simulate_access_bounds_checkpointed(design, 3, seed=2,
-                                                hardware=True,
+        other = solve_encoded_fractional(WeibullDistribution(9.0, 8.0), 40,
+                                         0.10, PAPER_CRITERIA)
+        with pytest.raises(CheckpointMismatchError, match="'design'"):
+            simulate_access_bounds_checkpointed(other, 3, seed=2,
                                                 checkpoint_path=path)
+        with pytest.raises(CheckpointMismatchError, match="'seed'"):
+            simulate_access_bounds_checkpointed(design, 3, seed=4,
+                                                checkpoint_path=path)
+
+    def test_in_process_resume_absorbs_pool_shards(self, design, tmp_path,
+                                                   monkeypatch):
+        # A killed 2-worker run of 40 trials left shards [10, 20) and
+        # [20, 30) on disk and no canonical prefix.
+        straight = simulate_access_bounds_checkpointed(design, 40, seed=5)
+        path = str(tmp_path / "mc.json")
+        meta = {"seed": 5, "trials": 40, "design": design_to_dict(design)}
+        for start, stop in ((10, 20), (20, 30)):
+            save_checkpoint(shard_checkpoint_path(path, start, stop),
+                            {**meta, "shard": [start, stop]},
+                            straight[start:stop].tolist())
+        ran = []
+        trial = montecarlo._access_bound_trial
+
+        def counted(index, *args):
+            ran.append(index)
+            return trial(index, *args)
+
+        monkeypatch.setattr(montecarlo, "_access_bound_trial", counted)
+        resumed = simulate_access_bounds_checkpointed(
+            design, 40, seed=5, checkpoint_path=path, checkpoint_every=4)
+        assert ran == list(range(10)) + list(range(30, 40))
+        assert list_shard_checkpoints(path) == []
+        assert np.array_equal(resumed, straight)
+        assert load_checkpoint(path)["results"] == straight.tolist()
+
+    def test_hardware_mode_checkpoint_resumes(self, design, tmp_path):
+        # Checkpoints written with the retired hardware mode carry a
+        # "mode" meta entry; that mode returned the same bounds.
+        straight = simulate_access_bounds_checkpointed(design, 10, seed=2)
+        path = str(tmp_path / "mc.json")
+        save_checkpoint(path, {"seed": 2, "trials": 10,
+                               "design": design_to_dict(design),
+                               "mode": "hardware"},
+                        straight[:4].tolist())
+        resumed = simulate_access_bounds_checkpointed(
+            design, 10, seed=2, checkpoint_path=path)
+        assert np.array_equal(resumed, straight)

@@ -20,7 +20,7 @@ from repro.sim.parallel import (
     default_shard_size,
     default_workers,
     plan_shards,
-    run_parallel_trials,
+    run_checkpointed_trials,
 )
 from repro.sim.rng import get_default_seed, set_default_seed, substream
 
@@ -89,27 +89,27 @@ class TestPlanning:
 
 class TestEngine:
     def test_matches_substream_reference(self):
-        assert run_parallel_trials(draw_trial, 17, 9, workers=3) \
+        assert run_checkpointed_trials(draw_trial, 17, 9, workers=3) \
             == reference(17, 9)
 
     def test_single_worker_pool(self):
-        assert run_parallel_trials(draw_trial, 7, 1, workers=1) \
+        assert run_checkpointed_trials(draw_trial, 7, 1, workers=1) \
             == reference(7, 1)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            run_parallel_trials(draw_trial, 0, 0)
+            run_checkpointed_trials(draw_trial, 0, 0)
         with pytest.raises(ConfigurationError):
-            run_parallel_trials(draw_trial, 1, 0, workers=0)
+            run_checkpointed_trials(draw_trial, 1, 0, workers=0)
         with pytest.raises(ConfigurationError):
-            run_parallel_trials(draw_trial, 1, 0, checkpoint_every=0)
+            run_checkpointed_trials(draw_trial, 1, 0, checkpoint_every=0)
         with pytest.raises(ConfigurationError):
-            run_parallel_trials(draw_trial, 1, 0, max_shard_retries=-1)
+            run_checkpointed_trials(draw_trial, 1, 0, max_shard_retries=-1)
         with pytest.raises(ConfigurationError):
-            run_parallel_trials(draw_trial, 1, 0, shard_timeout=0.0)
+            run_checkpointed_trials(draw_trial, 1, 0, shard_timeout=0.0)
 
     def test_worker_crash_is_retried(self, tmp_path):
-        results = run_parallel_trials(
+        results = run_checkpointed_trials(
             crash_once_trial, 12, 9, trial_args=(str(tmp_path),),
             workers=2, max_shard_retries=2, shard_size=3)
         assert results == reference(12, 9)
@@ -117,7 +117,7 @@ class TestEngine:
 
     def test_persistent_error_raises_structured(self):
         with pytest.raises(ParallelExecutionError) as excinfo:
-            run_parallel_trials(raising_trial, 6, 0, workers=2,
+            run_checkpointed_trials(raising_trial, 6, 0, workers=2,
                                 max_shard_retries=1, shard_size=3)
         error = excinfo.value
         assert error.kind == "error"
@@ -128,7 +128,7 @@ class TestEngine:
     def test_timeout_raises_structured(self):
         started = time.perf_counter()
         with pytest.raises(ParallelExecutionError) as excinfo:
-            run_parallel_trials(sleeping_trial, 1, 0, workers=1,
+            run_checkpointed_trials(sleeping_trial, 1, 0, workers=1,
                                 max_shard_retries=0, shard_timeout=0.2)
         assert excinfo.value.kind == "timeout"
         assert excinfo.value.shard == (0, 1)
@@ -138,7 +138,7 @@ class TestEngine:
     def test_finished_shards_survive_a_failure(self, tmp_path):
         path = str(tmp_path / "campaign.ckpt")
         with pytest.raises(ParallelExecutionError):
-            run_parallel_trials(raising_trial, 12, 0, workers=2,
+            run_checkpointed_trials(raising_trial, 12, 0, workers=2,
                                 max_shard_retries=0, shard_size=3,
                                 checkpoint_path=path, checkpoint_every=1)
         # Later shards completed and remain resumable on disk.
@@ -146,7 +146,7 @@ class TestEngine:
 
     def test_checkpoint_written_and_shards_cleaned(self, tmp_path):
         path = str(tmp_path / "campaign.ckpt")
-        results = run_parallel_trials(draw_trial, 20, 3, workers=2,
+        results = run_checkpointed_trials(draw_trial, 20, 3, workers=2,
                                       checkpoint_path=path,
                                       checkpoint_every=2, shard_size=4)
         payload = json.loads(open(path).read())
@@ -157,11 +157,11 @@ class TestEngine:
 
     def test_resumes_canonical_checkpoint(self, tmp_path):
         path = str(tmp_path / "campaign.ckpt")
-        full = run_parallel_trials(draw_trial, 10, 5, workers=2,
+        full = run_checkpointed_trials(draw_trial, 10, 5, workers=2,
                                    checkpoint_path=path)
         # Truncate to a 4-trial prefix and resume.
         save_checkpoint(path, {"seed": 5, "trials": 10}, full[:4])
-        resumed = run_parallel_trials(draw_trial, 10, 5, workers=3,
+        resumed = run_checkpointed_trials(draw_trial, 10, 5, workers=3,
                                       checkpoint_path=path)
         assert resumed == full
 
@@ -169,7 +169,7 @@ class TestEngine:
         path = str(tmp_path / "campaign.ckpt")
         save_checkpoint(path, {"seed": 0, "trials": 2}, [1, 2, 3])
         with pytest.raises(ConfigurationError):
-            run_parallel_trials(draw_trial, 2, 0, workers=1,
+            run_checkpointed_trials(draw_trial, 2, 0, workers=1,
                                 checkpoint_path=path)
 
 
@@ -218,7 +218,7 @@ class TestWorkerRngIsolation:
     def test_parallel_matches_serial_despite_parent_default_seed(self):
         set_default_seed(42)
         try:
-            results = run_parallel_trials(draw_trial, 8, 2, workers=2)
+            results = run_checkpointed_trials(draw_trial, 8, 2, workers=2)
         finally:
             set_default_seed(None)
         assert results == reference(8, 2)
