@@ -50,8 +50,9 @@ trace), ``--obs-summary`` (human-readable tables, to stdout or a file)
 and ``--obs-metrics`` (recorder on, no sinks - what gives the service
 ``metrics`` op histograms to export); see ``docs/observability.md``.
 
-Exit codes: 0 success, 1 error (or fault-campaign ceiling violations),
-2 usage / checkpoint-mismatch, 3 bench overhead regression, 4 bench
+Exit codes: 0 success, 1 error (or fault-campaign ceiling violations,
+or a reader that closed stdout early, as ``| head`` does), 2 usage /
+checkpoint-mismatch, 3 bench overhead regression, 4 bench
 ``--compare`` throughput regression, 5 bench ``--require-throughput``
 floor violation, chaos invariant violation, or ``capacity calibrate
 --gate`` failure.
@@ -1633,12 +1634,22 @@ def main(argv: list[str] | None = None) -> int:
     _default_capacity_seed(args)
     try:
         with _recorder(args) as run:
-            return run_command(args, run)
+            code = run_command(args, run)
+        sys.stdout.flush()
+        return code
     except CheckpointMismatchError as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
         return 2
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro ... | head``).  Point
+        # the descriptor at /dev/null so the interpreter's exit flush
+        # cannot raise the same error again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -11,10 +11,12 @@ Implemented from scratch:
 - systematic encoding via the generator polynomial
   ``g(x) = prod_{i=0}^{n-k-1} (x - alpha**i)``,
 - syndrome computation,
-- erasure-only decoding,
-- full errata decoding: Berlekamp-Massey on the erasure-adjusted
-  (Forney) syndromes, Chien search, and Forney's magnitude formula -
-  corrects ``e`` errors and ``f`` erasures whenever ``2e + f <= n - k``.
+- one errata decoder, :meth:`ReedSolomonCode.decode`: Berlekamp-Massey
+  on the erasure-adjusted (Forney) syndromes, Chien search, and
+  Forney's magnitude formula - corrects ``e`` errors and ``f`` erasures
+  whenever ``2e + f <= n - k``.  Erasure-only decoding is that decoder
+  with an error budget of 0, and ``decode_many`` is that decoder on
+  each row.
 
 Symbol layout is message-first: ``codeword[0:k]`` is the message,
 ``codeword[k:n]`` the parity.  Internally the codeword polynomial stores
@@ -28,7 +30,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, DecodingFailure
-from repro.gf.field import GF256, GF_RS, ORDER
+from repro.gf.field import GF256, GF_RS
 from repro.gf.poly import Poly
 
 __all__ = ["ReedSolomonCode"]
@@ -57,18 +59,8 @@ class ReedSolomonCode:
         self._chien_points = np.array(
             [field.pow(field.generator, -d) for d in range(n)],
             dtype=np.uint8)
-        # Erasure-locator data keyed by erasure-degree tuple.  Decoders
-        # are called once per chunk with the same erasure set (and the
-        # dead-share set of a wearing bank changes rarely), so Gamma and
-        # its Forney denominators are rebuilt only when the set changes.
-        self._erasure_cache: dict[tuple[int, ...],
-                                  tuple[Poly, np.ndarray, np.ndarray]] = {}
-        # Batched-syndrome constants: stored position of each polynomial
-        # degree, and log(alpha^(i*j)) for syndrome point i, degree j.
-        self._deg_to_pos = np.array(
-            [self._position_of_degree(j) for j in range(n)])
-        self._synd_logpow = (np.arange(self.parity)[:, None]
-                             * np.arange(n)[None, :]) % ORDER
+        # Erasure locators keyed by erasure-degree tuple.
+        self._erasure_cache: dict[tuple[int, ...], Poly] = {}
         # Parity-generator matrix for encode_many, built lazily: the
         # remainder map M(x)*x^parity mod g(x) is GF-linear in M, so the
         # parity of any message is the GF matmul of the message with the
@@ -207,13 +199,7 @@ class ReedSolomonCode:
         if len(received) != self.n:
             raise ConfigurationError(
                 f"received word must have n={self.n} symbols")
-        erasures = sorted(set(int(p) for p in erasure_positions))
-        if any(not 0 <= p < self.n for p in erasures):
-            raise ConfigurationError("erasure positions out of range")
-        if len(erasures) > self.parity:
-            raise DecodingFailure(
-                f"{len(erasures)} erasures exceed correction capability "
-                f"{self.parity}")
+        erasures = self._erasure_list(erasure_positions)
         for p in erasures:  # give erased symbols a defined received value
             received[p] = 0
 
@@ -223,44 +209,19 @@ class ReedSolomonCode:
             # wrong, or the erased symbols genuinely were zero.
             return received[:self.k]
 
-        erasure_degrees = [self._degree_of_position(p) for p in erasures]
-        return self._decode_tail(received, erasures, erasure_degrees, synd,
-                                 max_errors)
-
-    def _decode_tail(self, received: list[int], erasures: list[int],
-                     erasure_degrees: list[int], synd: list[int],
-                     max_errors: int | None,
-                     t_coeffs: list[int] | None = None) -> list[int]:
-        """Errata correction given the syndromes (shared with decode_many).
-
-        ``received`` must already have erased positions zero-filled and
-        ``synd`` must be nonzero.  ``t_coeffs`` optionally supplies the
-        precomputed Forney-syndrome polynomial ``Gamma * S mod x^parity``.
-        """
         field = self.field
-        gamma, x_invs, denoms, _, _ = self._erasure_data(
-            tuple(erasure_degrees))
-
+        erasure_degrees = [self._degree_of_position(p) for p in erasures]
+        gamma = self._erasure_locator(tuple(erasure_degrees))
+        synd_poly = Poly(synd, field)
         # Forney syndromes: T = Gamma * S mod x^parity; entries f..parity-1
         # form an error-only syndrome sequence for Berlekamp-Massey.
-        synd_poly = None
-        if t_coeffs is None:
-            synd_poly = Poly(synd, field)
-            product = gamma * synd_poly
-            t_coeffs = list(product.coeffs)[:self.parity]
-            t_coeffs += [0] * (self.parity - len(t_coeffs))
-        fsynd = t_coeffs[len(erasures):]
+        forney = list((gamma * synd_poly).coeffs)[:self.parity]
+        forney += [0] * (self.parity - len(forney))
+        error_locator = _berlekamp_massey(forney[len(erasures):], field)
 
         error_budget = (self.parity - len(erasures)) // 2
         if max_errors is not None:
             error_budget = min(error_budget, max_errors)
-        fast = self._single_error_fast(received, erasure_degrees, t_coeffs,
-                                       fsynd, error_budget, gamma, x_invs)
-        if fast is not None:
-            return fast
-        if synd_poly is None:
-            synd_poly = Poly(synd, field)
-        error_locator = _berlekamp_massey(fsynd, field)
         n_errors = error_locator.degree
         if n_errors > error_budget:
             raise DecodingFailure(
@@ -270,24 +231,9 @@ class ReedSolomonCode:
         if len(error_degrees) != n_errors:
             raise DecodingFailure("error locator does not split over GF(256)")
 
-        if n_errors == 0:
-            # Erasures only: the errata locator is Gamma itself, so Omega
-            # is the already-computed Gamma * S truncation and the Forney
-            # denominators come straight from the cache.
-            errata_degrees = erasure_degrees
-            if np.any(denoms == 0):
-                raise DecodingFailure("Forney denominator is zero")
-            omegas = Poly(t_coeffs, field).eval_many(x_invs)
-            magnitudes = [
-                field.mul(field.exp(d), field.div(int(o), int(dn)))
-                for d, o, dn in zip(erasure_degrees, omegas, denoms)
-            ]
-        else:
-            errata_locator = error_locator * gamma
-            errata_degrees = error_degrees + erasure_degrees
-            magnitudes = self._forney(synd_poly, errata_locator,
-                                      errata_degrees)
-
+        errata_degrees = error_degrees + erasure_degrees
+        magnitudes = self._forney(synd_poly, error_locator * gamma,
+                                  errata_degrees)
         corrected = list(received)
         for degree, magnitude in zip(errata_degrees, magnitudes):
             corrected[self._position_of_degree(degree)] ^= magnitude
@@ -295,120 +241,29 @@ class ReedSolomonCode:
             raise DecodingFailure("corrected word fails syndrome check")
         return corrected[:self.k]
 
-    def _single_error_fast(self, received: list[int],
-                           erasure_degrees: list[int],
-                           t_coeffs: list[int], fsynd: list[int],
-                           error_budget: int, gamma: Poly,
-                           x_invs: np.ndarray) -> list[int] | None:
-        """Closed-form decode for the dominant single-error case.
-
-        One error at ``X = alpha^d`` makes the Forney syndromes an
-        exactly geometric, zero-free sequence with ratio ``X``;
-        Berlekamp-Massey then returns the degree-1 locator ``[1, X]``
-        and Chien search finds ``d`` alone.  Omega and the errata
-        locator are each one shift-xor away from the cached erasure
-        data, so the whole correction vectorizes.  Returns ``None``
-        when the syndromes don't have that shape (the generic path
-        handles them); raises exactly where the generic path would.
-        """
-        field = self.field
-        fs = np.asarray(fsynd, dtype=np.uint8)
-        if fs.size < 2 or (fs == 0).any():
-            return None
-        lf = field._log[fs].astype(np.int64)
-        ratios = (lf[1:] - lf[:-1]) % ORDER
-        d = int(ratios[0])
-        if not (ratios == d).all():
-            return None
-        if error_budget < 1:
-            raise DecodingFailure(
-                f"estimated 1 errors exceeds budget {error_budget}")
-        if d >= self.n:
-            raise DecodingFailure("error locator does not split over GF(256)")
-
-        f = len(erasure_degrees)
-        # Errata locator Lambda = Gamma * (1 + X x) and
-        # Omega = T * (1 + X x) mod x^parity: one shift-xor each.
-        gcoeffs = np.array(gamma.coeffs, dtype=np.uint8)
-        lg = field._log[gcoeffs]
-        shifted = field._exp[lg + d]
-        shifted[lg < 0] = 0
-        lam = np.zeros(f + 2, dtype=np.uint8)
-        lam[:f + 1] = gcoeffs
-        lam[1:] ^= shifted
-        t_arr = np.asarray(t_coeffs, dtype=np.uint8)
-        lt = field._log[t_arr[:-1]] if t_arr.size > 1 else field._log[t_arr[:0]]
-        tshift = field._exp[lt + d]
-        tshift[lt < 0] = 0
-        omega = t_arr.copy()
-        omega[1:] ^= tshift
-
-        # Evaluate Lambda' (odd-degree coeffs, even powers) and Omega at
-        # X^-1 and the cached erasure points.
-        pts = np.empty(f + 1, dtype=np.uint8)
-        pts[0] = field._exp[(-d) % ORDER]
-        pts[1:] = x_invs
-        lp = field._log[pts].astype(np.int64)
-
-        dcoeffs = lam[1::2]
-        ddegs = np.arange(dcoeffs.size, dtype=np.int64) * 2
-        ld = field._log[dcoeffs]
-        idx = (lp[:, None] * ddegs[None, :] + ld[None, :]) % ORDER
-        terms = field._exp[idx]
-        terms[:, ld < 0] = 0
-        dens = np.bitwise_xor.reduce(terms, axis=1)
-        if (dens == 0).any():
-            raise DecodingFailure("Forney denominator is zero")
-
-        odegs = np.arange(omega.size, dtype=np.int64)
-        lo = field._log[omega]
-        idx = (lp[:, None] * odegs[None, :] + lo[None, :]) % ORDER
-        terms = field._exp[idx]
-        terms[:, lo < 0] = 0
-        om_at = np.bitwise_xor.reduce(terms, axis=1)
-
-        errata_degrees = np.empty(f + 1, dtype=np.int64)
-        errata_degrees[0] = d
-        errata_degrees[1:] = erasure_degrees
-        mags = field._exp[(field._log[om_at] - field._log[dens].astype(np.int64)
-                           + errata_degrees % ORDER) % ORDER]
-        mags[om_at == 0] = 0
-
-        corrected = np.asarray(received, dtype=np.uint8).copy()
-        corrected[self._deg_to_pos[errata_degrees]] ^= mags
-        if self._syndrome_matrix(corrected[np.newaxis, :]).any():
-            raise DecodingFailure("corrected word fails syndrome check")
-        return corrected[:self.k].tolist()
-
-    def _syndrome_matrix(self, words: np.ndarray) -> np.ndarray:
-        """Syndromes of every row of ``words`` (stored layout), batched.
-
-        One log-space gather over a (rows, parity, n) tensor; row ``r``
-        equals ``self.syndromes(words[r])``.
-        """
-        field = self.field
-        coeffs = words[:, self._deg_to_pos]  # rows x n, degree order
-        logc = field._log[coeffs]
-        terms = field._exp[logc[:, None, :] + self._synd_logpow[None, :, :]]
-        terms[np.broadcast_to((coeffs == 0)[:, None, :], terms.shape)] = 0
-        return np.bitwise_xor.reduce(terms, axis=2)
-
     def decode_many(self, words: np.ndarray,
                     erasure_positions: Sequence[int] = (),
                     max_errors: int | None = None) -> np.ndarray:
         """Decode many received words sharing one erasure set.
 
-        Returns the (rows, k) message array.  Row-for-row bit-identical
-        to :meth:`decode`: the common erasure-only rows are corrected in
-        one batched Forney pass, and any row whose Forney syndromes show
-        genuine errors is delegated to the scalar decoder (in row order,
-        so the first failing row raises the same exception).
+        Returns the (rows, k) message array whose row ``r`` is
+        :meth:`decode` of ``words[r]``; the first failing row raises its
+        error.  The shape and the erasure set are checked before any row.
         """
         received = np.ascontiguousarray(words, dtype=np.uint8)
         if received.ndim != 2 or received.shape[1] != self.n:
             raise ConfigurationError(
                 f"words must have shape (rows, n={self.n}), "
                 f"got {received.shape}")
+        erasures = self._erasure_list(erasure_positions)
+        out = np.empty((received.shape[0], self.k), dtype=np.uint8)
+        for r, word in enumerate(received.tolist()):
+            out[r] = self.decode(word, erasures, max_errors)
+        return out
+
+    # ------------------------------------------------------------------
+    def _erasure_list(self, erasure_positions: Sequence[int]) -> list[int]:
+        """Sorted distinct erasure positions, checked against the code."""
         erasures = sorted(set(int(p) for p in erasure_positions))
         if any(not 0 <= p < self.n for p in erasures):
             raise ConfigurationError("erasure positions out of range")
@@ -416,108 +271,23 @@ class ReedSolomonCode:
             raise DecodingFailure(
                 f"{len(erasures)} erasures exceed correction capability "
                 f"{self.parity}")
-        zeroed = received.copy()
-        if erasures:
-            zeroed[:, erasures] = 0
-        out = zeroed[:, :self.k].copy()
-        if self.parity == 0:
-            return out
-        synd = self._syndrome_matrix(zeroed)
-        rows = np.flatnonzero(synd.any(axis=1))
-        if rows.size == 0:
-            return out
+        return erasures
 
-        field = self.field
-        f = len(erasures)
-        erasure_degrees = [self._degree_of_position(p) for p in erasures]
-        gamma, x_invs, denoms, log_gmat, gmat_zero = self._erasure_data(
-            tuple(erasure_degrees))
+    def _erasure_locator(self, erasure_degrees: tuple[int, ...]) -> Poly:
+        """Gamma(x) = prod (1 + alpha^d x) over the erasure degrees.
 
-        # T = Gamma * S mod x^parity for every flagged row: one GF
-        # matrix product against the cached banded Gamma matrix.
-        sub = synd[rows]
-        log_sub = field._log[sub]
-        terms = field._exp[log_sub[:, :, None] + log_gmat[None, :, :]]
-        terms[(sub == 0)[:, :, None] | gmat_zero[None, :, :]] = 0
-        t = np.bitwise_xor.reduce(terms, axis=1)
-        has_errors = t[:, f:].any(axis=1)
-
-        # Batched Forney for the erasure-only rows: Omega is T itself
-        # (truncated), evaluated at the cached X_j^-1 points.  Rows with
-        # genuine errors skip this block entirely - they go through the
-        # scalar tail below, so computing their magnitudes is waste.
-        eo_index = np.cumsum(~has_errors) - 1
-        eo = np.flatnonzero(~has_errors)
-        corrected = None
-        bad = None
-        if f and eo.size:
-            t_eo = t[eo]
-            corrected = zeroed[rows[eo]].copy()
-            logxp = (field._log[x_invs].astype(np.int64)[:, None]
-                     * np.arange(self.parity)[None, :]) % ORDER
-            log_t = field._log[t_eo]
-            evals = field._exp[log_t[:, None, :] + logxp[None, :, :]]
-            evals[np.broadcast_to((t_eo == 0)[:, None, :],
-                                  evals.shape)] = 0
-            omega_at = np.bitwise_xor.reduce(evals, axis=2)  # rows x f
-            lxj = np.array(erasure_degrees, dtype=np.int64) % ORDER
-            log_den = field._log[denoms].astype(np.int64)
-            mag = field._exp[(field._log[omega_at] - log_den[None, :]
-                              + lxj[None, :]) % ORDER]
-            mag[omega_at == 0] = 0
-            corrected[:, erasures] = mag
-            bad = self._syndrome_matrix(corrected).any(axis=1)
-        denom_zero = bool(np.any(denoms == 0)) if f else False
-
-        for pos, r in enumerate(rows.tolist()):
-            if has_errors[pos]:
-                out[r] = self._decode_tail(
-                    zeroed[r].tolist(), erasures, erasure_degrees,
-                    sub[pos].tolist(), max_errors,
-                    t_coeffs=t[pos].tolist())
-            elif denom_zero:
-                raise DecodingFailure("Forney denominator is zero")
-            elif not f or bad[int(eo_index[pos])]:
-                raise DecodingFailure("corrected word fails syndrome check")
-            else:
-                out[r] = corrected[int(eo_index[pos]), :self.k]
-        return out
-
-    # ------------------------------------------------------------------
-    def _erasure_data(
-            self, erasure_degrees: tuple[int, ...],
-    ) -> tuple[Poly, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Gamma(x) = prod (1 + alpha^d x) plus derived decode constants.
-
-        Returns ``(gamma, x_invs, denoms, log_gmat, gmat_zero)`` where
-        the last two describe the banded convolution matrix ``G`` with
-        ``G[i, m] = gamma[m - i]``, so ``T = Gamma * S mod x^parity`` is
-        the GF matrix product ``T[m] = xor_i S[i] * G[i, m]``.
+        Cached per erasure set: a keystore decodes every chunk of a
+        readout under one set, and a wearing bank's dead-share set
+        changes rarely.
         """
-        cached = self._erasure_cache.get(erasure_degrees)
-        if cached is None:
+        gamma = self._erasure_cache.get(erasure_degrees)
+        if gamma is None:
             field = self.field
-            # Gamma by the shift-xor recurrence for multiplying in
-            # (1 + alpha^d x): new[j] = old[j] ^ alpha^d * old[j-1].
-            # Same exact coefficients as the sequential Poly product,
-            # but two array ops per factor instead of a convolution.
-            coeffs = np.zeros(len(erasure_degrees) + 1, dtype=np.uint8)
-            coeffs[0] = 1
-            for size, d in enumerate(erasure_degrees, start=1):
-                lo = field._log[coeffs[:size]]
-                shifted = field._exp[lo + d % ORDER]
-                shifted[lo < 0] = 0  # zero coefficients stay zero
-                coeffs[1:size + 1] ^= shifted
-            gamma = Poly(coeffs.tolist(), field)
-            x_invs = np.array([field.pow(field.generator, -d)
-                               for d in erasure_degrees], dtype=np.uint8)
-            denoms = gamma.derivative().eval_many(x_invs)
-            gmat = np.zeros((self.parity, self.parity), dtype=np.uint8)
-            for j in range(min(coeffs.size, self.parity)):
-                np.fill_diagonal(gmat[:, j:], coeffs[j])
-            cached = (gamma, x_invs, denoms, field._log[gmat], gmat == 0)
-            self._erasure_cache[erasure_degrees] = cached
-        return cached
+            gamma = Poly.one(field)
+            for d in erasure_degrees:
+                gamma = gamma * Poly([1, field.exp(d)], field)
+            self._erasure_cache[erasure_degrees] = gamma
+        return gamma
 
     def _chien_search(self, locator: Poly) -> list[int]:
         """Degrees d in [0, n) where locator(alpha^-d) == 0."""

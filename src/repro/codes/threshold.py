@@ -23,8 +23,7 @@ from repro.codes.shamir import Share
 from repro.errors import ConfigurationError, InsufficientSharesError
 from repro.gf.field import GF256, GF_RS
 
-__all__ = ["rs_split_secret", "rs_recover_secret", "rs_recover_present",
-           "rs_recover_chunks"]
+__all__ = ["rs_split_secret", "rs_recover_secret", "rs_recover_chunks"]
 
 #: Memoized code instances.  Fault campaigns split and recover through
 #: the same (n, k) code millions of times; rebuilding the generator
@@ -93,30 +92,14 @@ def rs_recover_secret(shares: list[Share], k: int, n: int,
             raise ConfigurationError(
                 f"share index {share.index} outside 1..{n}")
         present[share.index - 1] = share.data
-    return rs_recover_present(present, k, n, secret_len=secret_len,
-                              field=field, correct_errors=correct_errors)
-
-
-def rs_recover_present(present: dict[int, bytes], k: int, n: int,
-                       secret_len: int | None = None,
-                       field: GF256 = GF_RS,
-                       correct_errors: bool = False) -> bytes:
-    """Recovery core over a 0-based position -> payload map.
-
-    The :class:`Share`-free entry point for callers (the bank keystore)
-    that already hold positions and payloads; :func:`rs_recover_secret`
-    delegates here after unwrapping its shares.
-    """
     secret = rs_recover_chunks(present, k, n, field=field,
                                correct_errors=correct_errors).tobytes()
     if secret_len is not None:
         if secret_len > len(secret):
             raise ConfigurationError(
                 f"secret_len {secret_len} exceeds recovered {len(secret)}")
-        secret = secret[:secret_len]
-    else:
-        secret = secret.rstrip(b"\x00") or b"\x00"
-    return secret
+        return secret[:secret_len]
+    return secret.rstrip(b"\x00") or b"\x00"
 
 
 def rs_recover_chunks(present: dict[int, bytes], k: int, n: int,
@@ -138,8 +121,8 @@ def rs_recover_chunks(present: dict[int, bytes], k: int, n: int,
 
     code = _rs_code(n, k, field)
     erasures = [i for i in range(n) if i not in present]
-    # All chunks share one erasure set, so the whole recovery is a
-    # single batched decode (row-identical to per-chunk code.decode).
+    # All chunks share one erasure set: one decode_many call, which is
+    # code.decode on each chunk.
     words = np.zeros((n_chunks, n), dtype=np.uint8)
     for i, data in present.items():
         words[:, i] = np.frombuffer(data, dtype=np.uint8)

@@ -311,9 +311,9 @@ class BankKeyStore:
         # erasures, 2e + f <= parity puts the word inside the unique
         # decoding radius, where errors-and-erasures decoding provably
         # returns the true codeword - which is the cached message, so no
-        # decode is needed.  Only chunks beyond the radius are handed to
-        # the real decoder (whose failure/miscorrection behaviour this
-        # path must preserve).
+        # decode is needed.  Only chunks beyond the radius reach
+        # ``decode_many``, whose failures and miscorrections there are
+        # the answer this path must give.
         union = touched[0][2].copy()
         for _, _, diff in touched[1:]:
             union |= diff

@@ -42,6 +42,7 @@ import time
 import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
+from repro.obs.export import read_wal_events
 from repro.obs.recorder import OBS
 from repro.service.client import (
     RetryPolicy,
@@ -260,11 +261,14 @@ def scenario_kill_mid_batch(root_dir: str, *, shards: int, tenants: int,
             load = asyncio.create_task(run_loadgen(
                 sup.map_path, tenants=tenants, requests=requests,
                 concurrency=4, seed=seed, retry=_retry()))
-            # Kill once the victim has served an access, so the load
-            # is under way there and must retry across the crash.
+            # Kill on the victim's first access record, so the load is
+            # under way there and must retry across the crash.  Reading
+            # the WAL takes no ledger lock, thread or connection, so the
+            # kill follows that record within one poll.
+            ledger_dir = sup.ledger_dir(victim)
             while not load.done():
-                status = await asyncio.to_thread(sup.probe, victim)
-                if status["service"]["requests"]:
+                if any(event["op"] == "access"
+                       for event in read_wal_events(ledger_dir)):
                     break
                 await asyncio.sleep(0.002)
             if load.done():
@@ -278,7 +282,12 @@ def scenario_kill_mid_batch(root_dir: str, *, shards: int, tenants: int,
             while not all(sup.alive()):
                 await asyncio.to_thread(sup.poll)
                 await asyncio.sleep(0.05)
-            return await load
+            stats = await load
+            if not stats["reconnects"]:
+                raise InvariantViolation(
+                    f"shard {victim} was killed after its last request; "
+                    f"nothing reconnected across the crash")
+            return stats
 
         stats = drive_stats = asyncio.run(drive())
         if sum(stats["outcomes"].values()) != requests:

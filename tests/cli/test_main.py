@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -112,6 +114,21 @@ class TestAttack:
             "--legitimate-uses", "91250")
         assert code == 0
         assert "0.0000%" in out
+
+
+class TestClosedStdout:
+    def test_reader_gone_exits_1_without_a_traceback(self, monkeypatch):
+        # ``repro attack ... | head -1``: the reader has exited, so the
+        # first line written raises BrokenPipeError.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=1) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["attack", "--alpha", "10", "--beta", "8",
+                         "--bound", "40"]) == 1
+            # The descriptor now points at /dev/null, so what is still
+            # buffered flushes without raising again.
+            print("after the reader left", file=stdout)
 
 
 class TestPads:

@@ -1,5 +1,6 @@
 """Tests for the Reed-Solomon code (encode, erasures, errors, errata)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,3 +179,106 @@ class TestThresholdSemantics:
         erasures = [i for i in range(12) if i not in keep]
         received = [cw[i] if i in keep else 0 for i in range(12)]
         assert code.decode_erasures(received, erasures) == msg
+
+
+#: Geometries for the batch contracts: the fault-campaign design's
+#: (53, 6), the widest code, k = 1 and a rate-one code with no parity.
+BATCH_CODES = [(15, 5), (53, 6), (20, 10), (255, 223), (9, 1), (12, 12)]
+
+
+def _errata_batch(code, rng, erased):
+    """1-4 codewords sharing ``erased`` erasures, each with its own errors.
+
+    Error counts run from 0 to two past the unique-decoding radius, so
+    rows decode, fail or miscorrect.
+    """
+    rows = int(rng.integers(1, 5))
+    erasures = sorted(int(p) for p in rng.choice(code.n, erased,
+                                                 replace=False))
+    radius = max(code.parity - erased, 0) // 2
+    words = []
+    for _ in range(rows):
+        word = np.array(code.encode(rng.integers(0, 256, code.k).tolist()),
+                        dtype=np.uint8)
+        word[erasures] = rng.integers(0, 256, erased)  # ignored by decode
+        live = np.setdiff1d(np.arange(code.n), erasures)
+        errors = min(int(rng.integers(0, radius + 3)), live.size)
+        hit = rng.choice(live, errors, replace=False)
+        word[hit] ^= rng.integers(1, 256, errors).astype(np.uint8)
+        words.append(word)
+    return np.array(words), erasures
+
+
+def _decode_rows(code, words, erasures, max_errors):
+    """``decode`` on each row: the messages, or the first row's failure."""
+    out = []
+    for word in words:
+        try:
+            out.append(code.decode(word.tolist(), erasures, max_errors))
+        except DecodingFailure as exc:
+            return None, exc
+    return np.array(out, dtype=np.uint8), None
+
+
+class TestBatchContracts:
+    """``decode_many`` and ``encode_many`` are their scalar twins per row."""
+
+    @pytest.mark.parametrize("max_errors", [None, 0, 1])
+    @pytest.mark.parametrize("n,k", BATCH_CODES)
+    def test_decode_many_is_decode_row_by_row(self, n, k, max_errors):
+        code = ReedSolomonCode(n, k)
+        rng = np.random.default_rng([n, k, 2 if max_errors is None
+                                     else max_errors])
+        # No erasures, a full parity's worth, one past it, then random
+        # sets in between.
+        schedule = [0, code.parity, min(code.parity + 1, n)]
+        schedule += rng.integers(0, min(code.parity + 1, n) + 1,
+                                 11).tolist()
+        for erased in schedule:
+            words, erasures = _errata_batch(code, rng, erased)
+            expected, failure = _decode_rows(code, words, erasures,
+                                             max_errors)
+            if failure is None:
+                got = code.decode_many(words, erasures, max_errors)
+                assert got.dtype == np.uint8
+                np.testing.assert_array_equal(got, expected)
+            else:
+                with pytest.raises(type(failure)) as info:
+                    code.decode_many(words, erasures, max_errors)
+                assert str(info.value) == str(failure)
+
+    def test_decode_many_raises_the_first_failing_rows_error(self, rng):
+        code = ReedSolomonCode(20, 8)
+        words = np.array([code.encode(random_message(rng))
+                          for _ in range(3)], dtype=np.uint8)
+        words[1, 4] ^= 0x11                   # one error
+        words[2, [3, 9]] ^= 0x22              # two errors
+        with pytest.raises(DecodingFailure,
+                           match="estimated 1 errors exceeds budget 0"):
+            code.decode_many(words, max_errors=0)
+        with pytest.raises(DecodingFailure,
+                           match="estimated 2 errors exceeds budget 0"):
+            code.decode_many(words[[0, 2, 1]], max_errors=0)
+
+    def test_decode_many_checks_the_batch_before_any_row(self):
+        code = ReedSolomonCode(15, 5)
+        with pytest.raises(ConfigurationError):
+            code.decode_many(np.zeros((2, 14), dtype=np.uint8))
+        with pytest.raises(ConfigurationError):
+            code.decode_many(np.zeros((2, 15), dtype=np.uint8), [15])
+        with pytest.raises(DecodingFailure, match="11 erasures exceed"):
+            code.decode_many(np.zeros((0, 15), dtype=np.uint8),
+                             list(range(11)))
+
+    @pytest.mark.parametrize("n,k", BATCH_CODES)
+    def test_encode_many_is_encode_row_by_row(self, n, k):
+        code = ReedSolomonCode(n, k)
+        rng = np.random.default_rng([n, k])
+        messages = rng.integers(0, 256, (7, k), dtype=np.uint8)
+        messages[0] = 0                       # the zero codeword
+        messages[1, ::2] = 0                  # zero symbols mid-message
+        got = code.encode_many(messages)
+        assert got.shape == (7, n) and got.dtype == np.uint8
+        for row, message in zip(got, messages):
+            assert row.tolist() == code.encode(message.tolist())
+        assert code.encode_many(messages[:0]).shape == (0, n)
