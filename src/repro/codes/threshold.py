@@ -107,9 +107,8 @@ def rs_recover_chunks(present: dict[int, bytes], k: int, n: int,
                       correct_errors: bool = False) -> np.ndarray:
     """Decode the raw ``(n_chunks, k)`` message array, no padding trim.
 
-    Exposed separately so callers that decode the same store repeatedly
-    (the bank keystore) can cache the chunk array and splice partial
-    re-decodes into it.
+    The bank keystore calls it directly when a readout's length differs
+    from its stored share's; readouts of unequal lengths are rejected.
     """
     if len(present) < k:
         raise InsufficientSharesError(

@@ -13,16 +13,48 @@ only adds the share binding and the key-recovery step.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.connection.keystore import BankKeyStore
 from repro.core.degradation import DesignPoint
 from repro.core.hardware import SerialCopies, SimulatedBank
 from repro.core.variation import NoVariation, ProcessVariation
+from repro.core.weibull import WeibullDistribution
 from repro.engine.state import WearState
 from repro.errors import DeviceWornOutError
 
-__all__ = ["LimitedUseConnection"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.hooks import FaultHook
+
+__all__ = ["LimitedUseConnection", "fabricate_copies"]
+
+
+def fabricate_copies(device: WeibullDistribution, copies: int, n: int, k: int,
+                     secret: bytes, rng: np.random.Generator, *,
+                     variation: ProcessVariation | None = None,
+                     scheme: str = "shamir",
+                     fault_hook: "FaultHook | None" = None,
+                     ) -> tuple[np.ndarray, list[BankKeyStore]]:
+    """Fabricate ``copies`` banks of ``n`` switches with their keystores.
+
+    The one fabrication draw order: per copy, that copy's switch
+    lifetimes, then its store, which draws its split coefficient rows.
+    Every caller that builds a connection from ``rng`` goes through
+    here, so the same generator state always gives the same lifetimes
+    and shares.  Returns the ``(1, copies, n)`` lifetime array for one
+    :class:`~repro.engine.state.WearState` row and the stores, store
+    ``c`` tagged ``bank_id=c``.
+    """
+    variation = variation or NoVariation()
+    lifetimes = np.empty((1, copies, n))
+    stores = []
+    for copy in range(copies):
+        lifetimes[0, copy] = variation.sample_lifetimes(device, n, rng)
+        stores.append(BankKeyStore(secret, n, k, rng, scheme=scheme,
+                                   bank_id=copy, fault_hook=fault_hook))
+    return lifetimes, stores
 
 
 class LimitedUseConnection:
@@ -46,16 +78,9 @@ class LimitedUseConnection:
                  rng: np.random.Generator,
                  variation: ProcessVariation | None = None) -> None:
         self.design = design
-        variation = variation or NoVariation()
-        # Fabrication interleaves lifetime sampling and Shamir splitting
-        # per copy; collecting lifetimes first and building the shared
-        # state afterwards preserves that draw order bit-for-bit.
-        lifetimes = np.empty((1, design.copies, design.n))
-        self._stores: list[BankKeyStore] = []
-        for copy in range(design.copies):
-            lifetimes[0, copy] = variation.sample_lifetimes(
-                design.device, design.n, rng)
-            self._stores.append(BankKeyStore(secret, design.n, design.k, rng))
+        lifetimes, self._stores = fabricate_copies(
+            design.device, design.copies, design.n, design.k, secret, rng,
+            variation=variation)
         self._state = WearState(lifetimes, design.k)
         self._serial = SerialCopies([
             SimulatedBank.from_state(self._state, 0, copy)

@@ -1,12 +1,13 @@
 """Binding secret shares to the switches of a parallel bank.
 
 Each copy of the limited-use connection holds an independent Shamir split
-of the protected secret: share ``i`` sits behind switch ``i``.  Wherever
-a readout can differ from the stored shares - through a fault hook, or
-after a stored share was swapped - the answer is what the shares read
-decode to, so fewer than ``k`` of them cannot recover the secret: there
-the k-of-n semantics are cryptographic.  A store whose readouts cannot
-differ returns its provisioned secret after the same k-of-n count check,
+of the protected secret: share ``i`` sits behind switch ``i``.  A store
+reads by one rule: its shares never change once built.  A readout that
+is its stored share object reads as the secret; every other readout - a
+fault hook's corrupted or copied bytes - is decoded, so fewer than ``k``
+live shares cannot recover the secret: there the k-of-n semantics are
+cryptographic.  A store with no fault hook reads its shares as stored,
+so it returns its provisioned secret after the same k-of-n count check,
 since any ``k`` of its shares provably interpolate to it.
 """
 
@@ -66,6 +67,13 @@ class BankKeyStore:
     :mod:`repro.faults.injectors` substream contract (pinned in
     ``tests/differential``).
 
+    Readouts follow the module's rule.  With no hook, ``recover``
+    answers with the secret once the count and index checks pass.  A
+    hooked readout that *is* its stored share object reads as the
+    secret; every other readout is decoded: Shamir interpolates the
+    first k live shares, and RS decodes only the chunks that lie beyond
+    its unique-decoding radius.
+
     The shares are built on their first readout (the ``_shares``
     property), for every scheme: most copies of a connection are never
     read, and a store with no fault hook never needs them.  A Shamir
@@ -110,50 +118,10 @@ class BankKeyStore:
             raise ConfigurationError(
                 f"banks beyond {MAX_SHARES16} shares are not supported")
         self._shares_list: list | None = None
-        # Memoized pristine recoveries keyed by picked-index tuple.
-        # An entry is stored/served only when every readout returned the
-        # *stored* share object (fault hooks hand back new objects
-        # whenever they corrupt), so an identity check proves the inputs
-        # - and hence the deterministic recovery - are unchanged since
-        # the cached call.
-        self._pristine: dict[tuple[int, ...], bytes] = {}
-        # Whether the stored shares are the original split, so pristine
-        # readouts recover the provisioned secret byte for byte and
-        # interpolating is pure waste.  Token validation clears it the
-        # moment a stored share object is swapped (tests corrupt stores
-        # in place), falling back to honest per-tuple recovery.
-        self._intact = True
-        # Decoded RS message chunks, seeded when the shares are built:
-        # RS correction of any decodable word yields the true message,
-        # so recoveries only re-decode the chunks that corrupted
-        # readouts actually touched.
-        self._rs_plain: np.ndarray | None = None
-        # Identity snapshot of the stored data objects, taken when the
-        # shares are built.  A stored share swapped afterwards (tests
-        # corrupt stores in place) invalidates every cache.
-        self._stored_tokens: list | None = None
-        # (n_chunks, n) matrix of the stored share symbols - the true
-        # codewords, one chunk per row.  Built lazily by ``_recover_rs``
-        # and invalidated together with ``_stored_tokens``.
-        self._true_matrix: np.ndarray | None = None
-
-    def _validate_tokens(self, pairs) -> None:
-        """Drop the recovery caches if any stored share backing ``pairs``
-        is no longer the object the caches were computed from."""
-        tokens = self._stored_tokens
-        shares = self._shares
-        for i, _ in pairs:
-            if shares[i].data is not tokens[i]:
-                self._stored_tokens = [s.data for s in shares]
-                self._pristine.clear()
-                self._intact = False
-                self._rs_plain = None
-                self._true_matrix = None
-                return
 
     @property
     def _shares(self) -> list:
-        """The stored shares, built and token-guarded on first access.
+        """The stored shares, built on first access and never changed.
 
         Built through this module's names for the split functions, so a
         wrapper installed on them sees every build.
@@ -163,21 +131,13 @@ class BankKeyStore:
             return shares
         secret, k, n = self._secret, self.k, self.n
         if self._mode == "replicas":
-            shares = self._shares_list = [secret] * n
-            return shares
-        if self._mode == "gf256":
+            shares = [secret] * n
+        elif self._mode == "gf256":
             shares = split_secret(secret, k, n, rows=self._rows)
         elif self._mode == "gf65536":
             shares = split_secret16(secret, k, n, rows=self._rows)
         else:
             shares = rs_split_secret(secret, k, n)
-            # Freshly split shares are authoritative, so the decoded
-            # chunks are the (padded) source itself.
-            n_chunks = -(-self._secret_len // k)
-            padded = secret + b"\x00" * (n_chunks * k - self._secret_len)
-            self._rs_plain = np.frombuffer(
-                padded, dtype=np.uint8).reshape(n_chunks, k).copy()
-        self._stored_tokens = [s.data for s in shares]
         self._shares_list = shares
         return shares
 
@@ -198,21 +158,19 @@ class BankKeyStore:
                 bank_id=self.bank_id)
         if min(live_indices) < 0 or max(live_indices) >= self.n:
             raise ConfigurationError("switch index out of range")
-        if self._shares_list is None and self.fault_hook is None:
-            # Unbuilt shares cannot have been swapped, and unhooked
-            # readouts are the stored shares: any k of them interpolate
-            # to the provisioned secret, so none need building.
+        if self.fault_hook is None:
+            # Unhooked readouts are the stored shares, and any k of them
+            # interpolate to the provisioned secret: none need building.
             return self._secret
 
         shares = self._shares
         datas = ([shares[i] for i in live_indices]
                  if self._mode == "replicas"
                  else [shares[i].data for i in live_indices])
-        if self.fault_hook is not None:
-            # One batched readout; None marks a share an injected
-            # timeout lost this attempt (missing, not corrupt).
-            datas = self.fault_hook.on_shares_readout(
-                self.bank_id, live_indices, datas)
+        # One batched readout; None marks a share an injected timeout
+        # lost this attempt (missing, not corrupt).
+        datas = self.fault_hook.on_shares_readout(
+            self.bank_id, live_indices, datas)
         if None in datas:
             live = [(i, data) for i, data in zip(live_indices, datas)
                     if data is not None]
@@ -238,57 +196,33 @@ class BankKeyStore:
                     f"the RS({self.n}, {self.k}) correction radius: {exc}",
                     bank_id=self.bank_id, n=self.n, k=self.k) from exc
         picked = live[:self.k]
-        shares = self._shares
-        pristine = True
         for i, data in picked:
             if data is not shares[i].data:
-                pristine = False
                 break
-        if pristine:
-            self._validate_tokens(picked)
-            if self._intact:
-                # Untouched readouts of an unmutated store: the
-                # interpolation result is provably the provisioned
-                # secret, byte for byte.
-                return self._secret
-            key = tuple([i for i, _ in picked])
-            cached = self._pristine.get(key)
-            if cached is not None:
-                return cached
-        if self._mode == "gf256":
-            secret = recover_from_pairs(tuple([i + 1 for i, _ in picked]),
-                                        [data for _, data in picked])
         else:
-            chosen16 = [Share16(index=i + 1, data=data)
-                        for i, data in picked]
-            secret = recover_secret16(chosen16, k=self.k,
-                                      secret_len=self._secret_len)
-        if pristine:
-            if len(self._pristine) > 256:
-                self._pristine.clear()
-            self._pristine[key] = secret
-        return secret
+            # Every readout is its stored share, which never changes
+            # once built: they interpolate to the provisioned secret.
+            return self._secret
+        if self._mode == "gf256":
+            return recover_from_pairs(tuple([i + 1 for i, _ in picked]),
+                                      [data for _, data in picked])
+        return recover_secret16([Share16(index=i + 1, data=data)
+                                 for i, data in picked],
+                                k=self.k, secret_len=self._secret_len)
 
     def _recover_rs(self, live: list[tuple[int, bytes]]) -> bytes:
-        """RS recovery with chunk-level re-decode avoidance.
+        """RS recovery that decodes only the chunks beyond the radius.
 
-        The first successful decode caches the message array (RS
-        correction of any decodable word yields the true message).
-        Afterwards, a chunk needs re-decoding only if a corrupted
-        readout (a data object that is not the stored share's) touched
-        one of its symbols: an untouched chunk is a true codeword under
-        erasures, whose decode provably returns the cached message and
-        cannot fail while the erasure count stays within ``parity``
-        (guaranteed here, since ``len(live) >= k`` was already checked).
+        The stored shares never change once built, so a readout that
+        equals its stored share is a true symbol, and each chunk's error
+        count e is the number of live readouts that differ from theirs
+        there.  With f erasures, 2e + f <= parity puts the word inside
+        the unique decoding radius, where errors-and-erasures decoding
+        provably returns the true codeword, whose message is the padded
+        secret.  Only chunks beyond the radius reach ``decode_many``,
+        whose failures and miscorrections there are the answer this
+        path must give.
         """
-        if self._rs_plain is not None:
-            self._validate_tokens(live)
-        plain = self._rs_plain
-        if plain is None:
-            msgs = rs_recover_chunks(dict(live), self.k, self.n,
-                                     correct_errors=True)
-            self._rs_plain = msgs
-            return msgs.tobytes()[:self._secret_len]
         shares = self._shares
         touched: list[tuple[int, np.ndarray, np.ndarray]] = []
         for i, data in live:
@@ -296,7 +230,7 @@ class BankKeyStore:
             if data is stored:
                 continue
             if len(data) != len(stored):
-                # Length drift: fall back to the validating full decode.
+                # Length drift: the validating full decode rejects it.
                 return rs_recover_chunks(dict(live), self.k, self.n,
                                          correct_errors=True
                                          ).tobytes()[:self._secret_len]
@@ -305,15 +239,7 @@ class BankKeyStore:
             if diff.any():
                 touched.append((i, arr, diff))
         if not touched:
-            return plain.tobytes()[:self._secret_len]
-        # Chunks touched by a corrupted readout, and each chunk's error
-        # count e (corrupted symbols among the live shares).  With f
-        # erasures, 2e + f <= parity puts the word inside the unique
-        # decoding radius, where errors-and-erasures decoding provably
-        # returns the true codeword - which is the cached message, so no
-        # decode is needed.  Only chunks beyond the radius reach
-        # ``decode_many``, whose failures and miscorrections there are
-        # the answer this path must give.
+            return self._secret
         union = touched[0][2].copy()
         for _, _, diff in touched[1:]:
             union |= diff
@@ -324,19 +250,19 @@ class BankKeyStore:
         live_set = {i for i, _ in live}
         erasures = [i for i in range(self.n) if i not in live_set]
         code = _rs_code(self.n, self.k, GF_RS)
-        out = plain.copy()
         beyond = 2 * errors + len(erasures) > code.parity
-        if beyond.any():
-            bad = cc[beyond]
-            tm = self._true_matrix
-            if tm is None:
-                tm = self._true_matrix = np.stack(
-                    [np.frombuffer(s.data, dtype=np.uint8)
-                     for s in shares], axis=1)
-            words = tm[bad].copy()
-            for i, arr, _ in touched:
-                words[:, i] = arr[bad]
-            if erasures:
-                words[:, erasures] = 0
-            out[bad] = code.decode_many(words, erasures, max_errors=None)
+        if not beyond.any():
+            return self._secret
+        bad = cc[beyond]
+        n_chunks = len(shares[0].data)
+        padded = self._secret.ljust(n_chunks * self.k, b"\x00")
+        out = np.frombuffer(padded, dtype=np.uint8).reshape(
+            n_chunks, self.k).copy()
+        words = np.stack([np.frombuffer(s.data, dtype=np.uint8)[bad]
+                          for s in shares], axis=1)
+        for i, arr, _ in touched:
+            words[:, i] = arr[bad]
+        if erasures:
+            words[:, erasures] = 0
+        out[bad] = code.decode_many(words, erasures, max_errors=None)
         return out.tobytes()[:self._secret_len]

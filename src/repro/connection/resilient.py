@@ -40,10 +40,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.connection.architecture import fabricate_copies
 from repro.connection.keystore import BankKeyStore
 from repro.core.degradation import DesignPoint
 from repro.core.hardware import SimulatedBank
-from repro.core.variation import NoVariation, ProcessVariation
+from repro.core.variation import ProcessVariation
 from repro.engine.hooks import vector_hook_for
 from repro.engine.state import WearState
 from repro.errors import (
@@ -183,25 +184,19 @@ class ResilientAccessController:
         # share (the repro.engine.hooks contract, pinned in
         # tests/differential).
         vector_hook = vector_hook_for(fault_hook)
-        variation = variation or NoVariation()
-        # One shared engine state backs every copy; lifetimes are drawn
-        # per copy, interleaved with the keystore splits, preserving the
-        # scalar fabrication stream bit-for-bit.
-        lifetimes = np.empty((1, design.copies, design.n))
-        self._stores: list[BankKeyStore] = []
-        self._rs_stores: list[BankKeyStore | None] = []
-        self._health: list[CopyHealth] = []
-        for copy in range(design.copies):
-            lifetimes[0, copy] = variation.sample_lifetimes(
-                design.device, design.n, rng)
-            self._stores.append(
-                BankKeyStore(secret, design.n, design.k, rng,
-                             bank_id=copy, fault_hook=fault_hook))
-            self._rs_stores.append(
-                BankKeyStore(secret, design.n, design.k, rng, scheme="rs",
-                             bank_id=copy, fault_hook=fault_hook)
-                if rs_possible else None)
-            self._health.append(CopyHealth(bank_id=copy))
+        # One shared engine state backs every copy.  RS stores draw
+        # nothing from ``rng``, so building them after the fabrication
+        # loop leaves the stream as it was.
+        lifetimes, self._stores = fabricate_copies(
+            design.device, design.copies, design.n, design.k, secret, rng,
+            variation=variation, fault_hook=fault_hook)
+        self._rs_stores: list[BankKeyStore | None] = [
+            BankKeyStore(secret, design.n, design.k, rng, scheme="rs",
+                         bank_id=copy, fault_hook=fault_hook)
+            if rs_possible else None
+            for copy in range(design.copies)]
+        self._health = [CopyHealth(bank_id=copy)
+                        for copy in range(design.copies)]
         self._state = WearState(lifetimes, design.k)
         self._banks = [
             SimulatedBank.from_state(self._state, 0, copy,

@@ -58,7 +58,10 @@ class FaultHook(Protocol):
     actuation with the raw outcome and returns the observed one;
     ``on_shares_readout`` is consulted once per recovery with the share
     bytes read at ``indices`` and returns them in the same order, any
-    of them corrupted or ``None`` (timeout).
+    of them corrupted or ``None`` (timeout).  A share the hook leaves
+    unchanged is returned as the same object: the keystore reads that
+    as its stored share, with no decoding.  An equal copy gets the same
+    answer with more work, since the keystore decodes it.
     """
 
     def on_switch_actuate(self, switch: SwitchLike, closed: bool,

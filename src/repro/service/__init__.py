@@ -28,7 +28,7 @@ Layer map:
   shared-nothing shards and the shard-map-aware :class:`FleetClient`
   with idempotent crash-safe retries;
 - :mod:`repro.service.supervisor` - shard process supervision:
-  spawn, health-probe, restart-through-recovery;
+  spawn, poll for dead shards, restart-through-recovery;
 - :mod:`repro.service.chaos` - scripted fault scenarios (SIGKILL
   mid-batch, torn WAL tails, restart storms, retry races) asserting
   the wear-exactness invariants end to end.

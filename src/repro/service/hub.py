@@ -43,8 +43,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.connection.keystore import BankKeyStore
-from repro.core.variation import NoVariation
+from repro.connection.architecture import fabricate_copies
 from repro.core.weibull import WeibullDistribution
 from repro.engine.hooks import VectorStuckClosedConversion, vector_hook_for
 from repro.engine.state import WearState
@@ -264,14 +263,14 @@ class WearHub:
     def _fabricate(params: dict) -> tuple:
         """A tenant's lifetimes, keystores and fault model; no hub state.
 
-        The draw order replicates
-        :class:`~repro.connection.architecture.LimitedUseConnection`
-        verbatim (per copy: lifetimes, then the split's coefficient
-        rows), so a tenant rebuilt from its provision record recovers
-        byte-identical secrets; the fault RNG is a separate positional
-        substream so fabricating with and without faults yields the same
-        lifetimes.  No shares are built here: a store builds them on its
-        first readout, which a hook-free store never needs.
+        Lifetimes and stores come from
+        :func:`~repro.connection.architecture.fabricate_copies`, the one
+        fabrication draw order, so a tenant rebuilt from its provision
+        record recovers byte-identical secrets; the fault RNG is a
+        separate positional substream so fabricating with and without
+        faults yields the same lifetimes.  No shares are built here: a
+        store builds them on its first readout, which a hook-free store
+        never needs.
         """
         device = WeibullDistribution(alpha=params["alpha"],
                                      beta=params["beta"])
@@ -282,16 +281,9 @@ class WearHub:
             fault_model = build_fault_model(
                 FaultCampaignConfig(**params["faults"]),
                 substream(params["seed"], 1))
-        copies, n, k = params["copies"], params["n"], params["k"]
-        variation = NoVariation()
-        lifetimes = np.empty((1, copies, n))
-        stores = []
-        for copy in range(copies):
-            lifetimes[0, copy] = variation.sample_lifetimes(device, n, rng)
-            stores.append(BankKeyStore(secret, n, k, rng,
-                                       scheme=params["scheme"],
-                                       bank_id=copy,
-                                       fault_hook=fault_model))
+        lifetimes, stores = fabricate_copies(
+            device, params["copies"], params["n"], params["k"], secret, rng,
+            scheme=params["scheme"], fault_hook=fault_model)
         return lifetimes, stores, fault_model
 
     def _register(self, name: str, params: dict, lifetimes: np.ndarray,

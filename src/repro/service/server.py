@@ -11,14 +11,15 @@ Lifecycle: :meth:`WearService.start` replays the ledger (so a SIGKILL'd
 predecessor's wear history is reconstructed exactly), starts serving,
 and optionally writes a ready file naming the bound port (the CI smoke
 leg binds port 0).  ``drain`` - the protocol op or SIGTERM/SIGINT -
-stops intake, flushes queued rounds, writes a final snapshot and exits
-cleanly.  A failed WAL write stops the service the same way, except
-that every request it holds or receives is answered ``error``, no
-snapshot is written (it would claim the lost records) and
-:func:`run_service` raises, so ``repro serve`` exits nonzero and a
-supervisor restarts the shard through recovery.  Recovery charges any
-record that reached the disk unanswered: wear on disk never falls
-below the wear the service acknowledged.
+stops intake, flushes queued rounds, writes a final snapshot, closes
+the connections still open and exits cleanly.  A failed WAL write stops
+the service the same way, except that every request it holds or
+receives is answered ``error`` on a connection left open, no snapshot
+is written (it would claim the lost records) and :func:`run_service`
+raises, so ``repro serve`` exits nonzero and a supervisor restarts the
+shard through recovery.  Recovery charges any record that reached the
+disk unanswered: wear on disk never falls below the wear the service
+acknowledged.
 
 A failed snapshot loses nothing (the WAL holds every acknowledged
 record): a periodic one is counted in ``snapshot_failures``, and a
@@ -165,6 +166,8 @@ class WearService:
                 seed=self.config.capacity_seed)
         self._buckets: dict[str, _TokenBucket] = {}
         self._server: asyncio.AbstractServer | None = None
+        #: Each running connection handler's task and its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._done: asyncio.Event | None = None
         self._stopping: asyncio.Task | None = None
         self._draining = False
@@ -212,8 +215,9 @@ class WearService:
     async def shutdown(self) -> None:
         """Graceful drain: flush rounds, snapshot, release everything.
 
-        After a failure no snapshot is written: it would cover records
-        the WAL lost.
+        A drain returns once every connection handler has ended.  After
+        a failure no snapshot is written, since it would cover records
+        the WAL lost, and connections stay open.
         """
         if self._draining:
             return
@@ -230,6 +234,16 @@ class WearService:
                     f"drain snapshot {self.ledger.snapshot_path} "
                     f"failed: {exc}")
         self.ledger.close()
+        # A drain has written every answer it owes: close the
+        # connections still open and let their handlers end, since one
+        # the closing loop cancels makes Python 3.11 log an error, and on
+        # 3.12.1+ Server.wait_closed waits for every connection to drop.
+        # After a failure they stay open, answering ``error``.
+        while self.failure is None and self._connections:
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*self._connections,
+                                 return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
         if OBS.enabled:
@@ -241,6 +255,9 @@ class WearService:
                                  writer: asyncio.StreamWriter) -> None:
         cap_socket_reads(writer.transport)
         self.batcher.connection_opened()
+        task = asyncio.current_task()
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
         try:
             while True:
                 try:

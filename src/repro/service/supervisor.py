@@ -1,4 +1,4 @@
-"""The fleet supervisor: spawn shards, probe them, restart through recovery.
+"""The fleet supervisor: spawn shards, watch them, restart through recovery.
 
 Each shard is one ``python -m repro.cli serve`` subprocess in its own
 session, owning one flock'd ledger directory.  The supervisor's whole
@@ -198,27 +198,6 @@ class FleetSupervisor:
             self.publish_map()
         return restarted
 
-    def probe(self, index: int, timeout_s: float = 5.0) -> dict:
-        """One synchronous health probe: the shard's ``status`` response."""
-        import asyncio
-
-        from repro.service.client import ServiceClient
-
-        host, port = read_ready_file(self.ready_file(index),
-                                     timeout_s=timeout_s)
-
-        async def _probe() -> dict:
-            client = ServiceClient(host, port)
-            try:
-                return await asyncio.wait_for(client.status(),
-                                              timeout=timeout_s)
-            finally:
-                await client.close()
-
-        if OBS.enabled:
-            OBS.metrics.inc("fleet.probes")
-        return asyncio.run(_probe())
-
     def alive(self) -> list[bool]:
         return [proc is not None and proc.poll() is None
                 for proc in self._procs]
@@ -226,12 +205,11 @@ class FleetSupervisor:
     def fleet_snapshot(self, timeout_s: float = 10.0) -> dict:
         """Poll every live shard's ``metrics`` op and merge the fleet view.
 
-        The health-probe companion to :meth:`probe`: per-shard peak RSS
-        (self-reported via the shared ``peak_rss_bytes`` plumbing) and
-        this supervisor's restart counts land in the snapshot - and in
-        the local recorder as ``fleet.shard<i>.*`` gauges when it is on
-        - alongside the exactly-merged metrics registries and per-tenant
-        wear gauges.
+        Per-shard peak RSS (self-reported via the shared
+        ``peak_rss_bytes`` plumbing) and this supervisor's restart counts
+        land in the snapshot - and in the local recorder as
+        ``fleet.shard<i>.*`` gauges when it is on - alongside the
+        exactly-merged metrics registries and per-tenant wear gauges.
         """
         from repro.obs.aggregate import collect_fleet_metrics
 

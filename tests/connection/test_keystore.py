@@ -1,8 +1,17 @@
 """Tests for binding shares to bank switches."""
 
-import pytest
+from unittest import mock
 
-from repro.codes.shamir import Share
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.codes.reed_solomon import ReedSolomonCode
+from repro.codes.shamir import Share, recover_secret
+from repro.codes.shamir16 import Share16, recover_secret16
+from repro.codes.threshold import rs_recover_secret
+from repro.connection import keystore
 from repro.connection.keystore import BankKeyStore
 from repro.errors import (
     ConfigurationError,
@@ -14,10 +23,25 @@ from repro.faults.injectors import FaultModel, ReadoutTimeout, ShareCorruption
 SECRET = b"sixteen byte key"
 
 
-def corrupt_share(store, index, mask=0xA5):
-    bad = store._shares[index]
-    store._shares[index] = Share(index=bad.index,
-                                 data=bytes(b ^ mask for b in bad.data))
+class XorReadout:
+    """A readout hook that reads the shares at ``indices`` XORed."""
+
+    def __init__(self, mask: int) -> None:
+        self.mask = mask
+        self.indices: set[int] = set()
+
+    def on_shares_readout(self, bank_id, indices, datas):
+        return [bytes(b ^ self.mask for b in data)
+                if i in self.indices else data
+                for i, data in zip(indices, datas)]
+
+
+def corrupt_share(store, *indices, mask=0xA5):
+    """Model decayed registers: from now on the shares at ``indices``
+    read with every byte XORed by ``mask``."""
+    if store.fault_hook is None:
+        store.fault_hook = XorReadout(mask)
+    store.fault_hook.indices.update(indices)
 
 
 class TestUnencoded:
@@ -69,35 +93,20 @@ class TestRSScheme:
     def test_corrupted_share_corrected(self, rng):
         """Fault injection: a decaying register flips bits.  RS corrects
         it (2e <= n - k - f); Shamir would return garbage."""
-        from repro.codes.shamir import Share
-
         store = BankKeyStore(SECRET, n=12, k=4, rng=rng, scheme="rs")
-        bad = store._shares[2]
-        store._shares[2] = Share(index=bad.index,
-                                 data=bytes(b ^ 0xFF for b in bad.data))
+        corrupt_share(store, 2, mask=0xFF)
         # All 12 live: 1 error, 0 erasures, capacity (12-4)/2 = 4.
         assert store.recover(list(range(12))) == SECRET
 
     def test_shamir_returns_garbage_on_corruption(self, rng):
-        from repro.codes.shamir import Share
-
         store = BankKeyStore(SECRET, n=12, k=4, rng=rng, scheme="shamir")
-        bad = store._shares[2]
-        store._shares[2] = Share(index=bad.index,
-                                 data=bytes(b ^ 0xFF for b in bad.data))
+        corrupt_share(store, 2, mask=0xFF)
         recovered = store.recover([0, 1, 2, 3])  # includes the bad share
         assert recovered != SECRET  # silent corruption - the RS motivation
 
     def test_corruption_beyond_radius_detected(self, rng):
-        from repro.codes.shamir import Share
-        from repro.errors import DecodingFailure
-
         store = BankKeyStore(SECRET, n=6, k=4, rng=rng, scheme="rs")
-        for i in (0, 1, 2):  # 3 errors > (6-4)/2 = 1
-            bad = store._shares[i]
-            store._shares[i] = Share(index=bad.index,
-                                     data=bytes(b ^ 0xA5
-                                                for b in bad.data))
+        corrupt_share(store, 0, 1, 2)  # 3 errors > (6-4)/2 = 1
         with pytest.raises(DecodingFailure):
             store.recover(list(range(6)))
 
@@ -185,3 +194,127 @@ class TestFaultHookReadout:
         # radius (12 - 4) // 2 = 4).
         for _ in range(30):
             assert rs.recover(list(range(12))) == SECRET
+
+
+class ScriptedReadout:
+    """A readout hook that answers share ``i`` as ``script[i]`` says.
+
+    ``"stored"`` returns the object read, ``"copy"`` an equal copy,
+    ``"corrupt"`` a copy with one byte XORed, and ``"lost"`` ``None``.
+    """
+
+    def __init__(self, script: dict) -> None:
+        self.script = script
+
+    def on_shares_readout(self, bank_id, indices, datas):
+        out = []
+        for i, data in zip(indices, datas):
+            kind, position, mask = self.script[i]
+            if kind == "copy":
+                data = bytes(bytearray(data))
+            elif kind == "corrupt":
+                flipped = bytearray(data)
+                flipped[position % len(flipped)] ^= mask
+                data = bytes(flipped)
+            elif kind == "lost":
+                data = None
+            out.append(data)
+        return out
+
+
+@st.composite
+def readout_cases(draw, kind: str):
+    """A store's parameters, a sorted live set and its readout script."""
+    if kind == "gf65536":
+        n, k = 300, draw(st.integers(2, 12))
+    else:
+        n = draw(st.one_of(st.integers(2, 24), st.sampled_from([53, 255])))
+        k = draw(st.integers(2, min(n, 30)))
+    secret = draw(st.binary(min_size=1, max_size=24))
+    live = sorted(draw(st.lists(st.integers(0, n - 1), unique=True,
+                                min_size=k - 1, max_size=min(n, k + 12))))
+    script = {i: draw(st.tuples(
+        st.sampled_from(["stored", "stored", "copy", "corrupt", "lost"]),
+        st.integers(0, 255), st.integers(1, 255))) for i in live}
+    return n, k, secret, live, script, draw(st.integers(0, 2**32 - 1))
+
+
+def _recover_from_scratch(kind, store, readouts):
+    """The reference answer: the readouts decoded with no store state."""
+    present = [(i, data) for i, data in readouts if data is not None]
+    if kind == "gf256":
+        return recover_secret([Share(i + 1, data) for i, data in present],
+                              k=store.k)
+    if kind == "gf65536":
+        return recover_secret16([Share16(i + 1, data)
+                                 for i, data in present],
+                                k=store.k, secret_len=store._secret_len)
+    return rs_recover_secret([Share(i + 1, data) for i, data in present],
+                             store.k, store.n, correct_errors=True,
+                             secret_len=store._secret_len)
+
+
+class TestReadoutRule:
+    """A store answers every readout as recovery from scratch does.
+
+    Shares never change once built, so a readout that is its stored
+    share object reads as the secret and every other readout is
+    decoded.  Pinned against decoding the same readouts with the
+    reference functions, and by call counts: untouched readouts decode
+    nothing, and an equal copy is decoded.
+    """
+
+    @pytest.mark.parametrize("kind", ["gf256", "gf65536", "rs"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_recovery_from_scratch(self, kind, data):
+        n, k, secret, live, script, seed = data.draw(readout_cases(kind))
+        hook = ScriptedReadout(script)
+        store = BankKeyStore(secret, n, k, np.random.default_rng(seed),
+                             scheme="rs" if kind == "rs" else "shamir",
+                             fault_hook=hook)
+        assert store._mode == kind
+        stored = [share.data for share in store._shares]
+        read = hook.on_shares_readout(0, live, [stored[i] for i in live])
+        readouts = list(zip(live, read))
+        calls = {"interpolate": 0, "decode_many": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        interpolate = ("recover_from_pairs" if kind == "gf256"
+                       else "recover_secret16")
+        try:
+            expected = _recover_from_scratch(kind, store, readouts)
+        except (InsufficientSharesError, DecodingFailure) as exc:
+            expected = type(exc)
+        with mock.patch.object(keystore, interpolate, counting(
+                "interpolate", getattr(keystore, interpolate))), \
+                mock.patch.object(ReedSolomonCode, "decode_many", counting(
+                    "decode_many", ReedSolomonCode.decode_many)):
+            if isinstance(expected, bytes):
+                assert store.recover(live) == expected
+            else:
+                with pytest.raises(expected):
+                    store.recover(live)
+
+        present = [(i, d) for i, d in readouts if d is not None]
+        if len(present) < k:
+            assert calls == {"interpolate": 0, "decode_many": 0}
+        elif kind == "rs":
+            assert calls["interpolate"] == 0
+            assert calls["decode_many"] <= 1
+            if all(d == stored[i] for i, d in present):
+                # Equal copies lie within the radius: nothing to decode.
+                assert calls["decode_many"] == 0
+                assert expected == secret
+        else:
+            # Shamir reads the first k live readouts; one that is not
+            # its stored object, an equal copy included, is decoded.
+            touched = any(d is not stored[i] for i, d in present[:k])
+            assert calls == {"interpolate": int(touched), "decode_many": 0}
+            if not touched:
+                assert expected == secret

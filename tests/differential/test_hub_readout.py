@@ -13,7 +13,7 @@ under both sharing schemes.  Responses (as wire bytes), the
 import numpy as np
 import pytest
 
-import repro.service.hub as hub_module
+import repro.connection.architecture as architecture
 from repro.service.hub import WearHub
 from repro.service.ledger import WearLedger
 from repro.service.protocol import encode_frame
@@ -69,7 +69,7 @@ def _drive(path, scheme: str) -> tuple[list[bytes], WearHub]:
 def test_batched_readout_matches_per_share_reference(tmp_path, monkeypatch,
                                                      scheme):
     frames, hub = _drive(tmp_path / "batched", scheme)
-    monkeypatch.setattr(hub_module, "BankKeyStore", PerShareKeyStore)
+    monkeypatch.setattr(architecture, "BankKeyStore", PerShareKeyStore)
     reference_frames, reference = _drive(tmp_path / "per-share", scheme)
     assert all(isinstance(store.fault_hook, PerShareReadout)
                for tenant in reference.tenants.values()

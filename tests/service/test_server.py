@@ -6,6 +6,7 @@ function driving one ``asyncio.run`` scenario.
 
 import asyncio
 import json
+import logging
 import os
 import re
 import subprocess
@@ -463,6 +464,27 @@ class TestDrain:
         assert "service drained cleanly" in proc.stdout
         snapshot = json.loads((ledger / "snapshot.json").read_text())
         assert snapshot["meta"]["kind"] == "svc-snapshot"
+
+    def test_drain_closes_idle_connections(self, tmp_path, caplog):
+        """A drain ends connections that never sent a request: their
+        client reads EOF, and no handler is left for the closing loop to
+        cancel (which Python 3.11 logs as an asyncio error)."""
+        async def scenario():
+            service = WearService(_config(tmp_path))
+            host, port = await service.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            await _until(lambda: service.batcher.connections == 1)
+            await asyncio.wait_for(service.shutdown(), timeout=5)
+            eof = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            await writer.wait_closed()
+            return eof, service.batcher.connections
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            eof, connections = asyncio.run(scenario())
+        assert eof == b""
+        assert connections == 0
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
     def test_draining_service_denies_new_work(self, tmp_path):
         async def scenario():

@@ -12,7 +12,12 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.client import RetryPolicy, run_loadgen
+from repro.service.client import (
+    RetryPolicy,
+    ServiceClient,
+    read_ready_file,
+    run_loadgen,
+)
 from repro.service.fleet import FleetClient
 from repro.service.supervisor import FleetSupervisor
 
@@ -26,12 +31,21 @@ def _supervisor(tmp_path, **overrides):
     return FleetSupervisor(str(tmp_path / "fleet"), 2, **kwargs)
 
 
+async def _status(ready_file: str) -> dict:
+    """The ``status`` answer of the shard named by ``ready_file``."""
+    client = ServiceClient(*read_ready_file(ready_file, timeout_s=5))
+    try:
+        return await asyncio.wait_for(client.status(), timeout=5)
+    finally:
+        await client.close()
+
+
 class TestLifecycle:
     def test_start_probe_stop(self, tmp_path):
         with _supervisor(tmp_path) as sup:
             assert sup.alive() == [True, True]
             for index in range(2):
-                status = sup.probe(index)
+                status = asyncio.run(_status(sup.ready_file(index)))
                 assert status["status"] == "ok"
                 assert status["tenants"] == {}
         assert sup.alive() == [False, False]
