@@ -83,7 +83,7 @@ class LimitedUseConnection:
             variation=variation)
         self._state = WearState(lifetimes, design.k)
         self._serial = SerialCopies([
-            SimulatedBank.from_state(self._state, 0, copy)
+            SimulatedBank(self._state, 0, copy)
             for copy in range(design.copies)])
         self.accesses = 0
 

@@ -45,7 +45,6 @@ from repro.connection.keystore import BankKeyStore
 from repro.core.degradation import DesignPoint
 from repro.core.hardware import SimulatedBank
 from repro.core.variation import ProcessVariation
-from repro.engine.hooks import vector_hook_for
 from repro.engine.state import WearState
 from repro.errors import (
     CodingError,
@@ -178,15 +177,13 @@ class ResilientAccessController:
         self._digest = hashlib.sha256(secret).digest()
         rs_possible = rs_fallback and design.k > 1 and design.n <= 255
         self.rs_fallback = rs_possible
-        # The fault model reaches the banks as one batched engine hook
-        # and the keystores as one batched readout per recovery -
+        # The fault model reaches the banks as one batched actuation per
+        # access and the keystores as one batched readout per recovery -
         # bit-identical to consulting it switch by switch and share by
-        # share (the repro.engine.hooks contract, pinned in
-        # tests/differential).
-        vector_hook = vector_hook_for(fault_hook)
-        # One shared engine state backs every copy.  RS stores draw
-        # nothing from ``rng``, so building them after the fabrication
-        # loop leaves the stream as it was.
+        # share (the repro.faults.injectors contract, pinned in
+        # tests/differential).  One shared engine state backs every
+        # copy.  RS stores draw nothing from ``rng``, so building them
+        # after the fabrication loop leaves the stream as it was.
         lifetimes, self._stores = fabricate_copies(
             design.device, design.copies, design.n, design.k, secret, rng,
             variation=variation, fault_hook=fault_hook)
@@ -199,8 +196,7 @@ class ResilientAccessController:
                         for copy in range(design.copies)]
         self._state = WearState(lifetimes, design.k)
         self._banks = [
-            SimulatedBank.from_state(self._state, 0, copy,
-                                     vector_hook=vector_hook)
+            SimulatedBank(self._state, 0, copy, fault_hook)
             for copy in range(design.copies)]
         self.accesses = 0
         # First candidate for ``current_copy``.  Dead and quarantined

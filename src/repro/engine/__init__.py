@@ -13,34 +13,23 @@ Layer map:
 
 - :mod:`repro.engine.state` - the arrays, the kernels and the closed form;
 - :mod:`repro.engine.views` - cached per-switch views duck-typing
-  :class:`~repro.core.device.NEMSSwitch` so fault injectors and tests can
-  keep poking individual switches;
-- :mod:`repro.engine.hooks` - the vectorized fault-hook protocol and the
-  native batched form of every shipped actuation injector, built from a
-  :class:`repro.faults.FaultModel` by
-  :func:`~repro.engine.hooks.vector_hook_for`;
+  :class:`~repro.core.device.NEMSSwitch` so tests and the per-switch
+  fault reference can keep poking individual switches;
+- :mod:`repro.engine.hooks` - the vectorized fault-hook protocol, which
+  :class:`repro.faults.FaultModel` satisfies (each injector carries its
+  own batched site);
 - :mod:`repro.engine.telemetry` - the single home of the ``hw.*``
   observability counters that were previously scattered per subsystem.
 
 See ``docs/engine.md`` for the state layout and the bit-identity argument.
 """
 
-from repro.engine.hooks import (VectorFaultHook, VectorFaultPipeline,
-                                VectorPrematureStuckOpen,
-                                VectorStuckClosedConversion,
-                                VectorTemperatureDrift, VectorTransientMisfire,
-                                vector_hook_for)
+from repro.engine.hooks import VectorFaultHook
 from repro.engine.state import WearState
 from repro.engine.views import SwitchView
 
 __all__ = [
     "SwitchView",
     "VectorFaultHook",
-    "VectorFaultPipeline",
-    "VectorPrematureStuckOpen",
-    "VectorStuckClosedConversion",
-    "VectorTemperatureDrift",
-    "VectorTransientMisfire",
     "WearState",
-    "vector_hook_for",
 ]

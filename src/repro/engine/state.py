@@ -24,8 +24,10 @@ k-of-n bank serves exactly the k-th largest ``floor(lifetime)`` among
 its switches, serially-consumed banks add their budgets, and the final
 per-switch wear has an explicit formula.  The stepped kernel
 (:meth:`step_access`) and the closed form are differentially pinned
-against each other and against the scalar object layer in
-``tests/engine`` and ``tests/differential``.
+against each other and against the object-mode reference bank, which
+steps one switch object at a time
+(``tests/differential/_reference.py``), in ``tests/engine`` and
+``tests/differential``.
 
 Fabrication draws one value per switch from the device model in the same
 generator order as the scalar path (copy 0 switches, then copy 1, ...),
@@ -162,8 +164,8 @@ class WearState:
         """The cached per-switch view at ``(instance, copy, index)``.
 
         Views are cached so repeated lookups return the *same* object -
-        fault injectors key internal tables on ``switch_id`` and tests
-        compare views by identity.
+        the per-switch fault reference keys tables on ``switch_id`` and
+        tests compare views by identity.
         """
         key = (instance, copy, index)
         cached = self._views.get(key)

@@ -2,13 +2,13 @@
 
 A :class:`SwitchView` duck-types :class:`~repro.core.device.NEMSSwitch`
 over one ``(instance, copy, index)`` cell of the engine arrays, so code
-written against individual switch objects - fault injectors, tests that
-pre-wear a switch, campaign reports - keeps working unchanged against
-the batched state.  Views are handed out by
+written against individual switch objects - the per-switch fault
+reference, tests that pre-wear a switch, campaign reports - keeps
+working unchanged against the batched state.  Views are handed out by
 :meth:`~repro.engine.state.WearState.view`, which caches them: the same
 coordinate always yields the same object, preserving the identity
-semantics (``a is b``) and the stable ``switch_id`` keys that injectors
-like :class:`~repro.faults.StuckClosedConversion` rely on.
+semantics (``a is b``) and the stable ``switch_id`` keys that per-switch
+code relies on.
 
 ``switch_id`` values are drawn from the same process-global counter as
 real :class:`~repro.core.device.NEMSSwitch` instances, so ids never

@@ -3,14 +3,16 @@
 Injectors model the physical failure deviations of Section 2.1 (and the
 targeted-wearout threat model of the related work): transient misfires,
 premature fracture, stiction (stuck-closed), share corruption, readout
-timeouts and environmental temperature drift.  A :class:`FaultModel`
-aggregates injectors and attaches to banks and keystores as a
-zero-overhead-when-disabled ``fault_hook``;
-:mod:`repro.faults.campaign` runs checkpointed campaigns that measure
-ceiling violations and availability under a fault mix.
+timeouts and environmental temperature drift.  Each mechanism is one
+injector class with batched sites only.  A :class:`FaultModel`
+aggregates injectors and is the hook the engine's banks and the
+keystores call: attach it as a zero-overhead-when-disabled
+``fault_hook``.  :mod:`repro.faults.campaign` runs checkpointed
+campaigns that measure ceiling violations and availability under a
+fault mix.
 """
 
-from repro.faults.hooks import FaultHook, SwitchLike
+from repro.faults.hooks import FaultHook
 
 from repro.faults.campaign import (
     CAMPAIGN_SECRET,
@@ -43,7 +45,6 @@ __all__ = [
     "ReadoutTimeout",
     "ShareCorruption",
     "StuckClosedConversion",
-    "SwitchLike",
     "TemperatureDrift",
     "TransientMisfire",
     "build_fault_model",

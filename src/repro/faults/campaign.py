@@ -153,10 +153,10 @@ def run_fault_trial(design: DesignPoint, config: FaultCampaignConfig,
 
     All randomness (fabrication, Shamir splits, fault draws) comes from
     ``rng``; passing the same generator state reproduces the trial
-    exactly.  Returns a JSON-safe dict.  The fault pipeline runs
-    through the engine's native batched hooks; the differential suite
-    compares whole trial records against a per-switch, per-share
-    scalar reference.
+    exactly.  Returns a JSON-safe dict.  The fault model is the hook of
+    the controller's banks and keystores, so each injector runs its
+    batched sites; the differential suite compares whole trial records
+    against a per-switch, per-share scalar reference.
     """
     fault_rng = derive_rng(rng)
     model = build_fault_model(config, fault_rng)

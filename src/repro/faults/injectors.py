@@ -19,47 +19,50 @@ service's fault tenants) and
 the hot paths run exactly as before (a single ``is None`` branch), so
 fault support costs nothing when disabled.
 
-Two injection sites cover every fault in the taxonomy:
+Each fault mechanism is one class with batched sites only.  Two sites
+cover every fault in the taxonomy:
 
-- ``on_switch_actuate(switch, closed)`` - consulted after each physical
-  actuation; may suppress a closure (misfire), permanently kill the
-  switch (premature stuck-open), force a worn-out switch to keep
-  conducting (stuck-closed conversion), or add hidden wear
-  (temperature drift);
-- ``on_share_readout(bank_id, index, data)`` - consulted when a share
-  is read; may corrupt the bytes (bit flips) or return None (readout
-  timeout: the share is missing this attempt).
+- ``on_bank_actuate(state, instances, copies, closed, rng)`` - consulted
+  after each batched bank actuation with the ``(m, n)`` physical closure
+  matrix; may suppress closures (misfire), permanently kill switches
+  (premature stuck-open), force worn-out switches to keep conducting
+  (stuck-closed conversion), or add hidden wear (temperature drift);
+- ``on_shares_readout(bank_id, indices, datas, rng)`` - consulted with
+  one recovery's share readouts; may corrupt the bytes (bit flips) or
+  return None for a share (readout timeout: missing this attempt).
 
-These per-switch and per-share methods are the reference semantics.
-Engine-backed banks run an injector's actuation site through its native
-batched form (:func:`repro.engine.hooks.vector_hook_for`; an injector
-that does not override ``on_switch_actuate`` has no actuation stage),
-and keystores run the readout site through
-:meth:`FaultModel.on_shares_readout`, one call per recovery.
+The per-switch and per-share forms these sites were derived from are
+the reference semantics.  They live with the tests
+(``tests/differential/_reference.py``), which pin every batched site
+against them.
 
 RNG substream contract
 ----------------------
 
 Each injector draws from its *own* generator, derived from the model's
 root generator at construction (``root.jumped(i + 1)`` for injector
-``i``).  Per-injector streams are what make the native batched hooks in
-:mod:`repro.engine.hooks` bit-identical to this scalar pipeline: an
-injector's draw condition at one switch depends only on that switch's
-state after the earlier pipeline stages, so evaluating the pipeline
-stage-major (one injector across all switches, the batched order) or
-cell-major (all injectors per switch, the scalar order) consumes every
-stream in exactly the same sequence.  A shared stream would interleave
-draws across injectors per switch - an order no per-injector batch can
-reproduce.  See ``docs/fault_vectorization.md`` for the full argument.
+``i``).  Per-injector streams are what make the batched sites
+bit-identical to the per-switch reference: an injector's draw condition
+at one switch depends only on that switch's state after the earlier
+pipeline stages, so evaluating the pipeline stage-major (one injector
+across all switches, the batched order) or cell-major (all injectors per
+switch, the reference order) consumes every stream in exactly the same
+sequence.  A shared stream would interleave draws across injectors per
+switch - an order no per-injector batch can reproduce.  See
+``docs/fault_vectorization.md`` for the full argument.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.device import NEMSSwitch
 from repro.core.environment import SiCTemperatureModel
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.state import WearState
 
 __all__ = [
     "FaultInjector",
@@ -80,14 +83,15 @@ def _check_rate(rate: float, name: str) -> float:
 
 
 class FaultInjector:
-    """Base class / protocol for one fault mechanism.
+    """Base class for one fault mechanism.
 
-    Subclasses override one (or both) site methods and bump
-    ``self.injections`` whenever they actually perturb an outcome, so
-    campaigns can report how much fault pressure was applied.  The
-    ``rng`` argument is the :class:`FaultModel`'s dedicated generator -
-    injectors must not create their own, so fault draws never perturb
-    fabrication streams.
+    The base defines no site.  A subclass defines ``on_bank_actuate``,
+    ``on_shares_readout`` or both (see the module docstring for their
+    signatures) and bumps ``self.injections`` whenever it actually
+    perturbs an outcome, so campaigns can report how much fault pressure
+    was applied.  The ``rng`` argument of a site is the injector's
+    dedicated :class:`FaultModel` substream - injectors must not create
+    their own, so fault draws never perturb fabrication streams.
     """
 
     #: Short identifier used in stats dictionaries.
@@ -95,30 +99,6 @@ class FaultInjector:
 
     def __init__(self) -> None:
         self.injections = 0
-
-    def on_switch_actuate(self, switch: NEMSSwitch, closed: bool,
-                          rng: np.random.Generator) -> bool:
-        """Observe/modify the outcome of one switch actuation."""
-        return closed
-
-    def on_share_readout(self, bank_id: int, index: int, data: bytes,
-                         rng: np.random.Generator) -> bytes | None:
-        """Observe/modify one share readout (None = timeout)."""
-        return data
-
-    def on_shares_readout(self, bank_id: int, indices: list[int],
-                          datas: list, rng: np.random.Generator) -> list:
-        """One whole bank recovery's readouts in a single call.
-
-        The default replays :meth:`on_share_readout` share by share in
-        index order - the exact per-share draw sequence - skipping
-        shares an earlier pipeline stage already timed out (the scalar
-        model short-circuits those before this injector would see them).
-        Subclasses override with batched draws where the stream allows.
-        """
-        return [None if data is None
-                else self.on_share_readout(bank_id, index, data, rng)
-                for index, data in zip(indices, datas)]
 
 
 class TransientMisfire(FaultInjector):
@@ -137,11 +117,31 @@ class TransientMisfire(FaultInjector):
         super().__init__()
         self.rate = _check_rate(rate, "misfire rate")
 
-    def on_switch_actuate(self, switch, closed, rng):
-        if closed and self.rate and rng.random() < self.rate:
-            self.injections += 1
-            return False
-        return closed
+    def on_bank_actuate(self, state: "WearState", instances: np.ndarray,
+                        copies: np.ndarray, closed: np.ndarray,
+                        rng: np.random.Generator) -> np.ndarray:
+        """One uniform per *closed* switch, in row-major order.
+
+        A closure whose draw lands under ``rate`` is suppressed.  PCG64's
+        ``rng.random(size=m)`` produces exactly the stream of ``m``
+        successive scalar ``rng.random()`` calls, so one batch over the
+        row-major closed positions replays the per-switch reference bit
+        for bit.
+        """
+        rate = self.rate
+        if not rate:
+            return closed
+        m = int(np.count_nonzero(closed))      # draws, row-major order
+        if m == 0:
+            return closed
+        misfired = rng.random(m) < rate
+        if not misfired.any():
+            return closed
+        flat = np.flatnonzero(closed)          # row-major == scalar order
+        observed = closed.copy()
+        observed.flat[flat[misfired]] = False
+        self.injections += int(misfired.sum())
+        return observed
 
 
 class PrematureStuckOpen(FaultInjector):
@@ -159,12 +159,52 @@ class PrematureStuckOpen(FaultInjector):
         super().__init__()
         self.rate = _check_rate(rate, "premature stuck-open rate")
 
-    def on_switch_actuate(self, switch, closed, rng):
-        if not switch.is_failed and self.rate and rng.random() < self.rate:
-            switch.force_fail()
-            self.injections += 1
-            return False
-        return closed
+    def on_bank_actuate(self, state: "WearState", instances: np.ndarray,
+                        copies: np.ndarray, closed: np.ndarray,
+                        rng: np.random.Generator) -> np.ndarray:
+        """One uniform per *live* switch (``used < lifetime`` after this
+        round's actuation; a failed switch draws nothing), row-major.
+
+        A hit collapses the switch's lifetime to the wear already spent
+        and reports it open this round whatever its physical closure.
+        """
+        rate = self.rate
+        if not rate:
+            return closed
+        if instances.size == 1:
+            # Single-bank round (the per-access path): basic-index row
+            # views instead of fancy-index gathers, same draw order.
+            b0, c0 = instances[0], copies[0]
+            used = state.used[b0, c0]
+            alive_cols = (used < state.lifetime[b0, c0]).nonzero()[0]
+            if alive_cols.size == 0:
+                return closed
+            fired = rng.random(alive_cols.size) < rate
+            if not fired.any():
+                return closed
+            cols = alive_cols[fired]
+            # force_fail: lifetime <- min(lifetime, used) == used (alive).
+            state.lifetime[b0, c0, cols] = used[cols]
+            observed = closed.copy()
+            observed[0, cols] = False
+            self.injections += int(cols.size)
+            return observed
+        alive = (state.used[instances, copies]
+                 < state.lifetime[instances, copies])
+        flat = np.flatnonzero(alive)           # row-major == scalar order
+        if flat.size == 0:
+            return closed
+        fired = rng.random(flat.size) < rate
+        if not fired.any():
+            return closed
+        rows, cols = np.unravel_index(flat[fired], closed.shape)
+        b, c = instances[rows], copies[rows]
+        # force_fail: lifetime <- min(lifetime, used) == used (alive).
+        state.lifetime[b, c, cols] = state.used[b, c, cols]
+        observed = closed.copy()
+        observed[rows, cols] = False
+        self.injections += int(fired.sum())
+        return observed
 
 
 class StuckClosedConversion(FaultInjector):
@@ -176,6 +216,10 @@ class StuckClosedConversion(FaultInjector):
     switch conducts forever.  This is the one injected fault that can
     *raise* an architecture's empirical access bound past its security
     ceiling - the threat :mod:`repro.core.failure_modes` quantifies.
+
+    Verdicts are keyed by ``(instance, copy, index)`` coordinates, which
+    survive a restart; the service snapshots :attr:`converted` and
+    rebuilds it verbatim.
     """
 
     name = "stuck-closed"
@@ -183,18 +227,57 @@ class StuckClosedConversion(FaultInjector):
     def __init__(self, probability: float) -> None:
         super().__init__()
         self.probability = _check_rate(probability, "stuck-closed probability")
-        self._converted: dict[int, bool] = {}
+        #: ``(instance, copy, index) -> sticky`` - every dead switch's
+        #: one-time conversion verdict.
+        self.converted: dict[tuple[int, int, int], bool] = {}
 
-    def on_switch_actuate(self, switch, closed, rng):
-        if closed or not switch.is_failed:
+    def on_bank_actuate(self, state: "WearState", instances: np.ndarray,
+                        copies: np.ndarray, closed: np.ndarray,
+                        rng: np.random.Generator) -> np.ndarray:
+        """One uniform per undecided dead-open switch, row-major.
+
+        The candidates are the ``True`` cells of ``~closed & (used >=
+        lifetime)``; only those without a verdict draw, and nothing is
+        drawn when ``probability`` is zero.
+        """
+        if instances.size == 1:
+            b0, c0 = instances[0], copies[0]
+            failed = state.used[b0, c0] >= state.lifetime[b0, c0]
+            candidates = ~closed[0] & failed
+            if not candidates.any():
+                return closed
+            cols = candidates.nonzero()[0]     # row-major == scalar order
+            rows = np.zeros(cols.size, dtype=np.intp)
+            bi, ci = int(b0), int(c0)
+            keys = [(bi, ci, c) for c in cols.tolist()]
+        else:
+            failed = (state.used[instances, copies]
+                      >= state.lifetime[instances, copies])
+            candidates = ~closed & failed
+            if not candidates.any():
+                return closed
+            rows, cols = np.nonzero(candidates)  # row-major == scalar order
+            keys = [(int(instances[r]), int(copies[r]), int(c))
+                    for r, c in zip(rows, cols)]
+        undecided = [j for j, key in enumerate(keys)
+                     if key not in self.converted]
+        probability = self.probability
+        if undecided and probability:
+            draws = rng.random(len(undecided))
+            for draw, j in zip(draws, undecided):
+                sticky = bool(draw < probability)
+                self.converted[keys[j]] = sticky
+                if sticky:
+                    self.injections += 1
+        else:
+            for j in undecided:
+                self.converted[keys[j]] = False
+        stuck = [j for j, key in enumerate(keys) if self.converted[key]]
+        if not stuck:
             return closed
-        sticky = self._converted.get(switch.switch_id)
-        if sticky is None:
-            sticky = bool(self.probability) and rng.random() < self.probability
-            self._converted[switch.switch_id] = sticky
-            if sticky:
-                self.injections += 1
-        return True if sticky else closed
+        observed = closed.copy()
+        observed[rows[stuck], cols[stuck]] = True
+        return observed
 
 
 class ShareCorruption(FaultInjector):
@@ -215,25 +298,15 @@ class ShareCorruption(FaultInjector):
             raise ConfigurationError("flips must be >= 1")
         self.flips = int(flips)
 
-    def on_share_readout(self, bank_id, index, data, rng):
-        if not data or not self.rate or rng.random() >= self.rate:
-            return data
-        self.injections += 1
-        corrupted = bytearray(data)
-        for _ in range(self.flips):
-            pos = int(rng.integers(0, len(corrupted)))
-            corrupted[pos] ^= 1 << int(rng.integers(0, 8))
-        return bytes(corrupted)
-
     def on_shares_readout(self, bank_id, indices, datas, rng):
         """Speculative batch: one uniform per live share, rewound on a hit.
 
-        The scalar loop interleaves flip-position integers into the
-        stream only *after* a corruption fires.  Corruptions are rare at
-        campaign rates, so we snapshot the generator, draw the whole
+        The per-share reference interleaves flip-position integers into
+        the stream only *after* a corruption fires.  Corruptions are rare
+        at campaign rates, so we snapshot the generator, draw the whole
         uniform batch, and keep it when nothing fired (bit-identical: no
         integers would have interleaved).  On a hit the generator is
-        rewound and the scalar sequence replayed exactly - the pre-hit
+        rewound and the per-share sequence replayed exactly - the pre-hit
         uniforms re-drawn in one batch, the hit's flip integers drawn,
         then the remainder of the shares speculated again.
         """
@@ -288,12 +361,6 @@ class ReadoutTimeout(FaultInjector):
         super().__init__()
         self.rate = _check_rate(rate, "timeout rate")
 
-    def on_share_readout(self, bank_id, index, data, rng):
-        if self.rate and rng.random() < self.rate:
-            self.injections += 1
-            return None
-        return data
-
     def on_shares_readout(self, bank_id, indices, datas, rng):
         """Batched timeouts: one uniform per share reaching this stage."""
         if not self.rate:
@@ -335,15 +402,52 @@ class TemperatureDrift(FaultInjector):
         factor = model.lifetime_factor(self.temperature_c)
         self._extra_wear = 1.0 / factor - 1.0
 
-    def on_switch_actuate(self, switch, closed, rng):
-        if self._extra_wear <= 0.0 or switch.is_failed:
+    def on_bank_actuate(self, state: "WearState", instances: np.ndarray,
+                        copies: np.ndarray, closed: np.ndarray,
+                        rng: np.random.Generator) -> np.ndarray:
+        """Hidden wear on every live switch; observations never change.
+
+        Failed switches are skipped without a draw.  Every live switch
+        takes ``int(extra)`` whole cycles, plus one more when its uniform
+        (drawn only when the fractional part is nonzero) lands under
+        that fraction.
+        """
+        extra = self._extra_wear
+        if extra <= 0.0:
             return closed
-        whole = int(self._extra_wear)
-        frac = self._extra_wear - whole
-        extra = whole + (1 if frac and rng.random() < frac else 0)
-        if extra:
-            switch.add_wear(extra)
-            self.injections += extra
+        whole = int(extra)
+        if instances.size == 1 and whole == 0:
+            # Single-bank round, sub-cycle drift (the common campaign
+            # shape): one draw per live switch, hits add one cycle.
+            b0, c0 = instances[0], copies[0]
+            used = state.used[b0, c0]
+            alive_cols = (used < state.lifetime[b0, c0]).nonzero()[0]
+            if alive_cols.size == 0:
+                return closed
+            hit = rng.random(alive_cols.size) < extra
+            total = int(np.count_nonzero(hit))
+            if total:
+                cols = alive_cols[hit]
+                used[cols] += 1
+                self.injections += total
+            return closed
+        alive = (state.used[instances, copies]
+                 < state.lifetime[instances, copies])
+        flat = np.flatnonzero(alive)           # row-major == scalar order
+        if flat.size == 0:
+            return closed
+        frac = extra - whole
+        cycles = np.full(flat.size, whole, dtype=np.int64)
+        if frac:
+            cycles += rng.random(flat.size) < frac
+        total = int(cycles.sum())
+        if not total:
+            return closed
+        hit = cycles > 0
+        rows, cols = np.unravel_index(flat[hit], closed.shape)
+        b, c = instances[rows], copies[rows]
+        state.used[b, c, cols] += cycles[hit]
+        self.injections += total
         return closed
 
 
@@ -353,13 +457,20 @@ class FaultModel:
     The model owns its generators so fault draws are independent of
     fabrication: two simulations fabricated from the same stream, one
     with and one without a fault model, see identical switch lifetimes.
-    Attach an instance as the ``fault_hook`` of the stateful hardware.
+    Attach an instance as the ``fault_hook`` of the stateful hardware
+    and the keystores: it is the hook both sites call.
 
     Injector ``i`` draws from its own substream
     (``root.jumped(i + 1)``, in :attr:`streams`) - the RNG substream
-    contract the native batched hooks rely on (see module docstring).
-    The root generator itself is never drawn from; it only seeds the
-    substreams and is kept for state export.
+    contract of the module docstring.  The root generator itself is
+    never drawn from; it only seeds the substreams and is kept for state
+    export.
+
+    Each site runs its ``(injector, stream)`` stages stage-major: one
+    injector over the whole batch, then the next.  An injector without a
+    site draws nothing there, so it has no stage, and a model without an
+    actuation injector returns ``closed`` as given - bit-identical to
+    running with no hook.
     """
 
     def __init__(self, injectors, rng: np.random.Generator | None = None,
@@ -373,46 +484,36 @@ class FaultModel:
         #: One dedicated generator per injector, in pipeline order.
         self.streams = [jumped_rng(rng, i + 1)
                         for i in range(len(self.injectors))]
-        # (injector, stream) pairs with readout behaviour, resolved once
-        # on first use: actuate-only injectors are draw-free at the
-        # readout site, so skipping them cannot shift any stream.
-        self._readout_stages: list | None = None
+        stages = list(zip(self.injectors, self.streams))
+        self._actuate_stages = [stage for stage in stages
+                                if hasattr(stage[0], "on_bank_actuate")]
+        self._readout_stages = [stage for stage in stages
+                                if hasattr(stage[0], "on_shares_readout")]
 
-    def on_switch_actuate(self, switch: NEMSSwitch, closed: bool) -> bool:
-        for injector, stream in zip(self.injectors, self.streams):
-            closed = injector.on_switch_actuate(switch, closed, stream)
+    def on_bank_actuate(self, state: "WearState", instances: np.ndarray,
+                        copies: np.ndarray, closed: np.ndarray,
+                        ) -> np.ndarray:
+        """Observed closures of one batched bank actuation.
+
+        Each stage reads the observed matrix the previous stage left and
+        the live switch state its mutations updated - exactly what the
+        per-switch reference sees cell by cell.
+        """
+        for injector, stream in self._actuate_stages:
+            closed = injector.on_bank_actuate(state, instances, copies,
+                                              closed, stream)
         return closed
-
-    def on_share_readout(self, bank_id: int, index: int,
-                         data: bytes) -> bytes | None:
-        for injector, stream in zip(self.injectors, self.streams):
-            data = injector.on_share_readout(bank_id, index, data, stream)
-            if data is None:
-                return None
-        return data
 
     def on_shares_readout(self, bank_id: int, indices: list[int],
                           datas: list) -> list:
-        """Batched pipeline over one recovery's readouts, stage-major.
+        """One recovery's readouts through every readout stage.
 
-        Equivalent to calling :meth:`on_share_readout` per share: each
-        injector stream sees its draws in share-index order either way,
-        and a share timed out by an earlier stage is skipped by later
-        ones exactly as the per-share pipeline's None short-circuit
-        does.  Injectors with no readout behaviour are skipped outright.
+        Each injector stream sees its draws in share-index order, and a
+        share timed out by an earlier stage is skipped by later ones, as
+        the per-share reference's None short-circuit does.
         """
-        stages = self._readout_stages
-        if stages is None:
-            base_scalar = FaultInjector.on_share_readout
-            base_batch = FaultInjector.on_shares_readout
-            stages = self._readout_stages = [
-                (injector, stream)
-                for injector, stream in zip(self.injectors, self.streams)
-                if not (type(injector).on_share_readout is base_scalar
-                        and type(injector).on_shares_readout is base_batch)
-            ]
         results = list(datas)
-        for injector, stream in stages:
+        for injector, stream in self._readout_stages:
             results = injector.on_shares_readout(bank_id, indices, results,
                                                  stream)
         return results

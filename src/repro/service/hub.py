@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.connection.architecture import fabricate_copies
 from repro.core.weibull import WeibullDistribution
-from repro.engine.hooks import VectorStuckClosedConversion, vector_hook_for
 from repro.engine.state import WearState
 from repro.errors import (
     CodingError,
@@ -53,6 +52,7 @@ from repro.errors import (
     LedgerCorruptionError,
 )
 from repro.faults.campaign import FaultCampaignConfig, build_fault_model
+from repro.faults.injectors import StuckClosedConversion
 from repro.obs.recorder import OBS
 from repro.service.ledger import WearLedger
 from repro.service.protocol import denied, ok
@@ -63,6 +63,13 @@ __all__ = ["WearHub", "TenantRecord"]
 #: The per-row arrays of a pool's :class:`WearState`.
 _POOL_ARRAYS = ("lifetime", "used", "bank_accesses", "bank_dead", "current",
                 "total_accesses")
+
+
+def _stuck_closed(model) -> StuckClosedConversion | None:
+    """The fault model's stuck-closed injector, whose verdicts a snapshot
+    carries, if it has one."""
+    return next((injector for injector in model.injectors
+                 if isinstance(injector, StuckClosedConversion)), None)
 
 
 class _RowDispatchHook:
@@ -294,9 +301,8 @@ class WearHub:
         if pool is None:
             pool = self.pools[key] = _Pool(*key)
         row = pool.add_row(lifetimes)
-        hook = vector_hook_for(fault_model)
-        if hook is not None:
-            pool.dispatch.row_hooks[row] = hook
+        if fault_model is not None:
+            pool.dispatch.row_hooks[row] = fault_model
         tenant = TenantRecord(name, params, pool, row, stores, fault_model)
         self.tenants[name] = tenant
         return tenant
@@ -639,28 +645,12 @@ class WearHub:
                    # alone cannot reproduce them mid-life.
                    "stream_states": [stream.bit_generator.state
                                      for stream in model.streams]}
-        hook = self._find_stuck_hook(tenant)
-        if hook is not None:
+        stuck = _stuck_closed(model)
+        if stuck is not None:
             payload["converted"] = sorted(
                 [c, i, sticky]
-                for (b, c, i), sticky in hook.converted.items())
+                for (b, c, i), sticky in stuck.converted.items())
         return payload
-
-    @staticmethod
-    def _find_stuck_hook(tenant: TenantRecord):
-        """The row's stuck-closed conversion hook, if any.
-
-        The row hook may be the conversion itself or a
-        :class:`VectorFaultPipeline` holding it as one stage among the
-        tenant's injectors.
-        """
-        hook = tenant.pool.dispatch.row_hooks.get(tenant.row)
-        if isinstance(hook, VectorStuckClosedConversion):
-            return hook
-        for member in getattr(hook, "hooks", ()):
-            if isinstance(member, VectorStuckClosedConversion):
-                return member
-        return None
 
     def _restore_fault_state(self, tenant: TenantRecord,
                              payload: dict) -> None:
@@ -672,9 +662,9 @@ class WearHub:
         for injector, exported in zip(model.injectors,
                                       payload["injectors"]):
             injector.injections = int(exported["injections"])
-        hook = self._find_stuck_hook(tenant)
-        if hook is not None:
-            hook.converted = {
+        stuck = _stuck_closed(model)
+        if stuck is not None:
+            stuck.converted = {
                 (tenant.row, int(c), int(i)): bool(sticky)
                 for c, i, sticky in payload["converted"]}
 

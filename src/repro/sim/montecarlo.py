@@ -8,11 +8,13 @@ architecture (how many accesses a real instance serves before dying):
   devices).  Uses the identity that a k-of-n bank of devices with integer
   actuation budgets ``floor(lifetime)`` serves exactly the k-th largest
   budget, and serially-consumed banks add their contributions.
-- :func:`simulate_access_bounds_hardware` - drives the stateful
-  :class:`~repro.core.hardware.SerialCopies` switch by switch; slow but
-  assumption-free, and the only path with process variation and an
-  access cap.  Given the same generator both paths return the same
-  bounds, which ``tests/differential/test_fast_vs_hardware.py`` pins.
+- :func:`simulate_access_bounds_hardware` - fabricates chunks of trials
+  into one engine :class:`~repro.engine.state.WearState` and runs
+  :meth:`~repro.engine.state.WearState.run_to_exhaustion` on it;
+  bit-identical to stepping every switch of every access, and the only
+  path with process variation and an access cap.  Given the same
+  generator both paths return the same bounds, which
+  ``tests/differential/test_fast_vs_hardware.py`` pins.
 
 Long campaigns are made interruption-safe by
 :func:`repro.sim.parallel.run_checkpointed_trials`: trial ``i`` always
@@ -174,10 +176,11 @@ def simulate_access_bounds_hardware(design: DesignPoint, trials: int,
     since the :mod:`repro.engine` refactor, batched: whole chunks of
     trials step together through one struct-of-arrays
     :class:`~repro.engine.state.WearState`, with fabrication draws in
-    the scalar order - results are bit-identical to fabricating and
-    stepping one :class:`~repro.core.hardware.SerialCopies` object per
-    trial (pinned by ``tests/differential/test_engine_identity.py``),
-    and invariant to ``max_copies_per_chunk``.  ``variation`` adds
+    the scalar order - results are bit-identical to fabricating one
+    series of object-mode banks per trial and stepping it switch by
+    switch (the reference in ``tests/differential/_reference.py``,
+    pinned by ``tests/differential/test_engine_identity.py``), and
+    invariant to ``max_copies_per_chunk``.  ``variation`` adds
     per-device parameter jitter, which the fast path does not model.
     """
     if trials < 1:

@@ -86,8 +86,8 @@ def jumped_rng(rng: np.random.Generator, jumps: int) -> np.random.Generator:
     2^127 * i draws ahead of ``rng``, giving a family of non-overlapping
     substreams keyed by position.  :class:`repro.faults.FaultModel`
     assigns injector ``i`` the substream ``jumped_rng(root, i + 1)`` -
-    the contract that lets the engine's native hooks batch each
-    injector's draws independently of the others.
+    the contract that lets each injector's batched sites draw
+    independently of the others.
     """
     if jumps < 1:
         raise ValueError(f"jumps must be >= 1, got {jumps}")

@@ -16,7 +16,8 @@ from repro.errors import (
     DecodingFailure,
     DeviceWornOutError,
 )
-from repro.faults.injectors import FaultInjector, FaultModel
+from repro.faults.injectors import FaultModel
+from tests.differential._reference import PerShareInjector
 
 SECRET = b"resilient secret"
 
@@ -33,8 +34,9 @@ def controller(design, hook=None, **kwargs):
                                      fault_hook=hook, **kwargs)
 
 
-# Deterministic injectors exercising the pluggable FaultInjector API.
-class CorruptShareZero(FaultInjector):
+# Deterministic injectors exercising the pluggable injector API, written
+# one share at a time.
+class CorruptShareZero(PerShareInjector):
     """Always flips every bit of share 0 - one error per readout set."""
 
     name = "corrupt-share-0"
@@ -46,7 +48,7 @@ class CorruptShareZero(FaultInjector):
         return data
 
 
-class PoisonBank(FaultInjector):
+class PoisonBank(PerShareInjector):
     """Corrupts every readout of one bank; other banks read clean."""
 
     name = "poison-bank"
@@ -62,7 +64,7 @@ class PoisonBank(FaultInjector):
         return data
 
 
-class TimeoutFirstReadouts(FaultInjector):
+class TimeoutFirstReadouts(PerShareInjector):
     """Times out the first ``count`` readouts, then behaves."""
 
     name = "timeout-burst"

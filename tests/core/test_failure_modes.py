@@ -12,7 +12,7 @@ from repro.core.failure_modes import (
     max_tolerable_stuck_closed,
     simulate_stuck_closed_inflation,
 )
-from repro.core.hardware import SimulatedBank
+from repro.core.rotation import RotatingBank
 from repro.core.structures import k_of_n_reliability
 from repro.core.weibull import WeibullDistribution
 from repro.errors import ConfigurationError
@@ -50,8 +50,8 @@ class TestMixedModeSwitch:
     def test_stuck_closed_bank_never_dies(self):
         switches = [MixedModeSwitch(1.0, FailureMode.STUCK_CLOSED)
                     for _ in range(4)]
-        bank = SimulatedBank(switches, k=2)
-        assert all(bank.access_succeeds() for _ in range(50))
+        bank = RotatingBank(switches, k=2)
+        assert all(bank.access() for _ in range(50))
 
 
 class TestEffectiveReliability:

@@ -3,20 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core.device import NEMSSwitch
 from repro.core.hardware import SerialCopies, SimulatedBank, build_serial_copies
 from repro.core.weibull import WeibullDistribution
+from repro.engine.state import WearState
 from repro.errors import ConfigurationError, DeviceWornOutError
 
 
 def bank_with_lifetimes(lifetimes, k=1):
-    return SimulatedBank([NEMSSwitch(v) for v in lifetimes], k)
+    state = WearState(np.array([[lifetimes]], dtype=float), k)
+    return SimulatedBank(state)
 
 
 class TestSimulatedBank:
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
-            SimulatedBank([], 1)
+            bank_with_lifetimes([], 1)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigurationError):

@@ -4,10 +4,11 @@
 chunks of trials through one struct-of-arrays
 :class:`~repro.engine.state.WearState`.  This suite pins the refactor's
 core promise: for every design on the seeded grid the batched path
-returns access bounds *bit-identical* to driving one object-mode
-:class:`~repro.core.hardware.SerialCopies` per trial (the pre-engine
-implementation, transcribed verbatim below) - for any chunk size, with
-and without an access cap, and under process variation.
+returns access bounds *bit-identical* to driving one
+:class:`~repro.core.hardware.SerialCopies` of object-mode banks
+(:class:`tests.differential._reference.ObjectBank`) per trial (the
+pre-engine implementation, transcribed verbatim below) - for any chunk
+size, with and without an access cap, and under process variation.
 """
 
 import numpy as np
@@ -15,11 +16,12 @@ import pytest
 
 from repro.core.degradation import PAPER_CRITERIA
 from repro.core.device import NEMSSwitch
-from repro.core.hardware import SerialCopies, SimulatedBank
+from repro.core.hardware import SerialCopies
 from repro.core.sizing import size_architecture
 from repro.core.variation import LognormalVariation
 from repro.sim.montecarlo import simulate_access_bounds_hardware
 from repro.sim.rng import make_rng
+from tests.differential._reference import ObjectBank
 
 TRIALS = 40
 
@@ -47,7 +49,7 @@ def _scalar_reference(design, trials, rng, variation=None,
         for _ in range(design.copies):
             switches = NEMSSwitch.fabricate_batch(design.device, design.n,
                                                   rng, variation)
-            banks.append(SimulatedBank(switches, design.k))
+            banks.append(ObjectBank(switches, design.k))
         bounds[index] = SerialCopies(banks).count_successful_accesses(
             max_accesses)
     return bounds

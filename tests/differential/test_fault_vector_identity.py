@@ -1,9 +1,9 @@
-"""Scalar-vs-native bit-identity of the vectorized fault pipeline.
+"""Scalar-vs-native bit-identity of the batched fault pipeline.
 
-The engine's native batched hooks (:mod:`repro.engine.hooks`) and the
-keystores' batched readout promise bit-identity to the scalar
-per-switch/per-share injector loop for every shipped injector and for
-any attachment order - the RNG substream contract of
+Every injector's batched sites (``on_bank_actuate`` at the engine's
+banks, ``on_shares_readout`` at the keystores) promise bit-identity to
+its per-switch or per-share reference form, for every shipped injector
+and for any attachment order - the RNG substream contract of
 :mod:`repro.faults.injectors`.  This suite pins that promise end to end
 against the test-side reference (:mod:`tests.differential._reference`:
 object-mode banks that inject right after each switch's own actuation,
@@ -16,7 +16,8 @@ keystores that read one share at a time): whole trial records
 - the full six-injector mix, and
 - a custom readout-only injector,
 
-plus the hardware state arrays the trial leaves behind.
+plus the hardware state arrays the trial leaves behind.  Every injector
+``build_fault_model`` can build must have a reference form.
 """
 
 import itertools
@@ -31,11 +32,10 @@ from repro.errors import CodingError, DeviceWornOutError
 from repro.faults.campaign import (
     CAMPAIGN_SECRET,
     FaultCampaignConfig,
+    build_fault_model,
     run_fault_trial,
 )
-from repro.engine.hooks import VectorTransientMisfire, vector_hook_for
 from repro.faults.injectors import (
-    FaultInjector,
     FaultModel,
     ReadoutTimeout,
     ShareCorruption,
@@ -44,6 +44,9 @@ from repro.faults.injectors import (
 )
 from repro.sim.rng import make_rng
 from tests.differential._reference import (
+    SHARE_FORMS,
+    SWITCH_FORMS,
+    PerShareInjector,
     ReferenceController,
     bank_arrays,
     reference_fault_trial,
@@ -157,7 +160,7 @@ def test_readout_pair_identical_in_both_orders():
         _assert_same_drive(scalar, native)
 
 
-class FlipFirstByte(FaultInjector):
+class FlipFirstByte(PerShareInjector):
     """A user-defined readout-only injector that draws from its stream."""
 
     name = "flip-first-byte"
@@ -174,13 +177,10 @@ class FlipFirstByte(FaultInjector):
 
 
 def test_custom_readout_only_injector_matches_reference():
-    """A custom injector without ``on_switch_actuate`` runs natively:
+    """A custom injector without ``on_bank_actuate`` runs natively:
     no actuation stage, per-share readout replayed by the batched
-    default, record for record equal to the reference."""
-    misfire = vector_hook_for(FaultModel([FlipFirstByte(0.1),
-                                          TransientMisfire(0.03)], seed=1))
-    assert isinstance(misfire, VectorTransientMisfire)
-    assert vector_hook_for(FaultModel([FlipFirstByte(0.1)], seed=1)) is None
+    site of :class:`PerShareInjector`, record for record equal to the
+    reference."""
     design = _design(24)
     for make in (lambda: [FlipFirstByte(0.1)],
                  lambda: [FlipFirstByte(0.1), TransientMisfire(0.03),
@@ -189,3 +189,20 @@ def test_custom_readout_only_injector_matches_reference():
         native = _drive(design, make(), 7, ResilientAccessController)
         _assert_same_drive(scalar, native)
         assert native["injections"][0] > 0
+
+
+def test_every_buildable_injector_has_a_reference_form():
+    """A new mechanism cannot ship without an identity reference."""
+    config = FaultCampaignConfig(misfire_rate=0.1,
+                                 premature_stuck_open_rate=0.1,
+                                 stuck_closed_probability=0.1,
+                                 temperature_c=85.0,
+                                 corruption_rate=0.1,
+                                 timeout_rate=0.1)
+    kinds = [type(injector) for injector in
+             build_fault_model(config, make_rng(0)).injectors]
+    assert len(kinds) == 6
+    assert {kind for kind in kinds
+            if hasattr(kind, "on_bank_actuate")} == set(SWITCH_FORMS)
+    assert {kind for kind in kinds
+            if hasattr(kind, "on_shares_readout")} == set(SHARE_FORMS)

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core.device import NEMSSwitch
-from repro.core.hardware import SerialCopies, SimulatedBank
+from repro.core.hardware import SerialCopies
 from repro.core.variation import LognormalVariation
 from repro.core.weibull import WeibullDistribution
 from repro.engine.state import WearState
 from repro.errors import ConfigurationError
+from tests.differential._reference import ObjectBank
 
 MODEL = WeibullDistribution(alpha=9.0, beta=6.0)
 
@@ -28,7 +29,7 @@ def _object_serial(lifetimes_2d, k):
     banks = []
     for row in lifetimes_2d:
         switches = [NEMSSwitch(value) for value in row]
-        banks.append(SimulatedBank(switches, k))
+        banks.append(ObjectBank(switches, k))
     return SerialCopies(banks)
 
 

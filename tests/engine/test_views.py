@@ -6,7 +6,7 @@ import pytest
 from repro.core.device import NEMSSwitch
 from repro.engine.state import WearState
 from repro.errors import ConfigurationError, DeviceWornOutError
-from repro.faults.hooks import SwitchLike
+from tests.differential._reference import SwitchLike
 
 LIFETIMES = [0.0, 0.4, 1.0, 2.5, 3.0]
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.device import NEMSSwitch
 from repro.core.hardware import SimulatedBank, build_serial_copies
 from repro.core.weibull import WeibullDistribution
+from repro.engine.state import WearState
 from repro.errors import ConfigurationError
 from repro.faults.injectors import (
     FaultModel,
@@ -22,16 +22,27 @@ def model_of(*injectors, seed=0):
     return FaultModel(injectors, rng=np.random.default_rng(seed))
 
 
+def bank_of(*lifetimes, model=None):
+    """A k = 1 bank over a one-row engine state with these lifetimes."""
+    state = WearState(np.array([[lifetimes]], dtype=float), 1)
+    return SimulatedBank(state, fault_hook=model)
+
+
+def readout(model, data, bank_id=0, index=0):
+    """One share read through the model's batched readout site."""
+    return model.on_shares_readout(bank_id, [index], [data])[0]
+
+
 class TestTransientMisfire:
     def test_rate_one_suppresses_every_closure(self):
         model = model_of(TransientMisfire(1.0))
-        bank = SimulatedBank([NEMSSwitch(100)], k=1, fault_hook=model)
+        bank = bank_of(100, model=model)
         assert bank.access() == []
         assert model.total_injections == 1
 
     def test_rate_zero_is_transparent(self):
         model = model_of(TransientMisfire(0.0))
-        bank = SimulatedBank([NEMSSwitch(100)], k=1, fault_hook=model)
+        bank = bank_of(100, model=model)
         assert bank.access() == [0]
         assert model.total_injections == 0
 
@@ -39,7 +50,7 @@ class TestTransientMisfire:
         """A transient glitch must not permanently condemn the bank."""
         injector = TransientMisfire(1.0)
         model = model_of(injector)
-        bank = SimulatedBank([NEMSSwitch(100)], k=1, fault_hook=model)
+        bank = bank_of(100, model=model)
         assert bank.access() == []
         assert not bank.is_dead
         injector.rate = 0.0  # glitch clears
@@ -53,20 +64,21 @@ class TestTransientMisfire:
 class TestPrematureStuckOpen:
     def test_kills_switch_permanently(self):
         model = model_of(PrematureStuckOpen(1.0))
-        switch = NEMSSwitch(1000)
-        bank = SimulatedBank([switch], k=1, fault_hook=model)
+        state = WearState(np.array([[[1000.0]]]), 1)
+        bank = SimulatedBank(state, fault_hook=model)
+        switch = bank.switches[0]
         assert bank.access() == []
         assert switch.is_failed
         # Dead stays dead even with injection disabled afterwards.
-        bank2 = SimulatedBank([switch], k=1)
+        bank2 = SimulatedBank(state)
         assert bank2.access() == []
 
 
 class TestStuckClosedConversion:
     def test_converted_switch_conducts_forever(self):
         model = model_of(StuckClosedConversion(1.0))
-        switch = NEMSSwitch(2)
-        bank = SimulatedBank([switch], k=1, fault_hook=model)
+        bank = bank_of(2, model=model)
+        switch = bank.switches[0]
         for _ in range(20):
             assert bank.access() == [0]
         assert switch.is_failed  # physically dead, electrically alive
@@ -75,8 +87,7 @@ class TestStuckClosedConversion:
         """The stuck/not-stuck draw happens once, at the switch's death."""
         injector = StuckClosedConversion(0.5)
         model = model_of(injector, seed=3)
-        switches = [NEMSSwitch(1) for _ in range(40)]
-        bank = SimulatedBank(switches, k=1, fault_hook=model)
+        bank = bank_of(*[1] * 40, model=model)
         bank.access()  # consume the single lifetime
         first = bank.access()
         for _ in range(5):
@@ -84,7 +95,7 @@ class TestStuckClosedConversion:
 
     def test_probability_zero_fails_secure(self):
         model = model_of(StuckClosedConversion(0.0))
-        bank = SimulatedBank([NEMSSwitch(1)], k=1, fault_hook=model)
+        bank = bank_of(1, model=model)
         assert bank.access() == [0]
         assert bank.access() == []
 
@@ -92,15 +103,14 @@ class TestStuckClosedConversion:
 class TestTemperatureDrift:
     def test_room_temperature_adds_no_wear(self):
         model = model_of(TemperatureDrift(25.0))
-        switch = NEMSSwitch(10)
-        bank = SimulatedBank([switch], k=1, fault_hook=model)
+        bank = bank_of(10, model=model)
+        switch = bank.switches[0]
         bank.access()
         assert switch.cycles_used == 1
 
     def test_heat_consumes_budget_faster(self):
         model = model_of(TemperatureDrift(500.0))
-        switch = NEMSSwitch(100)
-        bank = SimulatedBank([switch], k=1, fault_hook=model)
+        bank = bank_of(100, model=model)
         served = 0
         while bank.access_succeeds():
             served += 1
@@ -110,8 +120,7 @@ class TestTemperatureDrift:
 
     def test_cold_never_extends_life(self):
         model = model_of(TemperatureDrift(-50.0))
-        switch = NEMSSwitch(10)
-        bank = SimulatedBank([switch], k=1, fault_hook=model)
+        bank = bank_of(10, model=model)
         served = 0
         while bank.access_succeeds():
             served += 1
@@ -122,26 +131,26 @@ class TestTemperatureDrift:
 class TestShareReadoutFaults:
     def test_corruption_flips_bits(self):
         model = model_of(ShareCorruption(1.0))
-        out = model.on_share_readout(0, 0, b"\x00" * 8)
+        out = readout(model, b"\x00" * 8)
         assert out != b"\x00" * 8
         assert len(out) == 8
 
     def test_timeout_returns_none_and_short_circuits(self):
         corruption = ShareCorruption(1.0)
         model = model_of(ReadoutTimeout(1.0), corruption)
-        assert model.on_share_readout(0, 0, b"data") is None
+        assert readout(model, b"data") is None
         assert corruption.injections == 0  # pipeline stopped at timeout
 
     def test_zero_rates_are_identity(self):
         model = model_of(ShareCorruption(0.0), ReadoutTimeout(0.0))
-        assert model.on_share_readout(3, 1, b"data") == b"data"
+        assert readout(model, b"data", bank_id=3, index=1) == b"data"
 
 
 class TestFaultModelPlumbing:
     def test_injection_counts_merge_by_name(self):
         a, b = TransientMisfire(1.0), TransientMisfire(1.0)
         model = model_of(a, b)
-        bank = SimulatedBank([NEMSSwitch(100)], k=1, fault_hook=model)
+        bank = bank_of(100, model=model)
         bank.access()
         # First injector suppresses; second sees closed=False, no-op.
         assert model.injection_counts() == {"misfire": 1}

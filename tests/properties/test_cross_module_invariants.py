@@ -15,10 +15,10 @@ from repro.core.degradation import (
     PAPER_CRITERIA,
     solve_encoded_fractional,
 )
-from repro.core.device import NEMSSwitch
 from repro.core.hardware import SimulatedBank
 from repro.core.structures import k_of_n_reliability
 from repro.core.weibull import WeibullDistribution
+from repro.engine.state import WearState
 from repro.errors import DeviceWornOutError
 from repro.sim.montecarlo import simulate_access_bounds
 
@@ -77,7 +77,7 @@ class TestHardwareMonotonicity:
     @settings(max_examples=40, deadline=None)
     def test_bank_never_resurrects(self, lifetimes, data):
         k = data.draw(st.integers(1, len(lifetimes)))
-        bank = SimulatedBank([NEMSSwitch(v) for v in lifetimes], k)
+        bank = SimulatedBank(WearState(np.array([[lifetimes]]), k))
         results = [bank.access_succeeds() for _ in range(40)]
         # Once False, always False: wear is monotone.
         if False in results:
@@ -88,7 +88,7 @@ class TestHardwareMonotonicity:
                               max_size=8))
     @settings(max_examples=40, deadline=None)
     def test_bank_life_is_max_lifetime_for_k1(self, lifetimes):
-        bank = SimulatedBank([NEMSSwitch(v) for v in lifetimes], k=1)
+        bank = SimulatedBank(WearState(np.array([[lifetimes]]), 1))
         served = 0
         while bank.access_succeeds():
             served += 1
