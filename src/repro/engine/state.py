@@ -304,7 +304,7 @@ class WearState:
             raise ConfigurationError(
                 f"rows must lie in [0, {self.instances}), got "
                 f"{rows.min()}..{rows.max()}")
-        if rows.size > 1 and np.unique(rows).size != rows.size:
+        if rows.size > 1 and len(set(rows.tolist())) != rows.size:
             raise ConfigurationError("rows must not repeat an instance")
         success = np.zeros(rows.size, dtype=bool)
         served_copy = np.full(rows.size, -1, dtype=np.int64)
@@ -330,11 +330,13 @@ class WearState:
                     pending = pending[keep]
                     continue
             self.bank_accesses[b, c] += 1
-            used = self.used[b, c]                       # (m, n) copy
-            failed = used >= self.lifetime[b, c]
-            used[~failed] += 1
+            lifetime = self.lifetime[b, c]               # (m, n) copies
+            used = self.used[b, c]
+            alive = used < lifetime
+            used += alive  # a failed switch is refused the cycle
             self.used[b, c] = used
-            closed = ~failed & (used <= self.lifetime[b, c])
+            closed = used <= lifetime
+            closed &= alive
             physical = closed.sum(axis=1)
             if self.vector_hook is not None:
                 observed = self.vector_hook.on_bank_actuate(self, b, c,

@@ -322,20 +322,22 @@ class WearHub:
         """Serve one coalesced round: at most one access per tenant.
 
         Each item is a tenant name, a ``(tenant, request_id)`` pair, or
-        a ``(tenant, request_id, trace_id)`` triple.  A request whose
-        ``request_id`` already has a retained response is answered from
-        the response table - no WAL record, no wear (the retry arrived
-        after its original attempt committed).  A request to an
-        already-exhausted tenant is denied with no WAL record and is not
-        retained: its ``attempts`` and ``served`` no longer change, so a
-        retry is answered with an equal response, recomputed.  At the
-        server such a retry therefore meets the draining, busy,
-        rate-limit and capacity gates like new traffic, as it does at a
-        recovered shard.  Otherwise the round's access records
-        (idempotency key and trace id included) are appended to the WAL
-        in one durable write *before* the engine runs, then one
-        ``step_access`` kernel call per pool and each tenant's keystore
-        recovery finish the responses.  Returns ``{tenant: response}``.
+        a ``(tenant, request_id, trace_id)`` triple.  A round that names
+        a tenant twice raises :class:`~repro.errors.ConfigurationError`
+        before any counter moves.  A request whose ``request_id``
+        already has a retained response is answered from the response
+        table - no WAL record, no wear (the retry arrived after its
+        original attempt committed).  A request to an already-exhausted
+        tenant is denied with no WAL record and is not retained: its
+        ``attempts`` and ``served`` no longer change, so a retry is
+        answered with an equal response, recomputed.  At the server such
+        a retry therefore meets the draining, busy, rate-limit and
+        capacity gates like new traffic, as it does at a recovered
+        shard.  One pass over the items answers those and builds every
+        other tenant's access record (idempotency key and trace id
+        included); the records are appended to the WAL in one durable
+        write *before* the engine runs, then :meth:`_execute_round`
+        finishes the responses.  Returns ``{tenant: response}``.
 
         Trace ids are client-supplied correlation tokens: persisting
         them in the WAL is what lets one merged timeline follow a
@@ -345,17 +347,15 @@ class WearHub:
         """
         responses: dict[str, dict] = {}
         live: list[TenantRecord] = []
-        rids: dict[str, str] = {}
-        traces: dict[str, str] = {}
+        records: list[dict] = []
         seen: set[str] = set()
+        replays = 0
         for item in requests:
             if isinstance(item, tuple):
                 name, rid = item[0], item[1]
                 trace = item[2] if len(item) > 2 else None
             else:
                 name, rid, trace = item, None, None
-            if trace is not None:
-                traces[name] = trace
             if name in seen:
                 raise ConfigurationError(
                     f"round contains tenant {name!r} twice")
@@ -367,27 +367,26 @@ class WearHub:
                     tenant=name)
                 continue
             if rid is not None:
-                recorded = self.recorded_response(name, rid)
+                recorded = self._responses.get((name, rid))
                 if recorded is not None:
-                    self.idempotent_replays += 1
-                    if OBS.enabled:
-                        OBS.metrics.inc("svc.idempotent_replays")
+                    replays += 1
                     responses[name] = recorded
                     continue
-                rids[name] = rid
             if tenant.exhausted:
                 responses[name] = self._exhausted_response(tenant)
-            else:
-                live.append(tenant)
+                continue
+            record = {"op": "access", "tenant": name}
+            if rid is not None:
+                record["rid"] = rid
+            if trace is not None:
+                record["trace"] = trace
+            live.append(tenant)
+            records.append(record)
+        if replays:
+            self.idempotent_replays += replays
+            if OBS.enabled:
+                OBS.metrics.inc("svc.idempotent_replays", replays)
         if live:
-            records = []
-            for tenant in live:
-                record = {"op": "access", "tenant": tenant.name}
-                if tenant.name in rids:
-                    record["rid"] = rids[tenant.name]
-                if tenant.name in traces:
-                    record["trace"] = traces[tenant.name]
-                records.append(record)
             wal_started = time.perf_counter() if OBS.enabled else 0.0
             seqs = self.ledger.append_batch(records)
             if OBS.enabled:
@@ -399,14 +398,14 @@ class WearHub:
                 OBS.event("svc.round",
                           first_seq=seqs[0], last_seq=seqs[-1],
                           tenants=[t.name for t in live],
-                          traces=sorted(traces[t.name] for t in live
-                                        if t.name in traces))
+                          traces=sorted(record["trace"] for record in records
+                                        if "trace" in record))
             kernel_s = self._execute_round(live, responses)
-            for tenant in live:
-                rid = rids.get(tenant.name)
+            for record in records:
+                rid = record.get("rid")
                 if rid is not None:
-                    self._record_response(tenant.name, rid,
-                                          responses[tenant.name])
+                    name = record["tenant"]
+                    self._record_response(name, rid, responses[name])
             if OBS.enabled:
                 OBS.metrics.observe("svc.kernel_s", kernel_s)
                 wear = [tenant.pool.n for tenant in live
@@ -425,29 +424,36 @@ class WearHub:
                        responses: dict[str, dict]) -> float:
         """Run one kernel call per pool and build per-tenant responses.
 
-        ``live`` names each tenant at most once.  Returns the kernel
-        seconds, which only :meth:`serve_round` reports.
+        ``live`` names each tenant at most once.  Each pool's results
+        leave NumPy once: ``success`` and ``served_copy`` as lists, and
+        every row's closed switch indices from one ``nonzero`` call over
+        the observed closures, whose row-major output is each row's run
+        in turn, cut at the cumulative per-row counts.  Returns the
+        kernel seconds, which only :meth:`serve_round` reports.
         """
         by_pool: dict[_Pool, list[TenantRecord]] = {}
         for tenant in live:
             by_pool.setdefault(tenant.pool, []).append(tenant)
-        results: dict[str, tuple[bool, int, np.ndarray]] = {}
+        results: dict[str, tuple[bool, int, list[int]]] = {}
         kernel_started = time.perf_counter()
         for pool, tenants in by_pool.items():
             rows = np.array([tenant.row for tenant in tenants],
                             dtype=np.int64)
             success, served_copy, observed = pool.state.step_access(rows)
-            for j, tenant in enumerate(tenants):
-                results[tenant.name] = (bool(success[j]),
-                                        int(served_copy[j]), observed[j])
+            closed = observed.nonzero()[1].tolist()
+            ends = np.count_nonzero(observed, axis=1).cumsum().tolist()
+            start = 0
+            for tenant, served, copy, end in zip(
+                    tenants, success.tolist(), served_copy.tolist(), ends):
+                results[tenant.name] = (served, copy, closed[start:end])
+                start = end
         kernel_s = time.perf_counter() - kernel_started
         for tenant in live:
-            served, copy, observed = results[tenant.name]
+            served, copy, closed = results[tenant.name]
             tenant.attempts += 1
             if not served:
                 responses[tenant.name] = self._exhausted_response(tenant)
                 continue
-            closed = np.flatnonzero(observed).tolist()
             try:
                 secret = tenant.stores[copy].recover(closed)
             except CodingError as exc:

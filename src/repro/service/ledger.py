@@ -7,7 +7,10 @@ discipline:
 
 - every state-changing operation (``provision``, ``access``) is appended
   to ``wal.jsonl`` - one JSON object per line, with a strictly
-  increasing ``seq`` - and fsynced *before* the wear engine executes it;
+  increasing ``seq`` - and fsynced *before* the wear engine executes it.
+  Lines are canonical JSON (sorted keys, no spaces), written by the one
+  encoder :data:`~repro.service.protocol.CANONICAL_JSON` that also
+  writes protocol frames;
 - a crash can tear at most the final line (one ``write`` syscall per
   batch); recovery detects the torn tail (no trailing newline, or an
   unparseable last line) and truncates it, exactly like the shard
@@ -58,6 +61,7 @@ from repro.errors import (
     LedgerWriteError,
 )
 from repro.obs.recorder import OBS
+from repro.service.protocol import CANONICAL_JSON
 from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = ["WearLedger", "WAL_NAME", "SNAPSHOT_NAME", "LOCK_NAME",
@@ -158,6 +162,7 @@ class WearLedger:
         self._check_writable()
         if self._handle is None:
             self.open_for_append()
+        encode = CANONICAL_JSON.encode
         seqs = []
         lines = []
         for record in records:
@@ -165,8 +170,7 @@ class WearLedger:
             stamped["seq"] = self._next_seq
             seqs.append(self._next_seq)
             self._next_seq += 1
-            lines.append(json.dumps(stamped, sort_keys=True,
-                                    separators=(",", ":")))
+            lines.append(encode(stamped))
         payload = ("\n".join(lines) + "\n").encode("utf-8")
         try:
             self._handle.write(payload)

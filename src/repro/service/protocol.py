@@ -12,8 +12,8 @@ Requests are ``{"op": ..., ...}`` objects; responses always carry a
 switch on one key.  The helpers here are shared verbatim by the server,
 the client and the tests, which is what makes the differential
 byte-identity tests meaningful: both sides serialize through
-:func:`encode_frame` with sorted keys, so equal response dicts are equal
-bytes on the wire.
+:func:`encode_frame` with :data:`CANONICAL_JSON`, so equal response
+dicts are equal bytes on the wire.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import struct
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "CANONICAL_JSON",
     "MAX_FRAME_BYTES",
     "READ_CHUNK_BYTES",
     "cap_socket_reads",
@@ -48,6 +49,12 @@ READ_CHUNK_BYTES = 64 * 1024
 
 _LENGTH = struct.Struct(">I")
 
+#: The one canonical JSON encoder: sorted keys, no spaces, ASCII-only.
+#: Frames and WAL lines both go through its ``encode``, which gives the
+#: bytes ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+#: gives without building an encoder per call.
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def cap_socket_reads(transport: asyncio.BaseTransport) -> None:
     """Cap each read of ``transport`` at :data:`READ_CHUNK_BYTES`."""
@@ -56,8 +63,7 @@ def cap_socket_reads(transport: asyncio.BaseTransport) -> None:
 
 def encode_frame(payload: dict) -> bytes:
     """Serialize one payload to its wire frame (length word + JSON)."""
-    body = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    body = CANONICAL_JSON.encode(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ConfigurationError(
             f"frame of {len(body)} bytes exceeds the "

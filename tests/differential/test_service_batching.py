@@ -7,8 +7,12 @@ same requests one at a time in arrival order.  Pinned here over an
 interleaved multi-tenant schedule, with and without fault models (fault
 tenants consume their own RNG substreams, so batch composition must not
 perturb them), at 4 tenants and at 37, whose pool grows through several
-capacity doublings while it is provisioned.
+capacity doublings while it is provisioned, and over rounds that mix
+two pool shapes, keyed and traced items, retries answered from the
+retention table, and unknown and exhausted tenants.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -185,3 +189,113 @@ def test_exhaustion_order_is_batching_invariant(tmp_path):
         "schedule too short to reach exhaustion"
     hub_batched.ledger.close()
     hub_sequential.ledger.close()
+
+
+#: Shapes ``(copies, n, k)`` of the mixed schedule's two pools.
+MIXED_SHAPES = ((3, 5, 2), (2, 4, 3))
+
+
+def _mixed_provisions() -> list[dict]:
+    """Ten tenants over two pools: fault and RS tenants, and lifetimes
+    short enough that most exhaust within the mixed schedule."""
+    requests = []
+    for index in range(10):
+        copies, n, k = MIXED_SHAPES[index % 2]
+        faults = None
+        if index % 3 == 0:
+            faults = {"misfire_rate": 0.1, "corruption_rate": 0.05,
+                      "timeout_rate": 0.05}
+        requests.append({
+            "op": "provision", "tenant": f"m{index}",
+            "alpha": 4.0 + 2 * index, "beta": 5.0, "n": n, "k": k,
+            "copies": copies, "seed": 300 + index,
+            "secret": bytes((3 * index + b) % 256 for b in range(16)).hex(),
+            "scheme": "rs" if index % 4 == 1 else "shamir",
+            "faults": faults,
+        })
+    return requests
+
+
+def _mixed_schedule(names: list[str]) -> list[list]:
+    """Seeded rounds of distinct names (and an unknown one) as bare
+    names, ``(tenant, rid)`` pairs, ``(tenant, rid, trace)`` triples,
+    and retries of a rid the tenant sent in an earlier round."""
+    rng = np.random.default_rng(31)
+    sent: dict[str, list[str]] = {name: [] for name in names}
+    rounds = []
+    for r in range(80):
+        chosen = rng.permutation(names + ["ghost"])[
+            :rng.integers(1, len(names) + 2)]
+        items = []
+        for j, name in enumerate(chosen.tolist()):
+            kind = rng.integers(4)
+            rid = f"r{r}-{j}"
+            if kind == 0 and sent.get(name):
+                old = sent[name][rng.integers(len(sent[name]))]
+                items.append((name, old, f"retry-{r}-{j}"))
+            elif kind == 1:
+                items.append(name)
+            elif kind == 2:
+                items.append((name, rid))
+            else:
+                items.append((name, rid, f"tr-{r}-{j}"))
+            if isinstance(items[-1], tuple) and name in sent:
+                sent[name].append(items[-1][1])
+        rounds.append(items)
+    return rounds
+
+
+def _item_name(item) -> str:
+    return item[0] if isinstance(item, tuple) else item
+
+
+def _drive_mixed(tmp_path, label: str, batched: bool):
+    hub = WearHub(WearLedger(str(tmp_path / label)))
+    hub.ledger.open_for_append()
+    requests = _mixed_provisions()
+    for request in requests:
+        assert hub.provision(request)["status"] == "ok"
+    frames: list[bytes] = []
+    for items in _mixed_schedule([r["tenant"] for r in requests]):
+        if batched:
+            responses = hub.serve_round(items)
+            frames.extend(encode_frame(responses[_item_name(item)])
+                          for item in items)
+        else:
+            for item in items:
+                frames.append(encode_frame(
+                    hub.serve_round([item])[_item_name(item)]))
+    hub.ledger.close()
+    return frames, hub
+
+
+def test_mixed_rounds_match_sequential_bit_for_bit(tmp_path):
+    batched_frames, batched_hub = _drive_mixed(tmp_path, "batched", True)
+    sequential_frames, sequential_hub = _drive_mixed(tmp_path, "sequential",
+                                                     False)
+
+    # The schedule reached every case it is meant to mix.
+    assert len(batched_hub.pools) == len(MIXED_SHAPES)
+    statuses = [json.loads(frame[4:])["status"] for frame in batched_frames]
+    for status in ("ok", "exhausted", "unknown-tenant"):
+        assert status in statuses, status
+    assert batched_hub.idempotent_replays > 0
+    with open(batched_hub.ledger.wal_path, "rb") as handle:
+        batched_wal = handle.read()
+    assert b'"trace":' in batched_wal and b'"rid":' in batched_wal
+
+    assert batched_frames == sequential_frames
+    assert batched_hub.idempotent_replays \
+        == sequential_hub.idempotent_replays
+    batched_arrays = _state_arrays(batched_hub)
+    sequential_arrays = _state_arrays(sequential_hub)
+    for name, tenant in batched_hub.tenants.items():
+        for field, value in batched_arrays[name].items():
+            assert np.array_equal(value, sequential_arrays[name][field]), \
+                f"{name}.{field} diverged under batching"
+        assert tenant.attempts == sequential_hub.tenants[name].attempts
+        assert tenant.served == sequential_hub.tenants[name].served
+    assert list(batched_hub._responses.items()) \
+        == list(sequential_hub._responses.items())
+    with open(sequential_hub.ledger.wal_path, "rb") as handle:
+        assert batched_wal == handle.read()

@@ -159,10 +159,13 @@ class TestStepRows:
     ARRAYS = ("lifetime", "used", "bank_accesses", "bank_dead", "current",
               "total_accesses")
 
-    @pytest.mark.parametrize("rows", [[0, 0], [2, 1, 2], [-1], [3],
-                                      [[0, 1]], [True, False, True], [0.5]],
-                             ids=["repeat", "repeat-later", "negative",
-                                  "past-end", "2-d", "bool-mask", "float"])
+    @pytest.mark.parametrize("rows", [[0, 0], [2, 1, 2],
+                                      np.array([0, 2, 1, 2], dtype=np.int32),
+                                      [-1], [3], [[0, 1]],
+                                      [True, False, True], [0.5]],
+                             ids=["repeat", "repeat-later", "repeat-int32",
+                                  "negative", "past-end", "2-d", "bool-mask",
+                                  "float"])
     def test_bad_rows_raise_before_any_array_changes(self, rows):
         state = WearState(np.full((3, 2, 2), 5.0), 1)
         state.step_access(np.array([1]))
@@ -171,6 +174,21 @@ class TestStepRows:
             state.step_access(np.array(rows))
         for name, value in before.items():
             assert np.array_equal(getattr(state, name), value), name
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+    def test_other_integer_dtypes_step_as_int64(self, dtype):
+        lifetimes = np.random.default_rng(5).uniform(0.5, 4.0, (6, 3, 4))
+        reference = WearState(lifetimes.copy(), 2)
+        state = WearState(lifetimes.copy(), 2)
+        for rows in ([4, 0, 5], [5], [1, 2, 3, 0, 4], [3, 5, 2]) * 3:
+            expected = reference.step_access(np.array(rows, dtype=np.int64))
+            got = state.step_access(np.array(rows, dtype=dtype))
+            for want, have in zip(expected, got):
+                assert want.dtype == have.dtype
+                assert np.array_equal(want, have)
+            for name in self.ARRAYS:
+                assert np.array_equal(getattr(state, name),
+                                      getattr(reference, name)), name
 
     def test_results_and_hook_follow_the_given_row_order(self):
         seen = []

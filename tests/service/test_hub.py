@@ -153,6 +153,31 @@ class TestServeRound:
         with pytest.raises(ConfigurationError):
             hub.serve_round(["t0", "t0"])
 
+    def test_duplicate_is_refused_before_any_counter_moves(self, hub):
+        """An idempotent replay earlier in the refused round is not
+        counted, by the hub or by the serving metrics."""
+        hub.provision(_provision_request("a", seed=1))
+        hub.provision(_provision_request("b", seed=2))
+        hub.serve_round([("a", "r1")])
+        OBS.reset()
+        OBS.configure(sinks=[InMemorySink()], enabled=True)
+        try:
+            before = (hub.idempotent_replays, hub.rounds,
+                      hub.ledger.next_seq, hub.tenants["a"].attempts,
+                      hub.tenants["b"].attempts)
+            with pytest.raises(ConfigurationError, match="'b' twice"):
+                hub.serve_round([("a", "r1"), ("b", "x"), ("b", "y")])
+            assert (hub.idempotent_replays, hub.rounds,
+                    hub.ledger.next_seq, hub.tenants["a"].attempts,
+                    hub.tenants["b"].attempts) == before
+            assert OBS.metrics.counter("svc.idempotent_replays") == 0
+            # The same replay in a valid round is counted once.
+            hub.serve_round([("a", "r1"), ("b", "x")])
+            assert hub.idempotent_replays == before[0] + 1
+            assert OBS.metrics.counter("svc.idempotent_replays") == 1
+        finally:
+            OBS.reset()
+
     def test_round_serves_each_tenant_its_own_secret(self, hub):
         hub.provision(_provision_request("a", seed=1))
         hub.provision(_provision_request("b", seed=2,

@@ -3,15 +3,21 @@
 import errno
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigurationError,
     LedgerCorruptionError,
     LedgerWriteError,
 )
+from repro.service.hub import WearHub
 from repro.service.ledger import WearLedger
+from repro.service.protocol import encode_frame
+from tests.service._canonical import reference_json, wal_records
 
 
 def _wal_bytes(ledger: WearLedger) -> bytes:
@@ -389,3 +395,124 @@ class TestSegmentRotation:
         os.unlink(ledger.snapshot_path)
         with pytest.raises(LedgerCorruptionError):
             WearLedger(str(tmp_path)).replay()
+
+
+#: Tenants whose WAL records stretch the encoder: non-ASCII, quote,
+#: backslash and control characters in names, a seed past 2**64, an
+#: RS tenant, and nested ``faults`` and ``capacity`` objects.
+REFERENCE_TENANTS = (
+    {"tenant": "t\u00e9nant-\U0001f600", "seed": 2 ** 64 + 7,
+     "scheme": "rs", "faults": None,
+     "capacity": {"horizon": 500, "refuse_probability": 0.05}},
+    {"tenant": 'q"uote\\slash', "seed": 3, "scheme": "shamir",
+     "faults": {"misfire_rate": 0.125, "timeout_rate": 0.0625,
+                "temperature_c": 85.5},
+     "capacity": None},
+    {"tenant": "ctl\x01\t\u2028", "seed": 11, "scheme": "shamir",
+     "faults": {"corruption_rate": 0.25},
+     "capacity": {"warn_probability": 1e-7, "horizon": 2 ** 40}},
+)
+
+#: Rounds over :data:`REFERENCE_TENANTS` (by index; -1 is unknown): bare
+#: names, keyed and traced items, and a retry answered from retention.
+REFERENCE_ROUNDS = (
+    ((0, "r\u00e9-1", "tr\x00ace"), (1, "r-1", None)),
+    ((2, None, None), (0, "r\u00e9-1", "retry"), (-1, "x", None)),
+    ((1, 'r"2', "\U0001f600"), (2, "r\\3", "\x1f\x7f"), (0, None, None)),
+    ((0, "r-4", None), (1, None, "only-trace"), (2, None, None)),
+)
+
+#: The WAL :func:`_reference_history` wrote while each line was its own
+#: ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` call.
+REFERENCE_WAL = (
+    b'{"alpha":6.666666666666667,"beta":5.0,"capacity":{"horizon":500,'
+    b'"refuse_probability":0.05},"copies":2,"faults":null,"k":2,"n":5,'
+    b'"op":"provision","scheme":"rs",'
+    b'"secret":"030405060708090a0b0c0d0e0f101112",'
+    b'"seed":18446744073709551623,"seq":0,'
+    b'"tenant":"t\\u00e9nant-\\ud83d\\ude00"}\n'
+    b'{"alpha":6.666666666666667,"beta":5.0,"capacity":null,"copies":2,'
+    b'"faults":{"misfire_rate":0.125,"temperature_c":85.5,'
+    b'"timeout_rate":0.0625},"k":2,"n":5,"op":"provision",'
+    b'"scheme":"shamir","secret":"030405060708090a0b0c0d0e0f101112",'
+    b'"seed":3,"seq":1,"tenant":"q\\"uote\\\\slash"}\n'
+    b'{"alpha":6.666666666666667,"beta":5.0,'
+    b'"capacity":{"horizon":1099511627776,"warn_probability":1e-07},'
+    b'"copies":2,"faults":{"corruption_rate":0.25},"k":2,"n":5,'
+    b'"op":"provision","scheme":"shamir",'
+    b'"secret":"030405060708090a0b0c0d0e0f101112","seed":11,"seq":2,'
+    b'"tenant":"ctl\\u0001\\t\\u2028"}\n'
+    b'{"op":"access","rid":"r\\u00e9-1","seq":3,'
+    b'"tenant":"t\\u00e9nant-\\ud83d\\ude00","trace":"tr\\u0000ace"}\n'
+    b'{"op":"access","rid":"r-1","seq":4,"tenant":"q\\"uote\\\\slash"}\n'
+    b'{"op":"access","seq":5,"tenant":"ctl\\u0001\\t\\u2028"}\n'
+    b'{"op":"access","rid":"r\\"2","seq":6,"tenant":"q\\"uote\\\\slash",'
+    b'"trace":"\\ud83d\\ude00"}\n'
+    b'{"op":"access","rid":"r\\\\3","seq":7,'
+    b'"tenant":"ctl\\u0001\\t\\u2028","trace":"\\u001f\\u007f"}\n'
+    b'{"op":"access","seq":8,"tenant":"t\\u00e9nant-\\ud83d\\ude00"}\n'
+    b'{"op":"access","rid":"r-4","seq":9,'
+    b'"tenant":"t\\u00e9nant-\\ud83d\\ude00"}\n'
+    b'{"op":"access","seq":10,"tenant":"q\\"uote\\\\slash",'
+    b'"trace":"only-trace"}\n'
+    b'{"op":"access","seq":11,"tenant":"ctl\\u0001\\t\\u2028"}\n'
+)
+
+
+def _reference_history(directory: str) -> tuple[WearHub, list[bytes]]:
+    """Serve :data:`REFERENCE_ROUNDS` on a fresh hub; close its ledger."""
+    hub = WearHub(WearLedger(directory))
+    hub.recover()
+    frames = []
+    for tenant in REFERENCE_TENANTS:
+        request = {"op": "provision", "alpha": 20 / 3, "beta": 5.0,
+                   "n": 5, "k": 2, "copies": 2,
+                   "secret": bytes(range(3, 19)).hex()}
+        request.update(tenant)
+        frames.append(encode_frame(hub.provision(request)))
+    names = [tenant["tenant"] for tenant in REFERENCE_TENANTS] + ["ghost"]
+    for items in REFERENCE_ROUNDS:
+        round_items = [(names[i], rid, trace) if trace is not None
+                       else (names[i], rid) if rid is not None
+                       else names[i] for i, rid, trace in items]
+        responses = hub.serve_round(round_items)
+        frames.extend(encode_frame(responses[names[i]]) for i, _, _ in items)
+    hub.ledger.close()
+    return hub, frames
+
+
+class TestCanonicalFormat:
+    """WAL lines are pinned to the reference encoding, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches=st.lists(st.lists(wal_records, min_size=1, max_size=4),
+                            min_size=1, max_size=3))
+    def test_every_line_is_the_reference_encoding(self, batches):
+        expected = []
+        with tempfile.TemporaryDirectory() as directory:
+            ledger = WearLedger(directory)
+            for records in batches:
+                for record, seq in zip(records,
+                                       ledger.append_batch(records)):
+                    stamped = dict(record, seq=seq)
+                    expected.append(reference_json(stamped).encode("utf-8"))
+            ledger.close()
+            wal = _wal_bytes(ledger)
+        assert wal == b"".join(line + b"\n" for line in expected)
+        assert wal.isascii()
+
+    def test_a_reference_wal_replays_to_the_same_hub(self, tmp_path):
+        live, frames = _reference_history(str(tmp_path / "live"))
+        assert _wal_bytes(live.ledger) == REFERENCE_WAL
+        assert live.idempotent_replays == 1
+        assert any(b"unknown-tenant" in frame for frame in frames)
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "wal.jsonl").write_bytes(REFERENCE_WAL)
+        recovered = WearHub(WearLedger(str(old)))
+        assert recovered.recover() == REFERENCE_WAL.count(b"\n")
+        recovered.ledger.close()
+        assert recovered.wear_gauges() == live.wear_gauges()
+        assert recovered.status()["tenants"] == live.status()["tenants"]
+        assert list(recovered._responses.items()) \
+            == list(live._responses.items())

@@ -5,6 +5,7 @@ import json
 import struct
 
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import ConfigurationError
 from repro.service.protocol import (
@@ -15,6 +16,7 @@ from repro.service.protocol import (
     ok,
     read_frame,
 )
+from tests.service._canonical import AWKWARD, payloads, reference_json
 
 
 def _reader_with(data: bytes) -> asyncio.StreamReader:
@@ -75,6 +77,24 @@ class TestFraming:
                 await read_frame(_reader_with(header))
 
         asyncio.run(scenario())
+
+
+class TestCanonicalEncoding:
+    """Frame bodies are pinned to the reference encoding, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=payloads)
+    def test_frame_body_is_the_reference_encoding(self, payload):
+        body = reference_json(payload).encode("utf-8")
+        assert encode_frame(payload) == struct.pack(">I", len(body)) + body
+
+    def test_awkward_text_and_numbers(self):
+        payload = {AWKWARD: [AWKWARD, 2 ** 70, -(2 ** 65), 1e4 / 3, 1e300],
+                   "faults": {"temperature_c": 85.5, "z": {AWKWARD: None}}}
+        body = encode_frame(payload)[4:]
+        assert body == reference_json(payload).encode("utf-8")
+        assert body.isascii()
+        assert decode_payload(body) == payload
 
 
 class TestResponseHelpers:
