@@ -17,12 +17,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.connection.keystore import BankKeyStore
+from repro.connection.keystore import BankKeyStore, _store_mode
 from repro.core.degradation import DesignPoint
 from repro.core.hardware import SerialCopies, SimulatedBank
 from repro.core.variation import NoVariation, ProcessVariation
 from repro.core.weibull import WeibullDistribution
-from repro.engine.state import WearState
+from repro.engine.state import WearState, check_lifetimes
 from repro.errors import DeviceWornOutError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,14 +46,45 @@ def fabricate_copies(device: WeibullDistribution, copies: int, n: int, k: int,
     and shares.  Returns the ``(1, copies, n)`` lifetime array for one
     :class:`~repro.engine.state.WearState` row and the stores, store
     ``c`` tagged ``bank_id=c``.
+
+    The order is unchanged, but where the generator allows
+    (:func:`~repro.sim.rng.uniforms_and_bytes`) the whole tenant's
+    draws come out as one block: one inverse transform turns every
+    copy's uniforms into lifetimes, and each store gets its slice of the
+    bytes as ``rows``.  Process variation, GF(2^16) splits, splits that
+    do not fill whole 64-bit words and generators holding a buffered
+    32-bit half keep the per-copy calls.  Lifetimes the engine cannot
+    count raise :class:`~repro.errors.ConfigurationError`
+    (:func:`~repro.engine.state.check_lifetimes`).
     """
-    variation = variation or NoVariation()
-    lifetimes = np.empty((1, copies, n))
-    stores = []
-    for copy in range(copies):
-        lifetimes[0, copy] = variation.sample_lifetimes(device, n, rng)
-        stores.append(BankKeyStore(secret, n, k, rng, scheme=scheme,
-                                   bank_id=copy, fault_hook=fault_hook))
+    # Imported here: repro.sim imports this package.
+    from repro.sim.rng import uniforms_and_bytes
+
+    mode = _store_mode(n, k, scheme)
+    block = None
+    if mode != "gf65536" and (variation is None
+                              or type(variation) is NoVariation):
+        block = uniforms_and_bytes(
+            rng, copies, n, (k - 1) * len(secret) if mode == "gf256" else 0)
+    if block is None:
+        variation = variation or NoVariation()
+        lifetimes = np.empty((1, copies, n))
+        stores = []
+        for copy in range(copies):
+            lifetimes[0, copy] = variation.sample_lifetimes(device, n, rng)
+            stores.append(BankKeyStore(secret, n, k, rng, scheme=scheme,
+                                       bank_id=copy, fault_hook=fault_hook))
+    else:
+        uniforms, octets = block
+        lifetimes = device.inverse_transform(uniforms)[np.newaxis]
+        rows = (octets.reshape(copies, k - 1, -1) if mode == "gf256"
+                else [None] * copies)
+        stores = [BankKeyStore(secret, n, k, rng, scheme=scheme,
+                               bank_id=copy, fault_hook=fault_hook,
+                               rows=None if rows[copy] is None
+                               else rows[copy].copy())
+                  for copy in range(copies)]
+    check_lifetimes(lifetimes)
     return lifetimes, stores
 
 

@@ -39,6 +39,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BankKeyStore"]
 
 
+def _store_mode(n: int, k: int, scheme: str) -> str:
+    """How a bank of ``n`` shares at threshold ``k`` holds its secret.
+
+    ``"replicas"`` for k = 1, ``"rs"``, or the field of a Shamir split:
+    ``"gf256"`` up to 255 shares and ``"gf65536"`` beyond.  Raises
+    :class:`~repro.errors.ConfigurationError` for a bank no store holds.
+    """
+    if not 1 <= k <= n:
+        raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if scheme not in ("shamir", "rs"):
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
+    if k == 1:
+        return "replicas"
+    if scheme == "rs":
+        if n > 255:
+            raise ConfigurationError("RS banks support at most 255 shares")
+        return "rs"
+    if n <= 255:
+        return "gf256"
+    if n <= MAX_SHARES16:
+        return "gf65536"
+    raise ConfigurationError(
+        f"banks beyond {MAX_SHARES16} shares are not supported")
+
+
 class BankKeyStore:
     """The ``n`` shares of one parallel bank (threshold ``k``).
 
@@ -80,19 +105,25 @@ class BankKeyStore:
     store draws its coefficient rows from ``rng`` at construction, with
     the call :func:`~repro.codes.shamir.split_secret` makes, so the
     caller's generator ends in the same state and a later build gives
-    the shares an immediate split would have.
+    the shares an immediate split would have.  ``rows``, as in
+    ``split_secret(rows=)``, are the rows that call would draw, drawn
+    earlier by the caller in the same order; the store then draws
+    nothing.  :func:`~repro.connection.architecture.fabricate_copies`
+    passes them where it takes a tenant's draws as one block from the
+    generator, and passes none, so each store makes its own call, for
+    GF(2^16) splits, splits that do not fill whole 64-bit words,
+    process variation and generators holding a buffered 32-bit half.
+    Replica and RS stores draw no rows.
     """
 
     def __init__(self, secret: bytes, n: int, k: int,
                  rng: np.random.Generator, scheme: str = "shamir",
                  bank_id: int = 0,
-                 fault_hook: "FaultHook | None" = None) -> None:
+                 fault_hook: "FaultHook | None" = None, *,
+                 rows: np.ndarray | None = None) -> None:
         if not secret:
             raise ConfigurationError("secret must be non-empty")
-        if not 1 <= k <= n:
-            raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if scheme not in ("shamir", "rs"):
-            raise ConfigurationError(f"unknown scheme {scheme!r}")
+        self._mode = _store_mode(n, k, scheme)
         self.n = n
         self.k = k
         self.scheme = scheme
@@ -100,23 +131,11 @@ class BankKeyStore:
         self.fault_hook = fault_hook
         self._secret = secret
         self._secret_len = len(secret)
-        self._rows: np.ndarray | None = None
-        if k == 1:
-            self._mode = "replicas"
-        elif scheme == "rs":
-            if n > 255:
-                raise ConfigurationError(
-                    "RS banks support at most 255 shares")
-            self._mode = "rs"
-        elif n <= 255:
-            self._rows = _draw_rows(k, len(secret), rng)
-            self._mode = "gf256"
-        elif n <= MAX_SHARES16:
-            self._rows = _draw_rows16(k, -(-len(secret) // 2), rng)
-            self._mode = "gf65536"
-        else:
-            raise ConfigurationError(
-                f"banks beyond {MAX_SHARES16} shares are not supported")
+        if rows is None and self._mode == "gf256":
+            rows = _draw_rows(k, len(secret), rng)
+        elif rows is None and self._mode == "gf65536":
+            rows = _draw_rows16(k, -(-len(secret) // 2), rng)
+        self._rows = rows
         self._shares_list: list | None = None
 
     @property

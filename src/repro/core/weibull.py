@@ -200,11 +200,18 @@ class WeibullDistribution:
             from repro.sim.rng import make_rng
 
             rng = make_rng()
-        u = rng.random(size=size)
-        out = self.alpha * np.power(-np.log1p(-u), 1.0 / self.beta)
+        out = self.inverse_transform(rng.random(size=size))
         if size is None:
             return float(out)
         return out
+
+    def inverse_transform(self, u):
+        """The lifetimes :meth:`sample` makes of uniforms ``u`` in [0, 1).
+
+        Unlike :meth:`quantile` it does not validate ``u``: callers hand
+        it a generator's uniforms, which lie in range.
+        """
+        return self.alpha * np.power(-np.log1p(-u), 1.0 / self.beta)
 
     # ------------------------------------------------------------------
     # Helpers used by architectural reasoning

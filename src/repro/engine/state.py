@@ -51,7 +51,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.hooks import VectorFaultHook
     from repro.engine.views import SwitchView
 
-__all__ = ["WearState"]
+__all__ = ["WearState", "check_lifetimes"]
+
+
+def check_lifetimes(lifetime: np.ndarray) -> None:
+    """Refuse lifetimes the engine cannot count.
+
+    The engine counts every switch's wear and its budget,
+    ``floor(lifetime)``, in int64, so each lifetime must lie in
+    ``[0, 2**63)``: a NaN, infinite or larger one raises
+    :class:`~repro.errors.ConfigurationError`.  Fabrication and
+    :class:`WearState` both check here.
+    """
+    if lifetime.size and not (0 <= lifetime.min()
+                              and lifetime.max() < 2.0 ** 63):
+        raise ConfigurationError(
+            f"lifetimes must be finite and in [0, 2**63), got values from "
+            f"{float(lifetime.min())!r} to {float(lifetime.max())!r}: the "
+            f"device model samples lifetimes the engine cannot count")
 
 
 class WearState:
@@ -71,8 +88,7 @@ class WearState:
         if instances < 1 or copies < 1 or n < 1:
             raise ConfigurationError(
                 "need at least one instance, one copy and one switch")
-        if not np.all(lifetime >= 0):
-            raise ConfigurationError("lifetimes must be >= 0")
+        check_lifetimes(lifetime)
         if not 1 <= k <= n:
             raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
         self.lifetime = lifetime

@@ -15,6 +15,10 @@ Three mechanisms cooperate:
   through :func:`make_rng`, so setting a default seed makes an entire
   fault-injection campaign reproducible end-to-end even across modules
   that historically grabbed ``np.random.default_rng()`` ad hoc.
+
+:func:`uniforms_and_bytes` is the one place that knows how NumPy lays a
+generator's stream out, so fabrication can take a tenant's draws in one
+call where they come out bit for bit as the separate calls would.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "substream",
     "set_default_seed",
     "get_default_seed",
+    "uniforms_and_bytes",
 ]
 
 #: Process-wide fallback seeding policy (None = non-reproducible).
@@ -92,6 +97,37 @@ def jumped_rng(rng: np.random.Generator, jumps: int) -> np.random.Generator:
     if jumps < 1:
         raise ValueError(f"jumps must be >= 1, got {jumps}")
     return np.random.default_rng(rng.bit_generator.jumped(jumps))
+
+
+def uniforms_and_bytes(rng: np.random.Generator, rounds: int, doubles: int,
+                       nbytes: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``rounds`` rounds of draws from ``rng``, taken as one block.
+
+    Each round is ``rng.random(doubles)`` followed by
+    ``rng.integers(0, 256, nbytes, dtype=np.uint8)``; the draw order is
+    unchanged.  Returns the ``(rounds, doubles)`` uniforms and the
+    ``(rounds, nbytes)`` bytes those calls would return, from one
+    ``bit_generator.random_raw`` call that leaves ``rng`` where they
+    would, or None where the block would not reproduce them and the
+    caller must make the calls.  NumPy's layout, which this function
+    alone relies on: a double is ``(word >> 11) * 2**-53`` of one 64-bit
+    word, as ``Generator.random`` makes it, and full-range uint8 draws
+    are the little-endian bytes of successive 32-bit halves of words,
+    low half first.  The block reproduces the calls only for a
+    :class:`numpy.random.PCG64` generator with no buffered 32-bit half
+    (``has_uint32`` is 0), and only if ``nbytes`` fills whole words, so
+    no round leaves a half buffered for the next.
+    """
+    bit_generator = rng.bit_generator
+    if (nbytes % 8 or type(rng) is not np.random.Generator
+            or type(bit_generator) is not np.random.PCG64
+            or bit_generator.state["has_uint32"]):
+        return None
+    words = doubles + nbytes // 8
+    block = bit_generator.random_raw(rounds * words).reshape(rounds, words)
+    uniforms = (block[:, :doubles] >> 11) * 2.0 ** -53
+    octets = block[:, doubles:].astype("<u8", copy=False).view(np.uint8)
+    return uniforms, octets
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:

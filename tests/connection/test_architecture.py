@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.connection.architecture import LimitedUseConnection
+from repro.connection.architecture import (
+    LimitedUseConnection,
+    fabricate_copies,
+)
 from repro.core.degradation import PAPER_CRITERIA, solve_encoded_fractional
+from repro.core.variation import LognormalVariation
 from repro.core.weibull import WeibullDistribution
-from repro.errors import DeviceWornOutError
+from repro.errors import ConfigurationError, DeviceWornOutError
 
 SECRET = b"hardware key 128"
 
@@ -61,3 +65,15 @@ class TestReadKey:
                 connection.read_key()
         with pytest.raises(DeviceWornOutError):
             connection.read_key()
+
+
+class TestFabricateCopies:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("variation", [
+        None, LognormalVariation(sigma_beta=0.1)], ids=["block", "per-copy"])
+    def test_refuses_lifetimes_the_engine_cannot_count(self, variation,
+                                                       rng):
+        device = WeibullDistribution(alpha=1e300, beta=1e-3)
+        with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*63\)"):
+            fabricate_copies(device, 3, 6, 2, SECRET, rng,
+                             variation=variation)

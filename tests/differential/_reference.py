@@ -21,7 +21,9 @@ readout - with no switch in production code:
 - :func:`replay_events`, :func:`reference_replay_trace` and
   :func:`reference_drain_attack` replay login by login;
 - :func:`reference_recover` is ``WearHub.recover`` replaying one WAL
-  record per kernel call.
+  record per kernel call;
+- :func:`reference_fabricate_copies` is ``fabricate_copies`` making the
+  per-copy calls on every input.
 """
 
 from typing import Protocol, runtime_checkable
@@ -34,6 +36,7 @@ from repro.connection.keystore import BankKeyStore
 from repro.connection.phone import MWayPhone, SecurePhone
 from repro.connection.resilient import ResilientAccessController
 from repro.core.device import NEMSSwitch
+from repro.core.variation import NoVariation
 from repro.errors import DeviceWornOutError
 from repro.faults import campaign
 from repro.faults.injectors import (
@@ -467,3 +470,21 @@ def reference_recover(hub) -> int:
         hub._fast_forward(hub.tenants[name], attempts)
     hub.ledger.open_for_append()
     return len(records)
+
+
+def reference_fabricate_copies(device, copies, n, k, secret, rng, *,
+                               variation=None, scheme="shamir",
+                               fault_hook=None):
+    """``fabricate_copies`` as the per-copy calls, on every input.
+
+    Per copy: that copy's lifetimes from the variation model, then its
+    store, which draws its own coefficient rows from ``rng``.
+    """
+    variation = variation or NoVariation()
+    lifetimes = np.empty((1, copies, n))
+    stores = []
+    for copy in range(copies):
+        lifetimes[0, copy] = variation.sample_lifetimes(device, n, rng)
+        stores.append(BankKeyStore(secret, n, k, rng, scheme=scheme,
+                                   bank_id=copy, fault_hook=fault_hook))
+    return lifetimes, stores

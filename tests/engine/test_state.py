@@ -75,6 +75,18 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             WearState(lifetimes, 1)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 2.0 ** 63, 1e300])
+    def test_rejects_lifetimes_it_cannot_count(self, bad):
+        lifetimes = np.ones((1, 2, 3))
+        lifetimes[0, 1, 2] = bad
+        with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*63\)"):
+            WearState(lifetimes, 1)
+
+    def test_counts_the_largest_lifetime_below_2_to_the_63(self):
+        largest = np.nextafter(2.0 ** 63, 0.0)
+        state = WearState(np.full((1, 1, 2), largest), 1)
+        assert state.switch_budgets().tolist() == [[[int(largest)] * 2]]
+
     def test_from_lifetimes_promotes_2d(self):
         state = WearState.from_lifetimes(np.ones((2, 4)), 2)
         assert (state.instances, state.copies, state.n) == (1, 2, 4)

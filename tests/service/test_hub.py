@@ -66,8 +66,12 @@ class TestProvision:
         {"alpha": float("nan")},
         {"beta": float("nan")},
         {"seed": -1},
+        pytest.param({"alpha": 1e300, "beta": 1e-3, "seed": 1},
+                     marks=pytest.mark.filterwarnings(
+                         "ignore:overflow:RuntimeWarning")),
+        {"alpha": 1e19, "beta": 1000.0},
     ], ids=["rs-n300", "n70000", "alpha-inf", "alpha-nan", "beta-nan",
-            "seed-negative"])
+            "seed-negative", "lifetime-inf", "lifetime-past-int64"])
     def test_unbuildable_provision_never_enters_the_wal(
             self, tmp_path, overrides):
         """Inputs the parameter checks pass but fabrication rejects."""
@@ -643,7 +647,10 @@ class TestGroupedReplay:
         _provision_request("t0", k=0),
         _provision_request(""),
         _provision_request("t0", seed=9),
-    ], ids=["invalid", "unnamed", "duplicate"])
+        pytest.param(_provision_request("t1", alpha=1e300, beta=1e-3),
+                     marks=pytest.mark.filterwarnings(
+                         "ignore:overflow:RuntimeWarning")),
+    ], ids=["invalid", "unnamed", "duplicate", "lifetime-inf"])
     def test_provision_record_that_does_not_build_is_corruption(
             self, tmp_path, record):
         ledger = WearLedger(str(tmp_path))
