@@ -77,11 +77,10 @@ def fabricate_copies(device: WeibullDistribution, copies: int, n: int, k: int,
     else:
         uniforms, octets = block
         lifetimes = device.inverse_transform(uniforms)[np.newaxis]
-        rows = (octets.reshape(copies, k - 1, -1) if mode == "gf256"
-                else [None] * copies)
+        rows = octets.reshape(copies, k - 1, -1) if mode == "gf256" else None
         stores = [BankKeyStore(secret, n, k, rng, scheme=scheme,
                                bank_id=copy, fault_hook=fault_hook,
-                               rows=None if rows[copy] is None
+                               rows=None if rows is None
                                else rows[copy].copy())
                   for copy in range(copies)]
     check_lifetimes(lifetimes)

@@ -14,7 +14,8 @@ indices of its tenants, which reads and writes only those rows; and
 ``provision`` and ``status`` of one tenant query only that tenant's row.
 
 Bit-identity with sequential handling (the differential acceptance
-criterion) falls out of two facts:
+criterion), which holds away from the response-retention boundary
+(:meth:`WearHub.serve_round`), falls out of two facts:
 
 - a round contains at most one request per tenant (the batcher enforces
   it), so each tenant's attempt is one kernel visit followed by one
@@ -275,9 +276,15 @@ class WearHub:
         fabrication draw order, so a tenant rebuilt from its provision
         record recovers byte-identical secrets; the fault RNG is a
         separate positional substream so fabricating with and without
-        faults yields the same lifetimes.  No shares are built here: a
-        store builds them on its first readout, which a hook-free store
-        never needs.
+        faults yields the same lifetimes.  The tenant's fresh
+        ``make_rng(seed)`` holds no buffered 32-bit half, so its draws
+        come out in that order as one block of generator words, except
+        for GF(2^16) banks and splits that do not fill whole 64-bit
+        words, which keep the per-copy calls.  A device model whose
+        lifetimes the engine cannot count raises
+        :class:`~repro.errors.ConfigurationError`.  No shares are built
+        here: a store builds them on its first readout, which a
+        hook-free store never needs.
         """
         device = WeibullDistribution(alpha=params["alpha"],
                                      beta=params["beta"])
@@ -338,6 +345,13 @@ class WearHub:
         included); the records are appended to the WAL in one durable
         write *before* the engine runs, then :meth:`_execute_round`
         finishes the responses.  Returns ``{tenant: response}``.
+
+        The answers equal handling the items one round each, except at
+        the retention boundary: every retry is looked up before the
+        round retains its own responses, so a retry whose entry an
+        earlier item of the same round pushes out of the FIFO is
+        answered from retention here, but would be charged again as
+        new traffic if that item had been served first on its own.
 
         Trace ids are client-supplied correlation tokens: persisting
         them in the WAL is what lets one merged timeline follow a

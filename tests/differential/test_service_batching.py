@@ -9,7 +9,9 @@ tenants consume their own RNG substreams, so batch composition must not
 perturb them), at 4 tenants and at 37, whose pool grows through several
 capacity doublings while it is provisioned, and over rounds that mix
 two pool shapes, keyed and traced items, retries answered from the
-retention table, and unknown and exhausted tenants.
+retention table, and unknown and exhausted tenants.  Every retry here
+falls well inside the default retention, away from the one boundary
+where the two differ (see ``WearHub.serve_round``).
 """
 
 import json
