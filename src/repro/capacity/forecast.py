@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.capacity.estimator import CapacityEstimate
+from repro.engine.state import kth_largest
 from repro.errors import ConfigurationError
 
 __all__ = ["TenantForecast", "forecast_remaining", "forecast_tenants"]
@@ -128,13 +129,8 @@ def forecast_remaining(tenant: str, obs: dict, estimate: CapacityEstimate,
                          np.maximum(np.floor(lifetimes) - wear, 0.0))
     # Exact engine accounting: k-th largest per bank, dead banks and
     # passed copies excluded, reachable copies summed.
-    if k == 1:
-        bank = remaining.max(axis=2)
-    else:
-        split = n - k
-        bank = np.partition(remaining, split, axis=2)[:, :, split]
     reachable = (np.arange(copies)[np.newaxis, :] >= current) & ~bank_dead
-    totals = np.where(reachable, bank, 0.0).sum(axis=1)
+    totals = np.where(reachable, kth_largest(remaining, k), 0.0).sum(axis=1)
 
     # Remaining capacity is integer-valued with heavy point masses near
     # exhaustion; a closed percentile interval over the raw draws would

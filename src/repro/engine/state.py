@@ -19,13 +19,14 @@ The per-switch semantics replicate
 failed switch (``used >= lifetime``) is refused without wear; otherwise
 the cycle is counted and the switch closes iff ``used <= lifetime``
 afterwards.  Wear is therefore a deterministic countdown, which is what
-makes the closed-form :meth:`WearState.run_to_exhaustion` possible: a
-k-of-n bank serves exactly the k-th largest ``floor(lifetime)`` among
-its switches, serially-consumed banks add their budgets, and the final
-per-switch wear has an explicit formula.  The stepped kernel
-(:meth:`step_access`) and the closed form are differentially pinned
-against each other and against the object-mode reference bank, which
-steps one switch object at a time
+makes the closed-form :meth:`WearState.run_to_exhaustion` possible from
+any hook-free state, pristine or touched: a k-of-n bank serves exactly
+the k-th largest remaining budget ``floor(lifetime) - used`` (clamped
+at 0) among its switches (:func:`kth_largest`), serially-consumed banks
+add their budgets, and the final per-switch wear has an explicit
+formula.  The stepped kernel (:meth:`step_access`) and the closed form
+are differentially pinned against each other and against the
+object-mode reference bank, which steps one switch object at a time
 (``tests/differential/_reference.py``), in ``tests/engine`` and
 ``tests/differential``.
 
@@ -51,24 +52,49 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.hooks import VectorFaultHook
     from repro.engine.views import SwitchView
 
-__all__ = ["WearState", "check_lifetimes"]
+__all__ = ["WearState", "check_lifetimes", "kth_largest"]
 
 
 def check_lifetimes(lifetime: np.ndarray) -> None:
     """Refuse lifetimes the engine cannot count.
 
-    The engine counts every switch's wear and its budget,
-    ``floor(lifetime)``, in int64, so each lifetime must lie in
-    ``[0, 2**63)``: a NaN, infinite or larger one raises
+    ``lifetime`` is an ``(instances, copies, n)`` array.  The engine
+    counts wear, budgets and accesses in int64, and reports per-instance
+    sums of them: the remaining capacity, the total wear and switch
+    budget, and ``total_accesses``.  None of these exceeds
+    ``sum(ceil(lifetime)) + 1`` over one instance's ``m = copies * n``
+    switches, so every lifetime must be non-negative and each instance's
+    lifetimes must sum below ``2**62``.  The float64 sum checked is within
+    a relative ``m * 2**-53`` of the exact one, so for any array that fits
+    in memory (``m < 2**52``) the exact sum plus ``m + 1`` stays below
+    ``2**63``: the factor of 2 is the margin for rounding and for the
+    ceilings.  A NaN, infinite, negative or too large lifetime raises
     :class:`~repro.errors.ConfigurationError`.  Fabrication and
     :class:`WearState` both check here.
     """
-    if lifetime.size and not (0 <= lifetime.min()
-                              and lifetime.max() < 2.0 ** 63):
+    # A Python max over the per-instance sums: fabrication checks one
+    # instance per tenant, where a third NumPy reduction costs more.
+    if lifetime.size and not (
+            0 <= lifetime.min()
+            and max(lifetime.sum(axis=(1, 2)).tolist()) < 2.0 ** 62):
         raise ConfigurationError(
-            f"lifetimes must be finite and in [0, 2**63), got values from "
-            f"{float(lifetime.min())!r} to {float(lifetime.max())!r}: the "
-            f"device model samples lifetimes the engine cannot count")
+            f"lifetimes must be finite and non-negative, and each "
+            f"instance's must sum below 2**62; got a least lifetime of "
+            f"{float(lifetime.min())!r} and an instance summing to "
+            f"{float(lifetime.sum(axis=(1, 2)).max())!r}: the device model "
+            f"samples lifetimes the engine cannot count")
+
+
+def kth_largest(budgets: np.ndarray, k: int) -> np.ndarray:
+    """The ``k``-th largest value along the last axis.
+
+    A k-of-n bank serves as many accesses as the k-th largest budget
+    among its switches: every bank budget in the package is this.
+    """
+    if k == 1:
+        return budgets.max(axis=-1)
+    split = budgets.shape[-1] - k
+    return np.partition(budgets, split, axis=-1)[..., split]
 
 
 class WearState:
@@ -219,11 +245,7 @@ class WearState:
 
     def bank_budgets(self) -> np.ndarray:
         """Accesses each k-of-n bank serves: the k-th largest budget."""
-        budgets = self.switch_budgets()
-        if self.k == 1:
-            return budgets.max(axis=2)
-        split = self.n - self.k
-        return np.partition(budgets, split, axis=2)[:, :, split]
+        return kth_largest(self.switch_budgets(), self.k)
 
     # ------------------------------------------------------------------
     # Remaining budgets (functions of lifetimes AND accumulated wear)
@@ -234,23 +256,17 @@ class WearState:
     def remaining_switch_closes(self, rows=None) -> np.ndarray:
         """Closing actuations each switch can still serve.
 
-        A switch with ``used < lifetime`` has ``floor(lifetime) - used``
-        closes left (``used`` never exceeds ``floor(lifetime)`` while the
-        switch is alive); a failed switch has none.
+        ``floor(lifetime) - used``, clamped at 0: a switch with ``used <
+        lifetime`` has ``used <= floor(lifetime)``, and a failed switch
+        (``used >= lifetime``) has none left.
         """
         lifetime, used = ((self.lifetime, self.used) if rows is None
                           else (self.lifetime[rows], self.used[rows]))
-        return np.where(used < lifetime,
-                        np.floor(lifetime).astype(np.int64) - used, 0)
+        return np.maximum(np.floor(lifetime).astype(np.int64) - used, 0)
 
     def remaining_bank_budgets(self, rows=None) -> np.ndarray:
         """Accesses each bank can still serve (0 for dead-latched banks)."""
-        rem = self.remaining_switch_closes(rows)
-        if self.k == 1:
-            out = rem.max(axis=-1)
-        else:
-            split = self.n - self.k
-            out = np.partition(rem, split, axis=-1)[..., split]
+        out = kth_largest(self.remaining_switch_closes(rows), self.k)
         dead = self.bank_dead if rows is None else self.bank_dead[rows]
         return np.where(dead, 0, out)
 
@@ -399,72 +415,24 @@ class WearState:
 
         Returns the per-instance count of successfully served accesses -
         the empirical access bound - and leaves every array in the exact
-        state a switch-by-switch drive would have produced (pinned by
-        ``tests/engine``).  With a fault hook attached the countdown is
-        no longer deterministic and the stepped kernel is used instead;
-        a touched (non-pristine) hook-free state goes through the
-        generalized closed form :meth:`_run_closed_touched`.
+        state a switch-by-switch drive would have produced.  With a fault
+        hook attached the countdown is no longer deterministic and the
+        stepped kernel is used instead.
+
+        Hook-free, one closed form covers every starting state, pristine
+        or touched: each reachable live bank serves exactly its remaining
+        budget (the k-th largest ``floor(lifetime) - used``, clamped at
+        0), serially consumed copies add their budgets, dead-latched and
+        already-passed copies add zero, and every drained bank absorbs one
+        more, failing, attempt that latches it and falls over.
+        Already-exhausted instances are left untouched, like the stepped
+        kernel.  Pinned bit-identical to :meth:`_run_stepped` from
+        pristine and abused states in ``tests/engine``.
         """
         if max_accesses is not None and max_accesses < 0:
             raise ConfigurationError("max_accesses must be >= 0")
         if self.vector_hook is not None:
             return self._run_stepped(max_accesses)
-        if not self.is_pristine:
-            return self._run_closed_touched(max_accesses)
-        bank_budget = self.bank_budgets()                     # (B, C)
-        totals = bank_budget.sum(axis=1)                      # (B,)
-        cum = bank_budget.cumsum(axis=1)                      # (B, C)
-        copies = self.copies
-        if max_accesses is None:
-            served = totals
-            fully_dead = np.ones(self.instances, dtype=bool)
-            active_copy = np.full(self.instances, copies, dtype=np.int64)
-            attempts = bank_budget + 1
-            self.total_accesses[:] = totals + 1
-        else:
-            cap = int(max_accesses)
-            served = np.minimum(totals, cap)
-            fully_dead = totals < cap
-            # First copy whose cumulative budget reaches the cap; == C
-            # for instances that exhaust before it.
-            active_copy = (cum < cap).sum(axis=1)
-            copy_index = np.arange(copies)[np.newaxis, :]
-            attempts = np.where(copy_index < active_copy[:, np.newaxis],
-                                bank_budget + 1, 0)
-            clamped = np.minimum(active_copy, copies - 1)
-            prev_served = np.where(
-                active_copy > 0,
-                np.take_along_axis(
-                    cum, np.maximum(active_copy - 1, 0)[:, np.newaxis],
-                    axis=1)[:, 0],
-                0)
-            rows = np.flatnonzero(~fully_dead & (active_copy < copies))
-            attempts[rows, clamped[rows]] = cap - prev_served[rows]
-            self.total_accesses[:] = np.where(fully_dead, totals + 1, cap)
-        self.used[:] = np.minimum(self.saturated_wear(),
-                                  attempts[:, :, np.newaxis])
-        self.bank_accesses[:] = attempts
-        self.bank_dead[:] = (np.arange(copies)[np.newaxis, :]
-                             < active_copy[:, np.newaxis])
-        self.current[:] = active_copy
-        if OBS.enabled:
-            telemetry.record_batch_exhaustion(
-                self.bank_accesses[self.bank_dead], int(fully_dead.sum()),
-                copies, self.total_accesses[fully_dead])
-        return served
-
-    def _run_closed_touched(self, max_accesses: int | None) -> np.ndarray:
-        """Closed form generalized to arbitrary hook-free starting states.
-
-        The countdown from a touched state is still deterministic: each
-        reachable live bank serves exactly its *remaining* budget (the
-        k-th largest ``floor(lifetime) - used`` among its live switches)
-        and the same serial-consumption argument as the pristine form
-        applies, with dead-latched and already-passed copies contributing
-        zero.  Already-exhausted instances are left untouched, like the
-        stepped kernel.  Pinned bit-identical to :meth:`_run_stepped`
-        from randomized touched states in ``tests/engine``.
-        """
         served = np.zeros(self.instances, dtype=np.int64)
         active = ~self.exhausted
         if max_accesses == 0 or not active.any():
@@ -474,7 +442,12 @@ class WearState:
         reachable = (active[:, np.newaxis]
                      & (copy_index >= self.current[:, np.newaxis])
                      & ~self.bank_dead)
-        eff = np.where(reachable, self.remaining_bank_budgets(), 0)
+        budgets = np.floor(self.lifetime).astype(np.int64)
+        # A wearing switch (used < lifetime) has used <= floor(lifetime);
+        # a failed one has floor(lifetime) - used <= 0.
+        remaining = budgets - self.used
+        np.maximum(remaining, 0, out=remaining)
+        eff = np.where(reachable, kth_largest(remaining, self.k), 0)
         totals = eff.sum(axis=1)
         cum = eff.cumsum(axis=1)
         if max_accesses is None:
@@ -507,12 +480,15 @@ class WearState:
             rows = np.flatnonzero(active & ~exhausting
                                   & (active_copy < copies))
             attempts[rows, clamped[rows]] = cap - prev_served[rows]
-        # Each attempt wears every still-live switch of the bank by one
-        # cycle until it saturates; failed switches are refused wear.
-        wearing = self.used < self.lifetime
-        grown = np.minimum(self.used + attempts[:, :, np.newaxis],
-                           self.saturated_wear())
-        self.used[:] = np.where(wearing, grown, self.used)
+        # Each attempt wears a switch by one cycle until it saturates at
+        # ceil(lifetime).  A failed switch has used >= ceil(lifetime), so
+        # the outer maximum keeps its wear; for a wearing one it is a
+        # no-op.  The per-switch buffers are reused: on large chunks each
+        # fresh array costs its page faults.
+        budgets += self.lifetime > budgets                # ceil(lifetime)
+        grown = np.add(self.used, attempts[:, :, np.newaxis], out=remaining)
+        np.minimum(grown, budgets, out=grown)
+        np.maximum(grown, self.used, out=self.used)
         self.bank_accesses += attempts
         self.bank_dead |= exhausted_banks
         self.current[:] = active_copy

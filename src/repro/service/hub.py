@@ -31,7 +31,8 @@ the :class:`~repro.service.ledger.WearLedger` *before* the engine
 executes it, and :meth:`WearHub.recover` rebuilds the exact state from
 the latest self-contained snapshot plus the records after it -
 closed-form fast-forward for unkeyed records of hook-free tenants (the
-engine's touched-state resume), and stepped replay for the rest, in
+engine's one closed form, from any hook-free state), and stepped
+replay for the rest, in
 kernel rounds of distinct tenants that are exact by the same two facts.
 Recovery therefore costs one ``step_access`` call per pool per replayed
 round, not one per record.
@@ -814,9 +815,9 @@ class WearHub:
         """Apply ``attempts`` accesses to a hook-free tenant, closed form.
 
         Runs on a detached single-row state so per-tenant attempt counts
-        can differ, then writes the arrays back into the pool row.  From
-        a pristine row this is the pristine closed form; after a
-        snapshot restore it exercises the touched-state resume.
+        can differ, then writes the arrays back into the pool row.  The
+        engine's one closed form resumes a pristine row and a row
+        restored from a snapshot alike.
         """
         pool, row = tenant.pool, tenant.row
         state = pool.state

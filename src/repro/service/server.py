@@ -14,12 +14,13 @@ leg binds port 0).  ``drain`` - the protocol op or SIGTERM/SIGINT -
 stops intake, flushes queued rounds, writes a final snapshot, closes
 the connections still open and exits cleanly.  A failed WAL write stops
 the service the same way, except that every request it holds or
-receives is answered ``error`` on a connection left open, no snapshot
-is written (it would claim the lost records) and :func:`run_service`
-raises, so ``repro serve`` exits nonzero and a supervisor restarts the
-shard through recovery.  Recovery charges any record that reached the
-disk unanswered: wear on disk never falls below the wear the service
-acknowledged.
+receives before its connection closes is answered ``error``, no
+snapshot is written (it would claim the lost records) and
+:func:`run_service` raises, so ``repro serve`` exits nonzero and a
+supervisor restarts the shard through recovery; a fleet client reads
+the close as a connection failure and reconnects to the restarted
+shard.  Recovery charges any record that reached the disk unanswered:
+wear on disk never falls below the wear the service acknowledged.
 
 A failed snapshot loses nothing (the WAL holds every acknowledged
 record): a periodic one is counted in ``snapshot_failures``, and a
@@ -217,7 +218,7 @@ class WearService:
 
         A drain returns once every connection handler has ended.  After
         a failure no snapshot is written, since it would cover records
-        the WAL lost, and connections stay open.
+        the WAL lost; the connections close all the same.
         """
         if self._draining:
             return
@@ -234,12 +235,12 @@ class WearService:
                     f"drain snapshot {self.ledger.snapshot_path} "
                     f"failed: {exc}")
         self.ledger.close()
-        # A drain has written every answer it owes: close the
-        # connections still open and let their handlers end, since one
-        # the closing loop cancels makes Python 3.11 log an error, and on
-        # 3.12.1+ Server.wait_closed waits for every connection to drop.
-        # After a failure they stay open, answering ``error``.
-        while self.failure is None and self._connections:
+        # The batcher has answered every request it held (``error``
+        # after a failure): close the connections still open and let
+        # their handlers end, since one the closing loop cancels makes
+        # Python 3.11 log an error, and on 3.12.1+ Server.wait_closed
+        # waits for every connection to drop.
+        while self._connections:
             for writer in self._connections.values():
                 writer.close()
             await asyncio.gather(*self._connections,

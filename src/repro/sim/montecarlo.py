@@ -7,12 +7,14 @@ architecture (how many accesses a real instance serves before dying):
   enough for the full smartphone design (hundreds of thousands of
   devices).  Uses the identity that a k-of-n bank of devices with integer
   actuation budgets ``floor(lifetime)`` serves exactly the k-th largest
-  budget, and serially-consumed banks add their contributions.
+  budget (:func:`~repro.engine.state.kth_largest`), and serially-consumed
+  banks add their contributions.
 - :func:`simulate_access_bounds_hardware` - fabricates chunks of trials
   into one engine :class:`~repro.engine.state.WearState` and runs
-  :meth:`~repro.engine.state.WearState.run_to_exhaustion` on it;
-  bit-identical to stepping every switch of every access, and the only
-  path with process variation and an access cap.  Given the same
+  :meth:`~repro.engine.state.WearState.run_to_exhaustion` on it, the
+  engine's one closed form for hook-free states; bit-identical to
+  stepping every switch of every access, and the only path with process
+  variation and an access cap.  Given the same
   generator both paths return the same bounds, which
   ``tests/differential/test_fast_vs_hardware.py`` pins.
 
@@ -37,7 +39,7 @@ import numpy as np
 from repro.core.degradation import DesignPoint
 from repro.core.serialize import design_to_dict
 from repro.core.variation import NoVariation, ProcessVariation
-from repro.engine.state import WearState
+from repro.engine.state import WearState, kth_largest
 from repro.errors import ConfigurationError
 from repro.obs.recorder import OBS
 from repro.sim.parallel import run_checkpointed_trials
@@ -109,13 +111,7 @@ def simulate_access_bounds(design: DesignPoint, trials: int,
         batch = min(chunk_trials, trials - done)
         lifetimes = design.device.sample(size=(batch, copies, n), rng=rng)
         budgets = np.floor(lifetimes).astype(np.int64)
-        if k == 1:
-            bank_life = budgets.max(axis=2)
-        else:
-            # k-th largest = (n - k)-th order statistic via partition.
-            part = np.partition(budgets, n - k, axis=2)
-            bank_life = part[:, :, n - k]
-        totals[done:done + batch] = bank_life.sum(axis=1)
+        totals[done:done + batch] = kth_largest(budgets, k).sum(axis=1)
         done += batch
     if OBS.enabled:
         elapsed = time.perf_counter() - started

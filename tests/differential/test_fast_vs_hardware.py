@@ -4,9 +4,10 @@
 each bank serves its k-th largest integer budget ``floor(lifetime)``.
 ``simulate_access_bounds_hardware`` fabricates stateful instances and
 drives them to exhaustion.  Both draw the same ``(trials, copies, n)``
-lifetimes from the generator, and the engine's closed form for a
-pristine state sums the same k-th largest budgets, so on the same seed
-and trial count the two return the same bounds element for element.
+lifetimes from the generator, and the engine's one closed form, run
+from a freshly fabricated state, sums the same k-th largest budgets
+(both through ``kth_largest``), so on the same seed and trial count the
+two return the same bounds element for element.
 The grid pins that equality; an off-by-one in either path breaks it.
 """
 

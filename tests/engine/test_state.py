@@ -75,17 +75,27 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             WearState(lifetimes, 1)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, 2.0 ** 63, 1e300])
+    # 2**62 fits int64 on its own, but its instance's sum does not stay
+    # below the bound that keeps every summed count from wrapping.
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 2.0 ** 63, 1e300,
+                                     2.0 ** 62])
     def test_rejects_lifetimes_it_cannot_count(self, bad):
         lifetimes = np.ones((1, 2, 3))
         lifetimes[0, 1, 2] = bad
-        with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*63\)"):
+        with pytest.raises(ConfigurationError, match=r"sum below 2\*\*62"):
             WearState(lifetimes, 1)
 
-    def test_counts_the_largest_lifetime_below_2_to_the_63(self):
-        largest = np.nextafter(2.0 ** 63, 0.0)
-        state = WearState(np.full((1, 1, 2), largest), 1)
-        assert state.switch_budgets().tolist() == [[[int(largest)] * 2]]
+    def test_counts_lifetimes_summing_to_just_below_2_to_the_62(self):
+        # The bound is per instance: two instances may each sum to just
+        # below 2**62, and every count the engine sums stays exact.
+        half = np.nextafter(2.0 ** 61, 0.0)
+        budget = int(half)
+        state = WearState(np.full((2, 1, 2), half), 1)
+        assert state.switch_budgets().tolist() == [[[budget] * 2]] * 2
+        assert state.remaining_capacity().tolist() == [budget] * 2
+        assert state.run_to_exhaustion().tolist() == [budget] * 2
+        assert state.used.sum(axis=(1, 2)).tolist() == [2 * budget] * 2
+        assert state.total_accesses.tolist() == [budget + 1] * 2
 
     def test_from_lifetimes_promotes_2d(self):
         state = WearState.from_lifetimes(np.ones((2, 4)), 2)

@@ -1,11 +1,12 @@
 """Closed-form resume from touched states, pinned against stepping.
 
-PR 5's satellite: ``run_to_exhaustion`` on a non-pristine hook-free
-state must finalize every array bit-identically to the stepped kernel,
-so restored checkpoints and the service's post-restart replay can skip
-per-access stepping.  The states driven here are deliberately abused -
-partial drives, external wear, forced failures, killed banks, advanced
-copies - because that is exactly what a restored snapshot looks like.
+``run_to_exhaustion`` on a hook-free state - pristine or not - must
+finalize every array bit-identically to the stepped kernel, so restored
+checkpoints and the service's post-restart replay can skip per-access
+stepping.  Most states driven here are deliberately abused - partial
+drives, external wear, forced failures, killed banks, advanced copies -
+because that is exactly what a restored snapshot looks like; pristine
+states of random shape go through the same closed form.
 """
 
 import numpy as np
@@ -58,18 +59,34 @@ def _touch(state, rng, steps):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("cap", [None, 0, 1, 5, 17, 1000])
-@pytest.mark.parametrize("seed", [11, 12, 13])
-def test_touched_closed_form_matches_stepping(k, cap, seed):
+@pytest.mark.parametrize("seed, touched", [
+    (11, True), (12, True), (13, True),
+    (21, False), (22, False), (23, False),
+], ids=["11", "12", "13", "untouched-21", "untouched-22", "untouched-23"])
+def test_touched_closed_form_matches_stepping(k, cap, seed, touched):
+    """One closed form resumes any hook-free state: abused ones, and
+    pristine ones of random shape that are neither stepped nor abused."""
     rng = np.random.default_rng(seed)
-    lifetimes = rng.uniform(0.0, 7.0, size=(6, 3, 4))
+    shape = ((6, 3, 4) if touched else
+             (int(rng.integers(1, 9)), int(rng.integers(1, 6)),
+              int(rng.integers(k, 8))))
+    lifetimes = rng.uniform(0.0, 7.0, size=shape)
     lifetimes[0, 0] = np.floor(lifetimes[0, 0])  # integer-lifetime bank
     state = WearState(lifetimes, k)
-    _touch(state, rng, steps=int(rng.integers(0, 8)))
+    if touched:
+        _touch(state, rng, steps=int(rng.integers(0, 8)))
+    else:
+        assert state.is_pristine
+    predicted = state.remaining_capacity()
     reference = _clone(state)
     served_closed = state.run_to_exhaustion(cap)
     served_stepped = reference._run_stepped(cap)
     assert np.array_equal(served_closed, served_stepped)
     _assert_states_equal(state, reference, f"(k={k}, cap={cap})")
+    # The pure query, which the closed form no longer calls, predicts
+    # what stepping serves.
+    assert np.array_equal(served_stepped, predicted if cap is None
+                          else np.minimum(predicted, cap))
 
 
 def test_exhausted_instances_stay_untouched():

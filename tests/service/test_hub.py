@@ -70,8 +70,10 @@ class TestProvision:
                      marks=pytest.mark.filterwarnings(
                          "ignore:overflow:RuntimeWarning")),
         {"alpha": 1e19, "beta": 1000.0},
+        {"alpha": 4e18, "beta": 50.0, "seed": 1},
     ], ids=["rs-n300", "n70000", "alpha-inf", "alpha-nan", "beta-nan",
-            "seed-negative", "lifetime-inf", "lifetime-past-int64"])
+            "seed-negative", "lifetime-inf", "lifetime-past-int64",
+            "budget-sum-past-int64"])
     def test_unbuildable_provision_never_enters_the_wal(
             self, tmp_path, overrides):
         """Inputs the parameter checks pass but fabrication rejects."""
@@ -650,7 +652,9 @@ class TestGroupedReplay:
         pytest.param(_provision_request("t1", alpha=1e300, beta=1e-3),
                      marks=pytest.mark.filterwarnings(
                          "ignore:overflow:RuntimeWarning")),
-    ], ids=["invalid", "unnamed", "duplicate", "lifetime-inf"])
+        _provision_request("t1", alpha=4e18, beta=50.0, seed=1),
+    ], ids=["invalid", "unnamed", "duplicate", "lifetime-inf",
+            "budget-sum-past-int64"])
     def test_provision_record_that_does_not_build_is_corruption(
             self, tmp_path, record):
         ledger = WearLedger(str(tmp_path))

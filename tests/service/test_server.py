@@ -329,17 +329,17 @@ class TestWalWriteFailure:
             # other waits its turn in the queue.
             answers = await asyncio.wait_for(asyncio.gather(
                 *(client.access("tenant-000") for client in clients)), 5)
-            # The connection survives, and new work is refused.
-            later = await asyncio.wait_for(
-                clients[0].provision(**population[1]), 5)
-            await _close(*clients)
             with pytest.raises(LedgerWriteError):
                 await asyncio.wait_for(serving, 5)
-            return before, answers, later
+            # The stopped service closed both connections.
+            closes = [await asyncio.wait_for(client._reader.read(), 5)
+                      for client in clients]
+            await _close(*clients)
+            return before, answers, closes
 
-        before, answers, later = asyncio.run(scenario())
+        before, answers, closes = asyncio.run(scenario())
         assert [a["status"] for a in answers] == ["error", "error"]
-        assert later["status"] == "error"
+        assert closes == [b"", b""]
         # No snapshot claims the lost record, and recovery restores the
         # tenants and wear from before the failure.
         assert not (tmp_path / "ledger" / "snapshot.json").exists()
@@ -351,6 +351,40 @@ class TestWalWriteFailure:
         for field in ("attempts", "served", "remaining", "wear_cycles",
                       "current_copy", "dead_banks"):
             assert after[field] == before[field]
+
+    def test_failed_service_closes_idle_connections(self, tmp_path,
+                                                    failing_wal, caplog):
+        """A failed service closes every connection, like a drain: by the
+        time :func:`run_service` raises, a client that never sent a
+        request has read EOF and no connection handler is left pending
+        (on Python 3.12.1+ ``Server.wait_closed`` would wait for it)."""
+        ready = str(tmp_path / "ready.json")
+        config = _config(tmp_path, ready_file=ready)
+
+        async def scenario():
+            serving = asyncio.ensure_future(run_service(config))
+            host, port = await asyncio.to_thread(read_ready_file, ready, 5)
+            reader, writer = await asyncio.open_connection(host, port)
+            client = await ServiceClient(host, port).connect()
+            await client.provision(**tenant_population(1, seed=71)[0])
+            failing_wal[0].armed = True
+            answer = await asyncio.wait_for(client.access("tenant-000"), 5)
+            with pytest.raises(LedgerWriteError):
+                await asyncio.wait_for(serving, 5)
+            handlers = [task for task in asyncio.all_tasks()
+                        if task.get_coro().__name__ == "_handle_connection"]
+            eof = await asyncio.wait_for(reader.read(), 5)
+            writer.close()
+            await writer.wait_closed()
+            await client.close()
+            return answer, handlers, eof
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            answer, handlers, eof = asyncio.run(scenario())
+        assert answer["status"] == "error"
+        assert handlers == []
+        assert eof == b""
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
 class TestSnapshotFailure:
